@@ -46,6 +46,17 @@ def _csv_strs(raw: str) -> list[str]:
     return [x for x in raw.split(",") if x != ""]
 
 
+def _connectivity_k(raw: str) -> int:
+    """argparse type of a connectivity order: an integer >= 1."""
+    try:
+        k = int(raw)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"k must be an integer >= 1, got {raw!r}")
+    return k
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pivotkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rankconn", help="certify k-rank-connectivity")
     p.add_argument("file")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_connectivity_k)
 
     p = sub.add_parser("matroid", help="binary matroid operations")
     msub = p.add_subparsers(dest="matroid_command", required=True)
@@ -94,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--set", dest="element_set", required=True)
     m = msub.add_parser("connectivity")
     m.add_argument("file")
-    m.add_argument("k", type=int)
+    m.add_argument("k", type=_connectivity_k)
 
     p = sub.add_parser("splittree", help="split a tree into large parts")
     p.add_argument("file")
@@ -299,3 +310,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

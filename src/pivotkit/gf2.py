@@ -132,8 +132,12 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-def rank_bits(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of rows given as bit-packed ints."""
+def rank_bits(rows: Iterable[int], stop: int | None = None) -> int:
+    """Rank over GF(2) of rows given as bit-packed ints.
+
+    With a positive ``stop``, elimination ends as soon as the rank
+    reaches it, so the result is min(rank, stop).
+    """
     lead: dict[int, int] = {}
     for row in rows:
         while row:
@@ -142,6 +146,8 @@ def rank_bits(rows: Iterable[int]) -> int:
                 row ^= lead[hb]
             else:
                 lead[hb] = row
+                if len(lead) == stop:
+                    return stop
                 break
     return len(lead)
 

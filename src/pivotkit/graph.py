@@ -24,7 +24,7 @@ def _bits(mask: int):
 
 
 def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 class Graph:

@@ -10,7 +10,6 @@ label swap, and leaves the circuits unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from ._text import content_lines
@@ -19,7 +18,7 @@ from .errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                      SubsetCapExceeded)
 from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank, rank_bits
 from .graph import BiGraph, Graph
-from .cutrank import subset_cap
+from .cutrank import first_separation, subset_cap
 
 CIRCUIT_ENUM_CAP = 16
 
@@ -250,7 +249,7 @@ def circuits(m: BinaryMatroid) -> frozenset[frozenset[str]]:
         xs[s] = xs[s ^ low] ^ cols[low.bit_length() - 1]
         if xs[s] == 0:
             zero_sets.append(s)
-    zero_sets.sort(key=lambda s: bin(s).count("1"))
+    zero_sets.sort(key=int.bit_count)
     minimal: list[int] = []
     for s in zero_sets:
         if not any(c & s == c for c in minimal):
@@ -338,34 +337,20 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
     """Whether lambda(X) >= l for every X with |X|, |E-X| >= l, l < k.
 
     Returns (True, None) or (False, witness X).  The witness is the
-    first failure in the deterministic enumeration (l ascending, |X|
-    ascending over the smaller side, elements in sorted label order).
+    first failure in the deterministic enumeration shared with
+    find_low_rank_separation: l ascending, then |X| ascending over the
+    smaller side, then elements in sorted label order.
     """
     elements = m.element_order()
     ne = len(elements)
     cap = subset_cap()
     if ne > cap:
         raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {cap}")
-    cache: dict[frozenset[str], int] = {}
-
-    def lam(xs: frozenset[str]) -> int:
-        val = cache.get(xs)
-        if val is None:
-            val = connectivity_lambda(m, xs)
-            cache[xs] = val
-        return val
-
-    for order in range(1, k):
-        if 2 * order > ne:
-            break
-        for size in range(order, ne // 2 + 1):
-            for subset in combinations(elements, size):
-                if 2 * size == ne and subset[0] != elements[0]:
-                    continue
-                xs = frozenset(subset)
-                if lam(xs) < order:
-                    return False, xs
-    return True, None
+    found = first_separation(
+        ne, k, lambda subset, _lim: connectivity_lambda(m, [elements[i] for i in subset]))
+    if found is None:
+        return True, None
+    return False, frozenset(elements[i] for i in found[0])
 
 
 def format_multigraph(g: MultiGraph, t: SpanningTree, provenance: str | None = None) -> str:

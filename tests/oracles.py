@@ -3,13 +3,20 @@
 These deliberately avoid the code paths they validate: rank by row-space
 enumeration, biclique search by subset-pair enumeration, cycles by edge
 subset scanning, and fundamental matrices by GF(2) incidence solving.
+The separation searches are the earlier multi-pass versions: one pass
+per order over a memo of every value, with a cut-rank that re-indexes
+the complement columns bit by bit.
 """
 
 from itertools import combinations
+from typing import Optional
 
-from pivotkit.gf2 import BitMatrix
+from pivotkit.cutrank import Separation, subset_cap
+from pivotkit.errors import SubsetCapExceeded
+from pivotkit.gf2 import BitMatrix, rank_bits
 from pivotkit.graph import BiGraph, Graph
-from pivotkit.matroid import MultiGraph, SpanningTree
+from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
+                              connectivity_lambda)
 
 
 def rank_by_span(m: BitMatrix) -> int:
@@ -141,3 +148,91 @@ def multigraph_minor(mg: MultiGraph, deletions: set[str], contractions: set[str]
             continue
         edges.append((lab, new_id[find(u)], new_id[find(v)]))
     return MultiGraph(len(roots), edges)
+
+
+def _cut_rank_mask(g: Graph, mask: int) -> int:
+    comp = [v for v in range(g.n) if not (mask >> v) & 1]
+    rows = []
+    m = mask
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        au = g.adj[u]
+        bits = 0
+        for idx, v in enumerate(comp):
+            bits |= ((au >> v) & 1) << idx
+        rows.append(bits)
+    return rank_bits(rows)
+
+
+def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
+    """First separation of rank l for some l in 1..k-1, or None.
+
+    Enumerates l ascending, then |X| ascending (only the smaller side,
+    by the X <-> V-X symmetry), then subsets lexicographically, so the
+    returned witness is deterministic.  Raises SubsetCapExceeded when
+    the vertex count is over the enumeration cap.
+    """
+    n = g.n
+    cap = subset_cap()
+    if n > cap:
+        raise SubsetCapExceeded(f"{n} vertices exceeds the subset cap {cap}")
+    # Cache cut-ranks: each partition is visited once per l.
+    cache: dict[int, int] = {}
+
+    def cr(mask: int) -> int:
+        val = cache.get(mask)
+        if val is None:
+            val = _cut_rank_mask(g, mask)
+            cache[mask] = val
+        return val
+
+    for order in range(1, k):
+        if 2 * order > n:
+            break  # both sides must have at least `order` vertices
+        for size in range(order, n // 2 + 1):
+            for subset in combinations(range(n), size):
+                if 2 * size == n and subset[0] != 0:
+                    continue  # balanced splits are enumerated once
+                mask = 0
+                for v in subset:
+                    mask |= 1 << v
+                value = cr(mask)
+                if value < order:
+                    return Separation(subset, order, value)
+    return None
+
+
+def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[str]]]:
+    """Whether lambda(X) >= l for every X with |X|, |E-X| >= l, l < k.
+
+    Returns (True, None) or (False, witness X).  The witness is the
+    first failure in the deterministic enumeration (l ascending, |X|
+    ascending over the smaller side, elements in sorted label order).
+    """
+    elements = m.element_order()
+    ne = len(elements)
+    cap = subset_cap()
+    if ne > cap:
+        raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {cap}")
+    cache: dict[frozenset[str], int] = {}
+
+    def lam(xs: frozenset[str]) -> int:
+        val = cache.get(xs)
+        if val is None:
+            val = connectivity_lambda(m, xs)
+            cache[xs] = val
+        return val
+
+    for order in range(1, k):
+        if 2 * order > ne:
+            break
+        for size in range(order, ne // 2 + 1):
+            for subset in combinations(elements, size):
+                if 2 * size == ne and subset[0] != elements[0]:
+                    continue
+                xs = frozenset(subset)
+                if lam(xs) < order:
+                    return False, xs
+    return True, None

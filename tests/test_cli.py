@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pivotkit
 from pivotkit.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                           run_cli)
 from pivotkit.extremal import format_instance, gen_ktt_example
@@ -123,6 +127,29 @@ class TestExitCodes:
         if code == EXIT_VIOLATION:
             assert out.startswith("separation side=")
 
+    @pytest.mark.parametrize("k", ["0", "-2", "x"])
+    def test_rankconn_k_below_one_is_usage(self, k):
+        code, out = run(["rankconn", "-", "--", k],
+                        stdin=format_graph(Graph.cycle(5)))
+        assert code == EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_matroid_connectivity_k_below_one_is_usage(self, k):
+        _, doc = run(["gen", "ktt", "3"])
+        _, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
+        code, out = run(["matroid", "connectivity", "-", "--", k], stdin=mat)
+        assert code == EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "0"])
+    def test_bad_subset_cap_env_is_usage(self, monkeypatch, raw):
+        monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", raw)
+        code, _ = run(["rankconn", "-", "2"], stdin=format_graph(Graph.cycle(4)))
+        assert code == EXIT_USAGE
+        _, doc = run(["gen", "ktt", "3"])
+        _, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
+        code, _ = run(["matroid", "connectivity", "-", "2"], stdin=mat)
+        assert code == EXIT_USAGE
+
     def test_parse_error_is_usage(self):
         code, _ = run(["cutrank", "-", "--set", "0"], stdin="nonsense\n")
         assert code == EXIT_USAGE
@@ -198,3 +225,12 @@ class TestCheckAndReplay:
     def test_unknown_campaign_is_usage(self):
         code, _ = run(["check", "not-a-campaign"])
         assert code == EXIT_USAGE
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(pivotkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", "cutrank", "-",
+                           "--set", "0,1"], input=format_graph(Graph.cycle(4)),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK and proc.stdout.strip() == "2"

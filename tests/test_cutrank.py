@@ -1,13 +1,16 @@
-import os
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotkit.cutrank import (HARD_SUBSET_CAP, Separation, cut_rank,
                               find_low_rank_separation, subset_cap)
 from pivotkit.errors import SubsetCapExceeded
 from pivotkit.gf2 import BitMatrix, rank
 from pivotkit.graph import Graph
+
+import oracles
 
 
 def cut_rank_by_matrix(g, xs):
@@ -95,6 +98,12 @@ class TestFindLowRankSeparation:
         with pytest.raises(SubsetCapExceeded):
             find_low_rank_separation(Graph.cycle(5), 2)
 
+    @pytest.mark.parametrize("raw", ["abc", "-1", "0", ""])
+    def test_subset_cap_env_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", raw)
+        with pytest.raises(ValueError, match="PIVOTKIT_MAX_SUBSET_N"):
+            find_low_rank_separation(Graph.cycle(4), 2)
+
     def test_env_cannot_raise_cap(self, monkeypatch):
         monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", "99")
         assert subset_cap() == HARD_SUBSET_CAP
@@ -105,3 +114,42 @@ class TestFindLowRankSeparation:
         g = Graph.path(3)
         sep = find_low_rank_separation(g, 3)
         assert sep is None
+
+
+def graph_from_code(n, code):
+    """The labelled graph on range(n) with edge i of combinations(range(n), 2)
+    present when bit i of code is set."""
+    pairs = combinations(range(n), 2)
+    return Graph(n, [e for i, e in enumerate(pairs) if (code >> i) & 1])
+
+
+@st.composite
+def labelled_graphs(draw, n_min, n_max):
+    """G(n, p) with n in n_min..n_max and p from sparse to dense."""
+    n = draw(st.integers(n_min, n_max))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7]))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+class TestMatchesMultiPassOracle:
+    """The single pass returns the multi-pass search's first witness."""
+
+    def assert_same(self, g, ks=range(5)):
+        for k in ks:
+            assert find_low_rank_separation(g, k) == oracles.find_low_rank_separation(g, k)
+
+    def test_every_graph_up_to_five_vertices(self):
+        for n in range(6):
+            for code in range(1 << (n * (n - 1) // 2)):
+                self.assert_same(graph_from_code(n, code))
+
+    def test_sampled_six_vertex_graphs(self):
+        rng = random.Random(6)
+        for code in rng.sample(range(1 << 15), 2000):
+            self.assert_same(graph_from_code(6, code))
+
+    @settings(max_examples=20, deadline=None)
+    @given(labelled_graphs(7, 12))
+    def test_larger_graphs(self, g):
+        self.assert_same(g, ks=range(2, 6))

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from pivotkit.errors import DimensionMismatch, PivotOnZero
 from pivotkit.gf2 import (BitMatrix, format_matrix, matrix_pivot, parse_matrix,
-                          rank, xor_rank)
+                          rank, rank_bits, xor_rank)
 
 from oracles import rank_by_span
 
@@ -39,6 +39,10 @@ class TestRank:
     @given(bitmatrices())
     def test_transpose_invariant(self, m):
         assert rank(m) == rank(m.transpose())
+
+    @given(bitmatrices(), st.integers(1, 6))
+    def test_stop_caps_the_rank(self, m, stop):
+        assert rank_bits(m.rows, stop) == min(rank(m), stop)
 
 
 class TestMatrixPivot:

@@ -5,6 +5,7 @@ import pytest
 from pivotkit.cutrank import cut_rank
 from pivotkit.errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                              NotASpanningTree, NotConnected, PivotOnZero)
+from pivotkit.extremal import gen_c6_blowup_example, gen_ktt_example
 from pivotkit.gf2 import BitMatrix
 from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
                               change_basis, circuits, cographic_matroid,
@@ -16,6 +17,7 @@ from pivotkit.pivot import are_isomorphic, pivot
 
 from oracles import (fundamental_matrix_by_solving, multigraph_cycles,
                      multigraph_minor)
+from oracles import is_k_connected as is_k_connected_multi_pass
 
 
 def triangle():
@@ -264,6 +266,20 @@ class TestConnectivity:
         assert witness is not None
         lam = connectivity_lambda(m, witness)
         assert lam < 2 and len(witness) >= lam + 1
+
+    def test_is_k_connected_matches_multi_pass_oracle(self):
+        # Random graphs give witnesses of order 1 and 2; the C6 blow-up
+        # gives one of order 3.
+        rng = random.Random(71)
+        graphs = [random_connected_multigraph(rng, n_max=6, extra_max=6, allow_loops=False)
+                  for _ in range(40)]
+        graphs += [(inst.multigraph, inst.tree) for inst in
+                   [gen_ktt_example(t) for t in range(3, 7)] + [gen_c6_blowup_example(2)]]
+        for mg, t in graphs:
+            for build in (graphic_matroid, cographic_matroid):
+                m = build(mg, t)
+                for k in range(6):
+                    assert is_k_connected(m, k) == is_k_connected_multi_pass(m, k)
 
 
 class TestCographic:
