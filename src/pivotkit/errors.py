@@ -22,7 +22,19 @@ class OrbitBudgetExceeded(RuntimeError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Containment search ran out of node budget; result is unknown."""
+    """Containment search ran out of node budget; result is unknown.
+
+    Says how far the search got: ``expanded`` nodes expanded, ``classes``
+    distinct isomorphism classes seen, and ``depth`` the BFS level that
+    was being expanded (0 is the host graph).
+    """
+
+    def __init__(self, budget: int, expanded: int, classes: int, depth: int):
+        super().__init__(f"budget {budget} exhausted: expanded={expanded} "
+                         f"classes={classes} depth={depth}")
+        self.expanded = expanded
+        self.classes = classes
+        self.depth = depth
 
 
 class NotConnected(ValueError):

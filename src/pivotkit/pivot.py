@@ -9,7 +9,7 @@ canonical form, so they are exact at small scale.
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import Counter
 from typing import Optional
 
 from .errors import NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
@@ -46,9 +46,12 @@ def pivot(g: Graph, x: int, y: int) -> Graph:
 def pivot_orbit(g: Graph, max_size: int) -> list[Graph]:
     """Breadth-first closure of g under pivoting over all edges.
 
-    Raises OrbitBudgetExceeded as soon as the orbit grows past max_size.
-    Graphs are labeled; the orbit is returned in discovery order.
+    Raises OrbitBudgetExceeded as soon as the orbit grows past max_size,
+    and ValueError when max_size < 1.  Graphs are labeled; the orbit is
+    returned in discovery order.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     seen = {g.key()}
     order = [g]
     frontier = [g]
@@ -68,91 +71,83 @@ def pivot_orbit(g: Graph, max_size: int) -> list[Graph]:
     return order
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Iterated neighbour-colour refinement; returns a colour per vertex."""
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        sigs = []
-        for v in range(g.n):
-            nb = tuple(sorted(colors[w] for w in _bits(g.adj[v])))
-            sigs.append((colors[v], nb))
+def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """Refine a colouring until the number of classes stops growing.
+
+    A signature is a colour and the multiset of neighbour colours, packed
+    into one integer (the colour above a count per colour, each field
+    wide enough for n - 1); new colours rank the distinct signatures.
+    """
+    n, classes = len(colors), len(set(colors))
+    width = n.bit_length()
+    while classes < n:
+        weights = [1 << (width * c) for c in colors]
+        top = width * (max(colors) + 1)
+        sigs = [(c << top) + sum(map(weights.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        colors = [ranks[s] for s in sigs]
+        if len(ranks) == classes:
+            break
+        classes = len(ranks)
+    return colors
 
 
 def canonical_form(g: Graph) -> tuple:
-    """A canonical key: minimum adjacency encoding over all vertex
-    orderings consistent with colour refinement."""
-    n = g.n
-    if n == 0:
-        return (0, 0)
-    colors = _refine_colors(g)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    groups = [classes[c] for c in sorted(classes)]
+    """A canonical key, (n, least leaf code), by individualization-refinement.
 
-    best: Optional[int] = None
-    # Backtracking over orderings that list each colour class as a block,
-    # pruning by comparing the partial upper-triangle encoding.
-    order: list[int] = []
+    Keys are equal exactly when graphs are isomorphic.  Starting from
+    degrees, refine; then, for each vertex of the first smallest class
+    with more than one vertex, give it its own colour just before the
+    rest of its class and recurse.  A leaf, where all colours differ,
+    codes the adjacency upper triangle in colour order.  Equal leaf codes
+    give automorphisms, which prune children in one orbit (McKay and
+    Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014).
+    """
+    n, adj = g.n, g.adj
+    nbrs = [list(_bits(row)) for row in adj]
+    best = best_order = None
+    autos: list[tuple[list[int], int]] = []  # (vertex map, its fixed points)
 
-    def encode_prefix(full_check: bool) -> Optional[int]:
-        nonlocal best
-        code = 0
-        pos = 0
-        k = len(order)
-        for j in range(1, k):
-            vj = order[j]
-            for i in range(j):
-                code = (code << 1) | ((g.adj[vj] >> order[i]) & 1)
-                pos += 1
-        return code
-
-    def rec(gi: int, remaining: list[list[int]]):
-        nonlocal best
-        if gi == len(groups):
-            code = encode_prefix(True)
+    def search(colors: list[int], path: int) -> None:
+        nonlocal best, best_order
+        colors = _refine(nbrs, colors)
+        if len(set(colors)) == n:
+            order = sorted(range(n), key=colors.__getitem__)
+            code = 0
+            for j, v in enumerate(order):
+                for u in order[:j]:
+                    code = (code << 1) | ((adj[v] >> u) & 1)
             if best is None or code < best:
-                best = code
+                best, best_order = code, order
+            elif code == best:
+                auto = [v for _, v in sorted(zip(best_order, order))]
+                autos.append((auto, sum(1 << u for u in range(n) if auto[u] == u)))
             return
-        group = remaining[gi]
-        for perm in permutations(sorted(group)):
-            order.extend(perm)
-            # Prune: compare prefix against the corresponding prefix of best.
-            if best is not None:
-                k = len(order)
-                bits_here = k * (k - 1) // 2
-                total = n * (n - 1) // 2
-                prefix = encode_prefix(False)
-                if prefix > (best >> (total - bits_here)):
-                    del order[len(order) - len(perm):]
-                    continue
-            rec(gi + 1, remaining)
-            del order[len(order) - len(perm):]
+        sizes = Counter(colors)
+        target = min((k, c) for c, k in sizes.items() if k > 1)[1]
+        doubled = [2 * c + 1 for c in colors]  # room below each class
+        seen: set[int] = set()  # orbits of the children searched so far
+        for v in range(n):
+            if colors[v] == target and v not in seen:
+                doubled[v] -= 1
+                search(doubled, path | (1 << v))
+                doubled[v] += 1
+                # Automorphisms fixing the path map v's subtree onto its images'.
+                fixing = [a for a, fixed in autos if path & ~fixed == 0]
+                stack = [v]
+                while stack:
+                    u = stack.pop()
+                    if u not in seen:
+                        seen.add(u)
+                        stack.extend(a[u] for a in fixing)
 
-    rec(0, groups)
+    search([len(nb) for nb in nbrs], 0)
     return (n, best)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: degree-sequence pruning, then VF2."""
-    if g1.n != g2.n or g1.num_edges() != g2.num_edges():
-        return False
-    if sorted(g1.degree(v) for v in range(g1.n)) != sorted(g2.degree(v) for v in range(g2.n)):
-        return False
-    import networkx as nx
-
-    def to_nx(g: Graph):
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edge_list())
-        return h
-
-    return nx.is_isomorphic(to_nx(g1), to_nx(g2))
+    """Exact isomorphism test: equal vertex counts and canonical forms."""
+    return g1.n == g2.n and canonical_form(g1) == canonical_form(g2)
 
 
 def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list[tuple]]]:
@@ -160,10 +155,13 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
 
     Breadth-first search over canonical forms with a node budget; raises
     SearchBudgetExceeded when the budget runs out (result unknown, which
-    is deliberately distinct from False).  On success, returns the
-    witness sequence of ("pivot", x, y) / ("delete", v) steps, each in
-    the labels of the intermediate graph it applies to.
+    is deliberately distinct from False), and ValueError when budget < 1.
+    On success, returns the witness sequence of ("pivot", x, y) /
+    ("delete", v) steps, each in the labels of the intermediate graph it
+    applies to.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if h.n > g.n:
         return False, None
     target = canonical_form(h)
@@ -172,13 +170,13 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         return True, []
     seen = {start_key}
     frontier: list[tuple[Graph, list[tuple]]] = [(g, [])]
-    expanded = 0
+    expanded = depth = 0
     while frontier:
         nxt: list[tuple[Graph, list[tuple]]] = []
         for cur, path in frontier:
             expanded += 1
             if expanded > budget:
-                raise SearchBudgetExceeded(f"budget {budget} exhausted")
+                raise SearchBudgetExceeded(budget, expanded - 1, len(seen), depth)
             succs: list[tuple[Graph, tuple]] = []
             for u, v in cur.edge_list():
                 succs.append((pivot(cur, u, v), ("pivot", u, v)))
@@ -195,4 +193,5 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
                     return True, new_path
                 nxt.append((nxt_g, new_path))
         frontier = nxt
+        depth += 1
     return False, None

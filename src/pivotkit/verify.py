@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import networkx as nx
-
 from ._text import content_lines
 from .cutrank import cut_rank, find_low_rank_separation
 from .errors import CapExceeded, FormatError, UnknownCampaign
@@ -206,10 +204,15 @@ def _check_conn_equiv(m: BinaryMatroid, k_max: int):
             cr = cut_rank(g, [pos[e] for e in subset])
             if lam != cr:
                 return {"k_max": k_max, "data": _embed(format_matroid(m))}
-    for k in range(1, k_max + 1):
-        conn, _ = is_k_connected(m, k)
-        if conn != (find_low_rank_separation(g, k) is None):
-            return {"k_max": k_max, "data": _embed(format_matroid(m))}
+    # Both searches return a least-order witness, so one call each at
+    # k_max answers every k in 1..k_max: a side is k-connected exactly
+    # when k <= its order, taken as k_max when it has no witness.
+    _, witness = is_k_connected(m, k_max)
+    m_order = k_max if witness is None else connectivity_lambda(m, witness) + 1
+    sep = find_low_rank_separation(g, k_max)
+    g_order = k_max if sep is None else sep.order
+    if m_order != g_order:
+        return {"k_max": k_max, "data": _embed(format_matroid(m))}
     return None
 
 
@@ -297,6 +300,8 @@ def _run_tree(report: CampaignReport, rng: random.Random) -> None:
     max_edges = report.params["max_edges"]
     if max_edges > 12:
         raise CapExceeded("tree-lemma enumerates trees with at most 12 edges")
+    import networkx as nx  # only this campaign needs it; keeps startup light
+
     for order in range(2, max_edges + 2):
         for nxt in nx.nonisomorphic_trees(order):
             tree = Graph(order, nxt.edges())

@@ -5,16 +5,18 @@ enumeration, biclique search by subset-pair enumeration, cycles by edge
 subset scanning, and fundamental matrices by GF(2) incidence solving.
 The separation searches are the earlier multi-pass versions: one pass
 per order over a memo of every value, with a cut-rank that re-indexes
-the complement columns bit by bit.
+the complement columns bit by bit.  The canonical form is the earlier
+one: the least adjacency code over every ordering that lists the
+colour-refinement classes as blocks, tried by backtracking.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional
 
 from pivotkit.cutrank import Separation, subset_cap
 from pivotkit.errors import SubsetCapExceeded
 from pivotkit.gf2 import BitMatrix, rank_bits
-from pivotkit.graph import BiGraph, Graph
+from pivotkit.graph import BiGraph, Graph, _bits
 from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
                               connectivity_lambda)
 
@@ -236,3 +238,73 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
                 if lam(xs) < order:
                     return False, xs
     return True, None
+
+
+def _refine_colors(g: Graph) -> list[int]:
+    """Iterated neighbour-colour refinement; returns a colour per vertex."""
+    colors = [g.degree(v) for v in range(g.n)]
+    while True:
+        sigs = []
+        for v in range(g.n):
+            nb = tuple(sorted(colors[w] for w in _bits(g.adj[v])))
+            sigs.append((colors[v], nb))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def canonical_form(g: Graph) -> tuple:
+    """A canonical key: minimum adjacency encoding over all vertex
+    orderings consistent with colour refinement."""
+    n = g.n
+    if n == 0:
+        return (0, 0)
+    colors = _refine_colors(g)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    groups = [classes[c] for c in sorted(classes)]
+
+    best: Optional[int] = None
+    # Backtracking over orderings that list each colour class as a block,
+    # pruning by comparing the partial upper-triangle encoding.
+    order: list[int] = []
+
+    def encode_prefix(full_check: bool) -> Optional[int]:
+        nonlocal best
+        code = 0
+        pos = 0
+        k = len(order)
+        for j in range(1, k):
+            vj = order[j]
+            for i in range(j):
+                code = (code << 1) | ((g.adj[vj] >> order[i]) & 1)
+                pos += 1
+        return code
+
+    def rec(gi: int, remaining: list[list[int]]):
+        nonlocal best
+        if gi == len(groups):
+            code = encode_prefix(True)
+            if best is None or code < best:
+                best = code
+            return
+        group = remaining[gi]
+        for perm in permutations(sorted(group)):
+            order.extend(perm)
+            # Prune: compare prefix against the corresponding prefix of best.
+            if best is not None:
+                k = len(order)
+                bits_here = k * (k - 1) // 2
+                total = n * (n - 1) // 2
+                prefix = encode_prefix(False)
+                if prefix > (best >> (total - bits_here)):
+                    del order[len(order) - len(perm):]
+                    continue
+            rec(gi + 1, remaining)
+            del order[len(order) - len(perm):]
+
+    rec(0, groups)
+    return (n, best)

@@ -177,6 +177,25 @@ class TestExitCodes:
             code, out = run(["pivotminor", hp, gp])
             assert code == EXIT_OK and out.strip() == "no"
 
+    @pytest.mark.parametrize("budget", ["0", "-1", "-5"])
+    def test_budget_below_one_is_usage(self, tmp_path, budget, capsys):
+        gp = tmp_path / "g"
+        gp.write_text(format_graph(Graph.path(4)))
+        # H = G would answer "yes" before the search spends any budget.
+        code, out = run(["pivotminor", str(gp), str(gp), "--budget", budget])
+        assert code == EXIT_USAGE and out == ""
+        assert "budget must be at least 1" in capsys.readouterr().err
+
+    def test_budget_exit_reports_progress_on_stderr(self, tmp_path, capsys):
+        hp, gp = tmp_path / "h", tmp_path / "g"
+        hp.write_text(format_graph(Graph.complete(3)))
+        gp.write_text(format_graph(Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5),
+                                             (2, 5), (2, 3)])))
+        code, out = run(["pivotminor", str(hp), str(gp), "--budget", "2"])
+        assert code == EXIT_BUDGET and out == ""
+        err = capsys.readouterr().err
+        assert "expanded=2" in err and "classes=" in err and "depth=1" in err
+
     def test_pivotminor_refute(self, tmp_path):
         hp = tmp_path / "h"
         gp = tmp_path / "g"
@@ -234,3 +253,12 @@ def test_module_entry_point_runs_the_cli():
                            "--set", "0,1"], input=format_graph(Graph.cycle(4)),
                           capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK and proc.stdout.strip() == "2"
+
+
+def test_cli_import_does_not_load_networkx():
+    src = Path(pivotkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, pivotkit.cli; print('networkx' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

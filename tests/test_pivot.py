@@ -1,7 +1,11 @@
+import random
+import sys
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
+import oracles
 from pivotkit.cutrank import cut_rank
 from pivotkit.errors import NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
 from pivotkit.graph import Graph, bipartition
@@ -13,6 +17,25 @@ def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph(n, [p for i, p in enumerate(pairs) if (bits >> i) & 1])
+
+
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edge_list())
+    return h
+
+
+def relabel(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
+
+
+def gnp(rng, n, p):
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def k_nn(n):
+    return Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
 
 
 class TestPivot:
@@ -70,6 +93,11 @@ class TestPivotOrbit:
         with pytest.raises(OrbitBudgetExceeded):
             pivot_orbit(g, 1)
 
+    @pytest.mark.parametrize("max_size", [0, -3])
+    def test_max_size_below_one_rejected(self, max_size):
+        with pytest.raises(ValueError):
+            pivot_orbit(Graph(2, [(0, 1)]), max_size)
+
     def test_bipartite_orbit_stays_bipartite(self):
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
         for h in pivot_orbit(g, 500):
@@ -107,6 +135,60 @@ class TestIsomorphism:
         # 11 isomorphism classes of graphs on 4 vertices
         assert len(seen) == 11
 
+    # Isomorphism classes of graphs on n vertices (OEIS A000088).
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11),
+                                            (5, 34), (6, 156)])
+    def test_forms_group_labelled_graphs_into_isomorphism_classes(self, n, classes):
+        graphs = list(all_graphs(n))
+        forms = {g.key(): canonical_form(g) for g in graphs}
+        groups = {}
+        for g in graphs:
+            groups.setdefault(forms[g.key()], []).append(g)
+        assert len(groups) == classes
+        # Forms are invariant under a transposition and an n-cycle, which
+        # generate every relabelling; with the class count this makes each
+        # group exactly one isomorphism class.
+        swap = [1, 0] + list(range(2, n))
+        rotate = list(range(1, n)) + [0]
+        for g in graphs:
+            for perm in (swap, rotate):
+                assert forms[relabel(g, perm).key()] == forms[g.key()]
+        # VF2 agrees: every member up to n = 5, four seeded members per
+        # class at n = 6 (all 32768 would add about 13 s).
+        rng = random.Random(n)
+        for first, *rest in groups.values():
+            if n == 6:
+                rest = rng.sample(rest, min(4, len(rest)))
+            h = to_nx(first)
+            assert all(nx.is_isomorphic(h, to_nx(g)) for g in rest)
+
+    def test_forms_survive_seeded_relabelling(self):
+        rng = random.Random(17)
+        hosts = [gnp(rng, n, p) for n in range(7, 11) for p in (0.3, 0.5, 0.7)]
+        # The symmetric ones took the ordering search up to 36 s each.
+        symmetric = [Graph.cycle(10), k_nn(5), Graph.complete(10), Graph(12)]
+        for g in hosts + symmetric:
+            form = canonical_form(g)
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert canonical_form(relabel(g, perm)) == form
+
+    def test_are_isomorphic_agrees_with_vf2(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            p = rng.choice((0.3, 0.5))
+            g1 = gnp(rng, n, p)
+            # Half the pairs are relabellings, so both answers occur.
+            if rng.random() < 0.5:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g2 = relabel(g1, perm)
+            else:
+                g2 = gnp(rng, n, p)
+            assert are_isomorphic(g1, g2) == nx.is_isomorphic(to_nx(g1), to_nx(g2))
+
 
 class TestIsPivotMinor:
     def test_reflexive(self):
@@ -132,6 +214,35 @@ class TestIsPivotMinor:
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
         with pytest.raises(SearchBudgetExceeded):
             is_pivot_minor(h, g, 2)
+
+    def test_budget_exceeded_reports_progress(self):
+        h = Graph.complete(3)
+        g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
+        with pytest.raises(SearchBudgetExceeded) as info:
+            is_pivot_minor(h, g, 2)
+        exc = info.value
+        assert exc.expanded == 2 and exc.classes > 1 and exc.depth == 1
+        assert "expanded=2" in str(exc) and f"classes={exc.classes}" in str(exc)
+
+    @pytest.mark.parametrize("budget", [0, -1, -5])
+    def test_budget_below_one_rejected(self, budget):
+        g = Graph.path(4)
+        with pytest.raises(ValueError):
+            is_pivot_minor(g, g, budget)
+        with pytest.raises(ValueError):
+            is_pivot_minor(Graph.path(5), g, budget)
+
+    def test_same_answers_as_the_ordering_search(self, monkeypatch):
+        """The BFS keeps the first labelled graph of each class, so any
+        exact canonical form gives the same witnesses."""
+        rng = random.Random(29)
+        hosts = [gnp(rng, 7, 0.5) for _ in range(20)] + [Graph.cycle(8)]
+        queries = [(h, g) for g in hosts for h in (Graph.cycle(5), Graph.path(5))]
+        new = [is_pivot_minor(h, g, 20000) for h, g in queries]
+        monkeypatch.setattr(sys.modules["pivotkit.pivot"], "canonical_form",
+                            oracles.canonical_form)
+        assert [is_pivot_minor(h, g, 20000) for h, g in queries] == new
+        assert any(found for found, _ in new) and not all(found for found, _ in new)
 
     def test_witness_replays(self):
         h = Graph(3, [(0, 1), (0, 2)])

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
+from pivotkit.cutrank import find_low_rank_separation
 from pivotkit.errors import CapExceeded, FormatError, UnknownCampaign
-from pivotkit.verify import (campaign_names, format_report, parse_report,
-                             replay_report, replay_witness, run_campaign)
+from pivotkit.matroid import connectivity_lambda, is_k_connected
+from pivotkit.verify import (_random_graph, _random_matroid, campaign_names,
+                             format_report, parse_report, replay_report,
+                             replay_witness, run_campaign)
 
 FAST_PARAMS = {
     "fun-lemma": {"trials": 40},
@@ -147,3 +152,20 @@ class TestReportFormat:
         # same params, different seeds: reports agree except possibly on
         # vacuous counts; at minimum the seed field differs
         assert len(texts) == 3
+
+
+def test_one_search_at_k_max_answers_every_smaller_k():
+    """conn-equiv searches once per side, at k_max: the least witness
+    order l says the object is k-connected exactly for k <= l."""
+    rng = random.Random(5)
+    k_max = 5
+    for _ in range(40):
+        m = _random_matroid(rng, 10)
+        _, witness = is_k_connected(m, k_max)
+        m_order = k_max if witness is None else connectivity_lambda(m, witness) + 1
+        g = _random_graph(rng, rng.randint(4, 10), rng.uniform(0.1, 0.6))
+        sep = find_low_rank_separation(g, k_max)
+        g_order = k_max if sep is None else sep.order
+        for k in range(1, k_max + 1):
+            assert is_k_connected(m, k)[0] == (k <= m_order)
+            assert (find_low_rank_separation(g, k) is None) == (k <= g_order)
