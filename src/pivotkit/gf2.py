@@ -99,17 +99,6 @@ class BitMatrix:
         return BitMatrix(self.ncols, self.nrows,
                          [self.column_bits(j) for j in range(self.ncols)])
 
-    def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "BitMatrix":
-        cols = list(col_idx)
-        rows = []
-        for i in row_idx:
-            src = self.rows[i]
-            bits = 0
-            for k, j in enumerate(cols):
-                bits |= ((src >> j) & 1) << k
-            rows.append(bits)
-        return BitMatrix(len(rows), len(cols), rows)
-
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 

@@ -10,13 +10,13 @@ label swap, and leaves the circuits unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._text import content_lines
 from .errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                      NotASpanningTree, NotConnected, PivotOnZero,
                      SubsetCapExceeded)
-from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank, rank_bits
+from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank_bits
 from .graph import BiGraph, Graph
 from .cutrank import first_separation, subset_cap
 
@@ -319,18 +319,53 @@ def minor(m: BinaryMatroid, deletions: Iterable[str], contractions: Iterable[str
     return cur
 
 
+def connectivity_kernel(m: BinaryMatroid) -> Callable[[int, Optional[int]], int]:
+    """The connectivity function of m on element masks.
+
+    Bit i of a mask is element i of ``element_order()``.  The returned
+    ``lam(x, stop=None)`` is rk(D[X_B, Y_C]) + rk(D[Y_B, X_C]), ranked on
+    the rows of D with the other side's columns masked in place, so no
+    submatrix is built.  With a positive ``stop`` the result is
+    min(lambda, stop) and elimination ends once it reaches ``stop``.
+    """
+    pos = {e: i for i, e in enumerate(m.element_order())}
+    rows = list(zip(m.rep.rows, [1 << pos[b] for b in m.basis]))
+    col_bits = [1 << pos[c] for c in m.nonbasis]
+    all_cols = (1 << len(col_bits)) - 1
+
+    def lam(x: int, stop: Optional[int] = None) -> int:
+        xc = 0
+        for j, bit in enumerate(col_bits):
+            if x & bit:
+                xc |= 1 << j
+        yc = all_cols ^ xc
+        xb_rows, yb_rows = [], []
+        for row, bit in rows:
+            if x & bit:
+                xb_rows.append(row & yc)
+            else:
+                yb_rows.append(row & xc)
+        r = rank_bits(xb_rows, stop)
+        if stop is None:
+            return r + rank_bits(yb_rows)
+        return r if r == stop else r + rank_bits(yb_rows, stop - r)
+
+    return lam
+
+
 def connectivity_lambda(m: BinaryMatroid, x_set: Iterable[str]) -> int:
-    """The connectivity function: rk(D[X_B, Y_C]) + rk(D[Y_B, X_C])."""
-    xs = set(x_set)
-    ground = m.ground()
-    for e in xs:
-        if e not in ground:
+    """The connectivity function: rk(D[X_B, Y_C]) + rk(D[Y_B, X_C]).
+
+    Raises ElementNotFound for a label outside the ground set; the value
+    comes from ``connectivity_kernel`` on the mask of x_set.
+    """
+    pos = {e: i for i, e in enumerate(m.element_order())}
+    x = 0
+    for e in set(x_set):
+        if e not in pos:
             raise ElementNotFound(e)
-    xb = [i for i, b in enumerate(m.basis) if b in xs]
-    yb = [i for i, b in enumerate(m.basis) if b not in xs]
-    xc = [j for j, c in enumerate(m.nonbasis) if c in xs]
-    yc = [j for j, c in enumerate(m.nonbasis) if c not in xs]
-    return rank(m.rep.submatrix(xb, yc)) + rank(m.rep.submatrix(yb, xc))
+        x |= 1 << pos[e]
+    return connectivity_kernel(m)(x)
 
 
 def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[str]]]:
@@ -339,15 +374,24 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
     Returns (True, None) or (False, witness X).  The witness is the
     first failure in the deterministic enumeration shared with
     find_low_rank_separation: l ascending, then |X| ascending over the
-    smaller side, then elements in sorted label order.
+    smaller side, then elements in sorted label order.  Each lambda comes
+    from ``connectivity_kernel`` with the search's limit as its stop, so
+    it is computed only up to the least order still open.
     """
     elements = m.element_order()
     ne = len(elements)
     cap = subset_cap()
     if ne > cap:
         raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {cap}")
-    found = first_separation(
-        ne, k, lambda subset, _lim: connectivity_lambda(m, [elements[i] for i in subset]))
+    lam = connectivity_kernel(m)
+
+    def capped_lambda(subset: tuple[int, ...], lim: int) -> int:
+        x = 0
+        for i in subset:
+            x |= 1 << i
+        return lam(x, lim)
+
+    found = first_separation(ne, k, capped_lambda)
     if found is None:
         return True, None
     return False, frozenset(elements[i] for i in found[0])

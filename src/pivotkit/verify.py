@@ -17,16 +17,17 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from ._text import content_lines
-from .cutrank import cut_rank, find_low_rank_separation
+from .cutrank import find_low_rank_separation, subset_cap
 from .errors import CapExceeded, FormatError, UnknownCampaign
 from .extremal import Instance, format_instance, gen_c6_blowup_example, gen_ktt_example, gen_random_instance
-from .gf2 import BitMatrix, format_matrix, parse_matrix, rank
+from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
 from .graph import (BiGraph, Graph, bipartite_complement, degree_stats,
                     find_complete_bipartite, format_bigraph, format_graph,
                     is_c4_free, parse_bigraph, parse_graph, vertex_connectivity)
-from .matroid import (BinaryMatroid, change_basis, circuits, connectivity_lambda,
-                      format_matroid, graphic_matroid, is_k_connected,
-                      parse_matroid, parse_multigraph)
+from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
+                      connectivity_kernel, connectivity_lambda, format_matroid,
+                      graphic_matroid, is_k_connected, parse_matroid,
+                      parse_multigraph)
 from .pivot import pivot
 from .structure import (block_partition_is_constant, check_struct_density,
                         constant_block_partition, perturbation_partition,
@@ -195,15 +196,17 @@ def _check_pivot_matroid(m: BinaryMatroid, x: str, y: str):
 
 
 def _check_conn_equiv(m: BinaryMatroid, k_max: int):
-    order = m.element_order()
+    # lambda(X) = lambda(E-X) (swap the two rank terms) and cut-rank(X) =
+    # cut-rank(V-X) (transpose the symmetric adjacency), so the masks
+    # without the top element cover every split once.
+    lam = connectivity_kernel(m)
     g = m.element_graph()
-    pos = {e: i for i, e in enumerate(order)}
-    for size in range(len(order) + 1):
-        for subset in combinations(order, size):
-            lam = connectivity_lambda(m, subset)
-            cr = cut_rank(g, [pos[e] for e in subset])
-            if lam != cr:
-                return {"k_max": k_max, "data": _embed(format_matroid(m))}
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    for x in range(1 << max(n - 1, 0)):
+        comp = full ^ x
+        if lam(x) != rank_bits([adj[u] & comp for u in range(n) if x >> u & 1]):
+            return {"k_max": k_max, "data": _embed(format_matroid(m))}
     # Both searches return a least-order witness, so one call each at
     # k_max answers every k in 1..k_max: a side is k-connected exactly
     # when k <= its order, taken as k_max when it has no witness.
@@ -379,8 +382,16 @@ def _run_pert(report: CampaignReport, rng: random.Random) -> None:
         _tally(report, _check_pert(c, d1))
 
 
+def _check_max_elements(max_elements: int, cap: int, name: str) -> None:
+    if max_elements < 2:
+        raise ValueError(f"{name}: max_elements must be at least 2, got {max_elements}")
+    if max_elements > cap:
+        raise CapExceeded(f"{name} caps matroids at {cap} elements")
+
+
 def _run_pivot_matroid(report: CampaignReport, rng: random.Random) -> None:
     p = report.params
+    _check_max_elements(p["max_elements"], CIRCUIT_ENUM_CAP, report.name)
     for _ in range(p["trials"]):
         m = _random_matroid(rng, p["max_elements"])
         ones = [(i, j) for i in range(len(m.basis)) for j in range(len(m.nonbasis))
@@ -394,6 +405,9 @@ def _run_pivot_matroid(report: CampaignReport, rng: random.Random) -> None:
 
 def _run_conn_equiv(report: CampaignReport, rng: random.Random) -> None:
     p = report.params
+    if p["k_max"] < 1:
+        raise ValueError(f"conn-equiv: k_max must be at least 1, got {p['k_max']}")
+    _check_max_elements(p["max_elements"], subset_cap(), report.name)
     for _ in range(p["trials"]):
         m = _random_matroid(rng, p["max_elements"])
         _tally(report, _check_conn_equiv(m, p["k_max"]))

@@ -5,20 +5,21 @@ enumeration, biclique search by subset-pair enumeration, cycles by edge
 subset scanning, and fundamental matrices by GF(2) incidence solving.
 The separation searches are the earlier multi-pass versions: one pass
 per order over a memo of every value, with a cut-rank that re-indexes
-the complement columns bit by bit.  The canonical form is the earlier
-one: the least adjacency code over every ordering that lists the
-colour-refinement classes as blocks, tried by backtracking.
+the complement columns bit by bit.  The matroid connectivity function
+is the earlier one, ranking two submatrices of D copied bit by bit.
+The canonical form is the earlier one: the least adjacency code over
+every ordering that lists the colour-refinement classes as blocks,
+tried by backtracking.
 """
 
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Iterable, Optional
 
 from pivotkit.cutrank import Separation, subset_cap
-from pivotkit.errors import SubsetCapExceeded
-from pivotkit.gf2 import BitMatrix, rank_bits
+from pivotkit.errors import ElementNotFound, SubsetCapExceeded
+from pivotkit.gf2 import BitMatrix, rank, rank_bits
 from pivotkit.graph import BiGraph, Graph, _bits
-from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
-                              connectivity_lambda)
+from pivotkit.matroid import BinaryMatroid, MultiGraph, SpanningTree
 
 
 def rank_by_span(m: BitMatrix) -> int:
@@ -204,6 +205,32 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
                 if value < order:
                     return Separation(subset, order, value)
     return None
+
+
+def submatrix(m: BitMatrix, row_idx: Iterable[int], col_idx: Iterable[int]) -> BitMatrix:
+    cols = list(col_idx)
+    rows = []
+    for i in row_idx:
+        src = m.rows[i]
+        bits = 0
+        for k, j in enumerate(cols):
+            bits |= ((src >> j) & 1) << k
+        rows.append(bits)
+    return BitMatrix(len(rows), len(cols), rows)
+
+
+def connectivity_lambda(m: BinaryMatroid, x_set: Iterable[str]) -> int:
+    """The connectivity function: rk(D[X_B, Y_C]) + rk(D[Y_B, X_C])."""
+    xs = set(x_set)
+    ground = m.ground()
+    for e in xs:
+        if e not in ground:
+            raise ElementNotFound(e)
+    xb = [i for i, b in enumerate(m.basis) if b in xs]
+    yb = [i for i, b in enumerate(m.basis) if b not in xs]
+    xc = [j for j, c in enumerate(m.nonbasis) if c in xs]
+    yc = [j for j, c in enumerate(m.nonbasis) if c not in xs]
+    return rank(submatrix(m.rep, xb, yc)) + rank(submatrix(m.rep, yb, xc))
 
 
 def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[str]]]:

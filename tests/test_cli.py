@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,38 @@ class TestExitCodes:
         code, _ = run(["check", "tree-lemma", "--max-edges", "13"])
         assert code == EXIT_BUDGET
 
+    def test_conn_equiv_over_subset_cap_exits_before_any_trial(self, monkeypatch):
+        start = time.perf_counter()
+        code, out = run(["check", "conn-equiv", "--max-elements", "40", "--trials", "1"])
+        assert code == EXIT_BUDGET and out == ""
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", "8")
+        code, _ = run(["check", "conn-equiv", "--max-elements", "9", "--trials", "1"])
+        assert code == EXIT_BUDGET
+        code, _ = run(["check", "conn-equiv", "--max-elements", "8", "--trials", "1"])
+        assert code == EXIT_OK
+
+    def test_pivot_matroid_over_circuit_cap_is_budget(self):
+        code, out = run(["check", "pivot-matroid", "--trials", "50", "--max-elements", "20"])
+        assert code == EXIT_BUDGET and out == ""
+        code, _ = run(["check", "pivot-matroid", "--trials", "1", "--max-elements", "17"])
+        assert code == EXIT_BUDGET
+        code, _ = run(["check", "pivot-matroid", "--trials", "1", "--max-elements", "16"])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["conn-equiv", "--k-max", "0"],
+        ["conn-equiv", "--k-max", "-3"],
+        ["conn-equiv", "--max-elements", "0"],
+        ["conn-equiv", "--max-elements", "1"],
+        ["pivot-matroid", "--max-elements", "0"],
+        ["pivot-matroid", "--max-elements", "1"],
+    ])
+    def test_campaign_parameter_out_of_range_is_usage(self, argv, capsys):
+        code, out = run(["check"] + argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "must be at least" in capsys.readouterr().err
+
 
 class TestCheckAndReplay:
     def test_check_pass(self):
@@ -244,6 +277,21 @@ class TestCheckAndReplay:
     def test_unknown_campaign_is_usage(self):
         code, _ = run(["check", "not-a-campaign"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("seeds, flags, k_max, trials", [
+        (range(8), ["--k-max", "5", "--trials", "20"], 5, 20),
+        (range(1), [], 4, 100),
+        (range(1), ["--k-max", "2"], 2, 100),
+    ])
+    def test_conn_equiv_golden_output(self, seeds, flags, k_max, trials):
+        # Captured from the submatrix-based connectivity function: every
+        # one of these runs passes, with no vacuous trial.
+        for seed in seeds:
+            code, out = run(["check", "conn-equiv", "--seed", str(seed)] + flags)
+            assert code == EXIT_OK
+            assert out == (f"PASS\nname=conn-equiv\nseed={seed}\nparam.k_max={k_max}\n"
+                           f"param.max_elements=10\nparam.trials={trials}\n"
+                           f"trials_run={trials}\nvacuous=0\nviolations=0\n")
 
 
 def test_module_entry_point_runs_the_cli():

@@ -9,12 +9,15 @@ from pivotkit.extremal import gen_c6_blowup_example, gen_ktt_example
 from pivotkit.gf2 import BitMatrix
 from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
                               change_basis, circuits, cographic_matroid,
-                              connectivity_lambda, format_matroid,
-                              format_multigraph, fundamental_matrix,
-                              graphic_matroid, is_k_connected, minor,
-                              parse_matroid, parse_multigraph)
+                              connectivity_kernel, connectivity_lambda,
+                              format_matroid, format_multigraph,
+                              fundamental_matrix, graphic_matroid,
+                              is_k_connected, minor, parse_matroid,
+                              parse_multigraph)
 from pivotkit.pivot import are_isomorphic, pivot
+from pivotkit.verify import _random_matroid
 
+from oracles import connectivity_lambda as connectivity_lambda_oracle
 from oracles import (fundamental_matrix_by_solving, multigraph_cycles,
                      multigraph_minor)
 from oracles import is_k_connected as is_k_connected_multi_pass
@@ -249,6 +252,39 @@ class TestConnectivity:
             for _ in range(8):
                 xs = {e for e in order if rng.random() < 0.5}
                 assert connectivity_lambda(m, xs) == cut_rank(g, [pos[e] for e in xs])
+
+    def test_lambda_unknown_label(self):
+        mg, t = triangle()
+        with pytest.raises(ElementNotFound):
+            connectivity_lambda(graphic_matroid(mg, t), {"e0", "nope"})
+
+    @staticmethod
+    def assert_kernel_matches_oracle(m):
+        """On every element subset: the kernel equals the submatrix-based
+        lambda, and with a stop it equals min(lambda, stop)."""
+        order = m.element_order()
+        lam = connectivity_kernel(m)
+        masks = range(1 << len(order))
+        want = [connectivity_lambda_oracle(m, [e for i, e in enumerate(order) if x >> i & 1])
+                for x in masks]
+        assert [lam(x) for x in masks] == want
+        stops = [x % 5 + 1 for x in masks]
+        assert [lam(x, stop) for x, stop in zip(masks, stops)] == list(map(min, want, stops))
+
+    def test_kernel_matches_oracle_on_random_matroids(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            self.assert_kernel_matches_oracle(_random_matroid(rng, 10))
+
+    def test_kernel_matches_oracle_on_graphic_and_cographic(self):
+        rng = random.Random(89)
+        graphs = [random_connected_multigraph(rng, n_max=5, extra_max=4)
+                  for _ in range(20)]
+        graphs += [(inst.multigraph, inst.tree) for inst in
+                   [gen_ktt_example(t) for t in range(3, 7)] + [gen_c6_blowup_example(2)]]
+        for mg, t in graphs:
+            for build in (graphic_matroid, cographic_matroid):
+                self.assert_kernel_matches_oracle(build(mg, t))
 
     def test_is_k_connected_triangle(self):
         mg, t = triangle()
