@@ -5,7 +5,8 @@ split_tree follows a fixed recipe: root the tree at its least vertex,
 walk to the deepest vertex whose subtree still has at least s edges,
 and either group that vertex's branches into three edge-disjoint
 subtrees or cut the edge to its parent.  Every output is validated
-against the type invariants before it is returned.
+once against the type invariants before it is returned.  free_trees
+enumerates the trees of one order up to isomorphism.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Union
 from .errors import (DimensionMismatch, NotATree, PartitionInvalid,
                      TreeTooSmall)
 from .gf2 import BitMatrix
-from .graph import BiGraph, Graph, degree_stats, is_connected
+from .graph import BiGraph, Graph, _bits, degree_stats
 
 Edge = tuple[int, int]
 
@@ -62,39 +63,29 @@ class BlockPartition:
     tags: tuple[tuple[str, ...], ...]
 
 
-def _check_is_tree(t: Graph) -> None:
-    if t.n == 0 or t.num_edges() != t.n - 1 or not is_connected(t):
+def _rooted_tree(t: Graph):
+    """Parent, depth and BFS order of t rooted at vertex 0.
+
+    t is a tree exactly when the BFS reaches all n vertices and t has
+    n - 1 edges; otherwise NotATree is raised.
+    """
+    n = t.n
+    if n == 0:
         raise NotATree("expected a connected acyclic graph")
-
-
-def _rooted(t: Graph, root: int):
-    parent = [-1] * t.n
-    order = [root]
-    seen = 1 << root
+    parent = [-1] * n
+    depth = [0] * n
+    order = [0]
+    seen = 1
     for v in order:
         mask = t.adj[v] & ~seen
-        while mask:
-            low = mask & -mask
-            w = low.bit_length() - 1
-            mask ^= low
-            seen |= low
+        seen |= mask
+        for w in _bits(mask):
             parent[w] = v
+            depth[w] = depth[v] + 1
             order.append(w)
-    depth = [0] * t.n
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
+    if len(order) != n or t.num_edges() != n - 1:
+        raise NotATree("expected a connected acyclic graph")
     return parent, depth, order
-
-
-def _subtree_edges(t: Graph, parent: list[int], order: list[int], v: int) -> set[Edge]:
-    """Edges of the subtree hanging below v (descendants of v)."""
-    desc = {v}
-    out: set[Edge] = set()
-    for w in order:
-        if w != v and parent[w] in desc:
-            desc.add(w)
-            out.add(_norm_edge(parent[w], w))
-    return out
 
 
 def split_tree(t: Graph, s: int) -> TreeSplit:
@@ -102,107 +93,193 @@ def split_tree(t: Graph, s: int) -> TreeSplit:
 
     Ties break deterministically: the root is vertex 0, the deepest
     qualifying vertex with the least label wins, and branches are
-    grouped greedily in ascending child label.
+    grouped greedily in ascending child label.  Subtrees are vertex
+    masks of descendants; an edge set is the edges from those vertices
+    to their parents.  The result is checked once, by the same checker
+    as tree_split_problem, and RuntimeError is raised if it fails.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    _check_is_tree(t)
-    m = t.num_edges()
+    parent, depth, order = _rooted_tree(t)
+    m = t.n - 1
     if m < 5 * s:
         raise TreeTooSmall(f"{m} edges < 5s = {5 * s}")
-    root = 0
-    parent, depth, order = _rooted(t, root)
-    # Subtree edge counts: |E(T(v))| = descendants of v.
-    sub = [0] * t.n
-    for w in reversed(order):
-        if w != root:
-            sub[parent[w]] += sub[w] + 1
-    best = root
+    # desc[v]: vertex mask of the subtree below v, which has
+    # popcount - 1 edges.
+    desc = [1 << v for v in range(t.n)]
+    for w in reversed(order[1:]):
+        desc[parent[w]] |= desc[w]
+    sub = [d.bit_count() - 1 for d in desc]
+    best = 0
     for v in range(t.n):
         if sub[v] >= s and (depth[v], -v) > (depth[best], -best):
             best = v
     v = best
+    up = [_norm_edge(p, w) for w, p in enumerate(parent)]  # w's edge to its parent
+    all_edges = {up[w] for w in order[1:]}
     if sub[v] >= 3 * s:
-        children = sorted(w for w in range(t.n) if parent[w] == v)
-        branches = []
-        for c in children:
-            b = _subtree_edges(t, parent, order, c)
-            b.add(_norm_edge(v, c))
-            branches.append(b)
-        groups: list[set[Edge]] = []
-        cur: set[Edge] = set()
-        for b in branches:
-            cur |= b
-            if len(cur) >= s:
-                groups.append(cur)
-                cur = set()
+        # The branch at child c is the up-edges of desc[c].
+        groups: list[frozenset[Edge]] = []
+        cur = 0
+        for c in _bits(t.adj[v] & desc[v]):
+            cur |= desc[c]
+            if cur.bit_count() >= s:
+                groups.append(frozenset(up[w] for w in _bits(cur)))
+                cur = 0
                 if len(groups) == 2:
                     break
         t1, t2 = groups
-        all_edges = {_norm_edge(u, w) for u, w in t.edge_list()}
-        t3 = all_edges - t1 - t2
-        split: TreeSplit = SplitVertex(v, frozenset(t1), frozenset(t2), frozenset(t3))
+        split: TreeSplit = SplitVertex(v, t1, t2, frozenset(all_edges - t1 - t2))
     else:
-        p = parent[v]
-        below = frozenset(_subtree_edges(t, parent, order, v))
-        all_edges = {_norm_edge(u, w) for u, w in t.edge_list()}
-        above = frozenset(all_edges - below - {_norm_edge(p, v)})
-        split = SplitEdge(_norm_edge(p, v), above, below)
-    problem = tree_split_problem(t, s, split)
+        below = frozenset(up[w] for w in _bits(desc[v] ^ (1 << v)))
+        split = SplitEdge(up[v], frozenset(all_edges - below - {up[v]}), below)
+    problem = _split_problem(all_edges, s, split)
     if problem is not None:
         raise RuntimeError(f"internal split invalid: {problem}")
     return split
 
 
-def _edges_form_subtree(edges: frozenset[Edge]) -> bool:
-    if not edges:
-        return False
-    verts = sorted({v for e in edges for v in e})
-    pos = {v: i for i, v in enumerate(verts)}
-    g = Graph(len(verts))
-    for u, w in edges:
-        g.add_edge(pos[u], pos[w])
-    return g.num_edges() == g.n - 1 and is_connected(g)
-
-
 def tree_split_problem(t: Graph, s: int, split: TreeSplit):
-    """Validate a TreeSplit against its invariants; None when valid."""
-    all_edges = {_norm_edge(u, w) for u, w in t.edge_list()}
+    """Validate a TreeSplit of t; None when valid, else the first problem.
+
+    A t that is not a tree is a problem in itself.  Otherwise the split
+    goes to the checker that split_tree runs on its own output.
+    """
+    try:
+        parent, _, order = _rooted_tree(t)
+    except NotATree:
+        return "t is not a tree"
+    return _split_problem({_norm_edge(parent[w], w) for w in order[1:]}, s, split)
+
+
+def _vertex_mask(edges) -> int:
+    mask = 0
+    for u, w in edges:
+        mask |= 1 << u | 1 << w
+    return mask
+
+
+def _split_problem(all_edges: set[Edge], s: int, split: TreeSplit):
+    """Check split against the tree with edge set all_edges.
+
+    A part is tested only once it is known to lie in the tree, and an
+    edge subset of a tree is a forest, so it is a subtree exactly when
+    its vertex mask has one bit more than it has edges.
+    """
     if isinstance(split, SplitEdge):
-        e = split.edge
+        e, a, b = split.edge, split.side_a, split.side_b
         if e not in all_edges:
             return f"{e} is not a tree edge"
-        if split.side_a | split.side_b | {e} != all_edges or split.side_a & split.side_b:
+        if a | b | {e} != all_edges or a & b:
             return "sides do not partition the remaining edges"
-        for side in (split.side_a, split.side_b):
+        masks = []
+        for side in (a, b):
             if len(side) < s:
                 return f"a side has {len(side)} < s edges"
-            if not _edges_form_subtree(side):
+            masks.append(_vertex_mask(side))
+            if masks[-1].bit_count() != len(side) + 1:
                 return "a side is not a subtree"
-        if _vertices(split.side_a) & _vertices(split.side_b):
+        if masks[0] & masks[1]:
             return "the two sides share a vertex"
         return None
     if isinstance(split, SplitVertex):
         parts = (split.t1, split.t2, split.t3)
+        masks = []
         for part in parts:
             if len(part) < s:
                 return f"a subtree has {len(part)} < s edges"
             if not part <= all_edges:
                 return "a subtree uses non-tree edges"
-            if not _edges_form_subtree(part):
+            masks.append(_vertex_mask(part))
+            if masks[-1].bit_count() != len(part) + 1:
                 return "a part is not a subtree"
+        at = 1 << split.vertex if split.vertex >= 0 else -1
         for i in range(3):
             for j in range(i + 1, 3):
                 if parts[i] & parts[j]:
                     return "subtrees share an edge"
-                if _vertices(parts[i]) & _vertices(parts[j]) != {split.vertex}:
+                if masks[i] & masks[j] != at:
                     return "subtrees must meet exactly at the split vertex"
         return None
     return f"not a TreeSplit: {split!r}"
 
 
-def _vertices(edges: frozenset[Edge]) -> set[int]:
-    return {v for e in edges for v in e}
+def free_trees(order: int):
+    """Yield one tree per isomorphism class on `order` vertices.
+
+    The Wright–Richmond–Odlyzko–McKay enumeration (SIAM J. Comput. 15,
+    1986) over canonical level sequences, stepped by Beyer–Hedetniemi
+    successors as in networkx's nonisomorphic_trees: the same trees, in
+    the same order, with vertex i at position i of the level sequence.
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order == 1:
+        yield Graph(1)
+    if order < 2:
+        return
+    # Start at the path rooted at its centre.
+    layout = list(range(order // 2 + 1)) + list(range(1, (order + 1) // 2))
+    while layout is not None:
+        layout = _next_free_tree(layout)
+        if layout is not None:
+            yield _layout_graph(layout)
+            layout = _next_rooted_tree(layout)
+
+
+def _layout_graph(layout: list[int]) -> Graph:
+    """The tree of a level sequence: each vertex's parent is the latest
+    vertex before it one level up."""
+    g = Graph(len(layout))
+    adj = g.adj
+    last = [0] * len(layout)
+    for i in range(1, len(layout)):
+        level = layout[i]
+        p = last[level - 1]
+        adj[i] |= 1 << p
+        adj[p] |= 1 << i
+        last[level] = i
+    return g
+
+
+def _next_rooted_tree(layout: list[int], p: int | None = None):
+    """Beyer–Hedetniemi successor of a rooted level sequence; None after
+    the last.  p, when given, is the position to advance."""
+    if p is None:
+        p = len(layout) - 1
+        while layout[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while layout[q] != layout[p] - 1:
+        q -= 1
+    out = list(layout)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split_layout(layout: list[int]):
+    """The root's first subtree (levels less one) and the tree without it."""
+    m = next((i for i in range(2, len(layout)) if layout[i] == 1), len(layout))
+    return [x - 1 for x in layout[1:m]], [0] + layout[m:]
+
+
+def _next_free_tree(layout: list[int]):
+    """The first level sequence from layout on that is a free tree's
+    canonical one: the root's first subtree is lower than the rest, or
+    as high and no larger, and at equal size not later in order."""
+    left, rest = _split_layout(layout)
+    lh, rh = max(left), max(rest)
+    if lh < rh or lh == rh and (len(left), left) <= (len(rest), rest):
+        return layout
+    p = len(left)
+    out = _next_rooted_tree(layout, p)
+    if layout[p] > 2:
+        h = max(_split_layout(out)[0])
+        out[-(h + 1):] = range(1, h + 2)
+    return out
 
 
 def constant_block_partition(c: BitMatrix) -> BlockPartition:

@@ -31,8 +31,8 @@ from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
 from .pivot import pivot
 from .structure import (block_partition_is_constant, check_struct_density,
                         constant_block_partition, perturbation_partition,
-                        reconstruct_from_partition, split_tree,
-                        tree_split_problem)
+                        free_trees, reconstruct_from_partition,
+                        split_tree)
 
 VACUOUS_WARN_FRACTION = 0.9
 
@@ -134,14 +134,11 @@ def _check_cofun(inst: Instance, s: int, bound_offset: int):
 
 
 def _check_tree(tree: Graph, s: int):
+    # split_tree validates its own output and raises when it is invalid.
     try:
-        split = split_tree(tree, s)
+        split_tree(tree, s)
     except Exception as exc:  # any failure to split is a violation
         return {"s": s, "reason": type(exc).__name__,
-                "data": _embed(format_graph(tree))}
-    problem = tree_split_problem(tree, s, split)
-    if problem is not None:
-        return {"s": s, "reason": "invalid-split",
                 "data": _embed(format_graph(tree))}
     return None
 
@@ -301,13 +298,13 @@ def _run_cofun(report: CampaignReport, rng: random.Random) -> None:
 
 def _run_tree(report: CampaignReport, rng: random.Random) -> None:
     max_edges = report.params["max_edges"]
+    if max_edges < 5:
+        raise ValueError(f"tree-lemma: max_edges must be at least 5, got {max_edges}")
     if max_edges > 12:
         raise CapExceeded("tree-lemma enumerates trees with at most 12 edges")
-    import networkx as nx  # only this campaign needs it; keeps startup light
-
-    for order in range(2, max_edges + 2):
-        for nxt in nx.nonisomorphic_trees(order):
-            tree = Graph(order, nxt.edges())
+    # A legal s needs 5s <= edges, so trees start at 5 edges.
+    for order in range(6, max_edges + 2):
+        for tree in free_trees(order):
             edges = order - 1
             s = 1
             while 5 * s <= edges:
@@ -343,6 +340,8 @@ def _random_partition(rng: random.Random, size: int, classes: int):
 
 def _run_rankconn(report: CampaignReport, rng: random.Random) -> None:
     p = report.params
+    if p["n_max"] < 4:
+        raise ValueError(f"rankconn-lemma: n_max must be at least 4, got {p['n_max']}")
     if p["n_max"] > 10:
         raise CapExceeded("rankconn-lemma caps graphs at 10 vertices")
     for _ in range(p["trials"]):
@@ -454,6 +453,8 @@ def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> Campai
         if key not in defaults:
             raise ValueError(f"unknown parameter {key!r} for campaign {name}")
         merged[key] = value
+    if merged.get("trials", 1) < 1:
+        raise ValueError(f"{name}: trials must be at least 1, got {merged['trials']}")
     report = CampaignReport(name=name, params=merged, seed=seed)
     start = time.monotonic()
     runner(report, random.Random(seed))

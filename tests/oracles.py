@@ -9,17 +9,20 @@ the complement columns bit by bit.  The matroid connectivity function
 is the earlier one, ranking two submatrices of D copied bit by bit.
 The canonical form is the earlier one: the least adjacency code over
 every ordering that lists the colour-refinement classes as blocks,
-tried by backtracking.
+tried by backtracking.  The tree split and its checker are the earlier
+set-based ones, which build a Graph per part and test it by BFS.
 """
 
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from pivotkit.cutrank import Separation, subset_cap
-from pivotkit.errors import ElementNotFound, SubsetCapExceeded
+from pivotkit.errors import (ElementNotFound, NotATree, SubsetCapExceeded,
+                             TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
-from pivotkit.graph import BiGraph, Graph, _bits
+from pivotkit.graph import BiGraph, Graph, _bits, is_connected
 from pivotkit.matroid import BinaryMatroid, MultiGraph, SpanningTree
+from pivotkit.structure import Edge, SplitEdge, SplitVertex, TreeSplit
 
 
 def rank_by_span(m: BitMatrix) -> int:
@@ -335,3 +338,150 @@ def canonical_form(g: Graph) -> tuple:
 
     rec(0, groups)
     return (n, best)
+
+
+def _norm_edge(u: int, v: int) -> Edge:
+    return (u, v) if u < v else (v, u)
+
+
+def _check_is_tree(t: Graph) -> None:
+    if t.n == 0 or t.num_edges() != t.n - 1 or not is_connected(t):
+        raise NotATree("expected a connected acyclic graph")
+
+
+def _rooted(t: Graph, root: int):
+    parent = [-1] * t.n
+    order = [root]
+    seen = 1 << root
+    for v in order:
+        mask = t.adj[v] & ~seen
+        while mask:
+            low = mask & -mask
+            w = low.bit_length() - 1
+            mask ^= low
+            seen |= low
+            parent[w] = v
+            order.append(w)
+    depth = [0] * t.n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    return parent, depth, order
+
+
+def _subtree_edges(t: Graph, parent: list[int], order: list[int], v: int) -> set[Edge]:
+    """Edges of the subtree hanging below v (descendants of v)."""
+    desc = {v}
+    out: set[Edge] = set()
+    for w in order:
+        if w != v and parent[w] in desc:
+            desc.add(w)
+            out.add(_norm_edge(parent[w], w))
+    return out
+
+
+def split_tree(t: Graph, s: int) -> TreeSplit:
+    """Split a tree with at least 5s edges per the fixed recipe.
+
+    Ties break deterministically: the root is vertex 0, the deepest
+    qualifying vertex with the least label wins, and branches are
+    grouped greedily in ascending child label.
+    """
+    if s < 1:
+        raise ValueError("s must be positive")
+    _check_is_tree(t)
+    m = t.num_edges()
+    if m < 5 * s:
+        raise TreeTooSmall(f"{m} edges < 5s = {5 * s}")
+    root = 0
+    parent, depth, order = _rooted(t, root)
+    # Subtree edge counts: |E(T(v))| = descendants of v.
+    sub = [0] * t.n
+    for w in reversed(order):
+        if w != root:
+            sub[parent[w]] += sub[w] + 1
+    best = root
+    for v in range(t.n):
+        if sub[v] >= s and (depth[v], -v) > (depth[best], -best):
+            best = v
+    v = best
+    if sub[v] >= 3 * s:
+        children = sorted(w for w in range(t.n) if parent[w] == v)
+        branches = []
+        for c in children:
+            b = _subtree_edges(t, parent, order, c)
+            b.add(_norm_edge(v, c))
+            branches.append(b)
+        groups: list[set[Edge]] = []
+        cur: set[Edge] = set()
+        for b in branches:
+            cur |= b
+            if len(cur) >= s:
+                groups.append(cur)
+                cur = set()
+                if len(groups) == 2:
+                    break
+        t1, t2 = groups
+        all_edges = {_norm_edge(u, w) for u, w in t.edge_list()}
+        t3 = all_edges - t1 - t2
+        split: TreeSplit = SplitVertex(v, frozenset(t1), frozenset(t2), frozenset(t3))
+    else:
+        p = parent[v]
+        below = frozenset(_subtree_edges(t, parent, order, v))
+        all_edges = {_norm_edge(u, w) for u, w in t.edge_list()}
+        above = frozenset(all_edges - below - {_norm_edge(p, v)})
+        split = SplitEdge(_norm_edge(p, v), above, below)
+    problem = tree_split_problem(t, s, split)
+    if problem is not None:
+        raise RuntimeError(f"internal split invalid: {problem}")
+    return split
+
+
+def _edges_form_subtree(edges: frozenset[Edge]) -> bool:
+    if not edges:
+        return False
+    verts = sorted({v for e in edges for v in e})
+    pos = {v: i for i, v in enumerate(verts)}
+    g = Graph(len(verts))
+    for u, w in edges:
+        g.add_edge(pos[u], pos[w])
+    return g.num_edges() == g.n - 1 and is_connected(g)
+
+
+def tree_split_problem(t: Graph, s: int, split: TreeSplit):
+    """Validate a TreeSplit against its invariants; None when valid."""
+    all_edges = {_norm_edge(u, w) for u, w in t.edge_list()}
+    if isinstance(split, SplitEdge):
+        e = split.edge
+        if e not in all_edges:
+            return f"{e} is not a tree edge"
+        if split.side_a | split.side_b | {e} != all_edges or split.side_a & split.side_b:
+            return "sides do not partition the remaining edges"
+        for side in (split.side_a, split.side_b):
+            if len(side) < s:
+                return f"a side has {len(side)} < s edges"
+            if not _edges_form_subtree(side):
+                return "a side is not a subtree"
+        if _vertices(split.side_a) & _vertices(split.side_b):
+            return "the two sides share a vertex"
+        return None
+    if isinstance(split, SplitVertex):
+        parts = (split.t1, split.t2, split.t3)
+        for part in parts:
+            if len(part) < s:
+                return f"a subtree has {len(part)} < s edges"
+            if not part <= all_edges:
+                return "a subtree uses non-tree edges"
+            if not _edges_form_subtree(part):
+                return "a part is not a subtree"
+        for i in range(3):
+            for j in range(i + 1, 3):
+                if parts[i] & parts[j]:
+                    return "subtrees share an edge"
+                if _vertices(parts[i]) & _vertices(parts[j]) != {split.vertex}:
+                    return "subtrees must meet exactly at the split vertex"
+        return None
+    return f"not a TreeSplit: {split!r}"
+
+
+def _vertices(edges: frozenset[Edge]) -> set[int]:
+    return {v for e in edges for v in e}

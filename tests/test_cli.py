@@ -237,6 +237,19 @@ class TestExitCodes:
         ["conn-equiv", "--max-elements", "1"],
         ["pivot-matroid", "--max-elements", "0"],
         ["pivot-matroid", "--max-elements", "1"],
+        ["fun-lemma", "--trials", "0"],
+        ["cofun-lemma", "--trials", "0"],
+        ["struct-density", "--trials", "0"],
+        ["rankconn-lemma", "--trials", "-2"],
+        ["pert-partition", "--trials", "0"],
+        ["pivot-matroid", "--trials", "0"],
+        ["conn-equiv", "--trials", "-1"],
+        ["avg-exists", "--trials", "0"],
+        ["tree-lemma", "--max-edges", "4"],
+        ["tree-lemma", "--max-edges", "0"],
+        ["tree-lemma", "--max-edges", "-3"],
+        ["rankconn-lemma", "--n-max", "2"],
+        ["rankconn-lemma", "--n-max", "3"],
     ])
     def test_campaign_parameter_out_of_range_is_usage(self, argv, capsys):
         code, out = run(["check"] + argv)
@@ -293,6 +306,20 @@ class TestCheckAndReplay:
                            f"param.max_elements=10\nparam.trials={trials}\n"
                            f"trials_run={trials}\nvacuous=0\nviolations=0\n")
 
+    def test_tree_lemma_golden_output(self):
+        # Captured from the set-based split and its networkx tree source.
+        for seed in range(3):
+            code, out = run(["check", "tree-lemma", "--seed", str(seed)])
+            assert code == EXIT_OK
+            assert out == (f"PASS\nname=tree-lemma\nseed={seed}\nparam.max_edges=11\n"
+                           "trials_run=1765\nvacuous=0\nviolations=0\n")
+
+    def test_smallest_legal_sizes_run(self):
+        code, out = run(["check", "tree-lemma", "--max-edges", "5"])
+        assert code == EXIT_OK and "trials_run=6\n" in out
+        code, out = run(["check", "rankconn-lemma", "--n-max", "4", "--trials", "1"])
+        assert code == EXIT_OK and "trials_run=1\n" in out
+
 
 def test_module_entry_point_runs_the_cli():
     src = Path(pivotkit.__file__).resolve().parents[1]
@@ -308,5 +335,15 @@ def test_cli_import_does_not_load_networkx():
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, pivotkit.cli; print('networkx' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_tree_lemma_does_not_load_networkx():
+    src = Path(pivotkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys; from pivotkit.verify import run_campaign; "
+            "assert run_campaign('tree-lemma').passed; print('networkx' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -1,7 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
 
+import oracles
 from pivotkit.errors import (DimensionMismatch, NotATree, PartitionInvalid,
                              TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank
@@ -11,7 +13,7 @@ from pivotkit.structure import (SplitEdge, SplitVertex,
                                 check_struct_density,
                                 constant_block_partition,
                                 format_block_partition, format_tree_split,
-                                perturbation_partition,
+                                free_trees, perturbation_partition,
                                 reconstruct_from_partition, split_tree,
                                 tree_split_problem)
 
@@ -93,6 +95,86 @@ class TestSplitTree:
         text = format_tree_split(split)
         assert text.startswith("split edge 7 8\n")
         assert "side1" in text and "side2" in text
+
+
+def tree_splits(max_order):
+    """Every (tree, legal s) pair over the free trees of 6..max_order vertices."""
+    for order in range(6, max_order + 1):
+        for t in free_trees(order):
+            for s in range(1, (order - 1) // 5 + 1):
+                yield t, s
+
+
+def mutations(t, split, rng):
+    """One edge moved between two parts, a wrong split edge (a tree edge
+    or a non-edge), and a wrong split vertex (in or out of range)."""
+    if isinstance(split, SplitEdge):
+        parts = [set(split.side_a), set(split.side_b)]
+    else:
+        parts = [set(split.t1), set(split.t2), set(split.t3)]
+    i, j = rng.sample(range(len(parts)), 2)
+    e = rng.choice(sorted(parts[i]))
+    parts[i].remove(e)
+    parts[j].add(e)
+    moved = [frozenset(p) for p in parts]
+    if isinstance(split, SplitEdge):
+        yield SplitEdge(split.edge, *moved)
+        edge = rng.choice(t.edge_list() + [(0, t.n)])
+        yield SplitEdge(edge, split.side_a, split.side_b)
+    else:
+        yield SplitVertex(split.vertex, *moved)
+        yield SplitVertex(rng.randrange(-1, t.n + 1), split.t1, split.t2, split.t3)
+
+
+class TestFreeTrees:
+    def test_equal_to_networkx_in_order(self):
+        counts = []
+        for order in range(2, 14):
+            trees = [t.adj for t in free_trees(order)]
+            assert trees == [Graph(order, t.edges()).adj
+                             for t in nx.nonisomorphic_trees(order)]
+            counts.append(len(trees))
+        assert counts == [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
+
+    def test_smallest_orders(self):
+        assert list(free_trees(0)) == []
+        assert list(free_trees(1)) == [Graph(1)]
+        with pytest.raises(ValueError):
+            list(free_trees(-1))
+
+
+class TestSplitAgainstOracle:
+    def test_split_equals_oracle_on_every_tree_up_to_13_vertices(self):
+        # The oracle split_tree returns only splits its own checker passes.
+        pairs = 0
+        for t, s in tree_splits(13):
+            split = split_tree(t, s)
+            assert split == oracles.split_tree(t, s)
+            assert tree_split_problem(t, s, split) is None
+            pairs += 1
+        assert pairs == 4367
+
+    def test_checker_agrees_with_oracle_on_mutated_splits(self):
+        rng = random.Random(83)
+        problems = set()
+        for t, s in tree_splits(11):
+            for bad in mutations(t, split_tree(t, s), rng):
+                for s_check in (s, s + 1):
+                    problem = tree_split_problem(t, s_check, bad)
+                    assert problem == oracles.tree_split_problem(t, s_check, bad)
+                    problems.add(problem)
+        assert len(problems) >= 10
+
+    def test_checker_reports_a_non_tree(self):
+        split = split_tree(Graph.path(11), 2)
+        cycle = Graph.cycle(11)
+        assert tree_split_problem(cycle, 2, split) == "t is not a tree"
+        # The path plus an isolated vertex: every part lies in the forest
+        # and passes the count test, so only the tree check catches it.
+        forest = Graph(12, Graph.path(11).edge_list())
+        assert oracles.tree_split_problem(forest, 2, split) is None
+        assert tree_split_problem(forest, 2, split) == "t is not a tree"
+        assert tree_split_problem(Graph(0), 2, split) == "t is not a tree"
 
 
 class TestConstantBlockPartition:

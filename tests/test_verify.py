@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pivotkit import structure
 from pivotkit.cutrank import find_low_rank_separation
 from pivotkit.errors import CapExceeded, FormatError, UnknownCampaign
 from pivotkit.matroid import connectivity_lambda, is_k_connected
@@ -50,6 +51,16 @@ class TestRunCampaign:
             run_campaign("rankconn-lemma", {"trials": 1, "n_max": 11})
         with pytest.raises(CapExceeded):
             run_campaign("avg-exists", {"trials": 1, "n_max": 13})
+
+    def test_tree_lemma_reports_every_invalid_split(self, monkeypatch):
+        # split_tree's one validation pass is the campaign's only check.
+        monkeypatch.setattr(structure, "_split_problem", lambda *args: "planted")
+        report = run_campaign("tree-lemma", {"max_edges": 7})
+        assert report.trials_run == 40  # the 6 + 11 + 23 trees with 5..7 edges, s = 1
+        assert len(report.violations) == report.trials_run
+        assert {w["reason"] for w in report.violations} == {"RuntimeError"}
+        assert format_report(report).startswith("FAIL\n")
+        assert replay_witness(report.violations[0])
 
     def test_campaign_names(self):
         assert set(FAST_PARAMS) == set(campaign_names())
