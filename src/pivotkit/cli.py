@@ -23,7 +23,8 @@ from .matroid import (circuits, cographic_matroid, connectivity_lambda,
 from .pivot import is_pivot_minor, pivot
 from .structure import (constant_block_partition, format_block_partition,
                         format_tree_split, perturbation_partition, split_tree)
-from .verify import campaign_names, format_report, replay_report, run_campaign
+from .verify import (campaign_names, format_report, parameter_names, replay_report,
+                     run_campaign)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -125,20 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification campaign")
     p.add_argument("campaign", choices=campaign_names())
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--bound-offset", type=int)
-    p.add_argument("--max-edges", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--max-rank", type=int)
-    p.add_argument("--max-elements", type=int)
-    p.add_argument("--instance", action="append", dest="instances",
-                   help="ktt:<t> | c6blowup:<s> | random:<n>:<extra>:<seed>; "
-                        "repeatable, replaces random generation")
+    for key in parameter_names():
+        if key == "instances":
+            p.add_argument("--instance", action="append", dest="instances",
+                           help="ktt:<t> | c6blowup:<s> | random:<n>:<extra>:<seed>; "
+                                "repeatable, replaces random generation")
+        else:
+            p.add_argument("--" + key.replace("_", "-"), type=int)
 
     p = sub.add_parser("replay", help="re-verify the witnesses in a report")
     p.add_argument("file")
@@ -247,16 +241,8 @@ def _cmd_pivotminor(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    params = {}
-    mapping = {"trials": "trials", "s": "s", "t": "t", "k_max": "k_max",
-               "bound_offset": "bound_offset", "max_edges": "max_edges",
-               "classes": "classes", "n_max": "n_max", "size": "size",
-               "max_rank": "max_rank", "max_elements": "max_elements",
-               "instances": "instances"}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            params[key] = value
+    params = {key: value for key in parameter_names()
+              if (value := getattr(args, key)) is not None}
     report = run_campaign(args.campaign, params, seed=args.seed)
     sys.stdout.write(format_report(report))
     return EXIT_OK if report.passed else EXIT_VIOLATION

@@ -7,12 +7,21 @@ Every violation is recorded with a fully serialized witness that can be
 replayed independently of the original run.  Reports are bit-identical
 across runs with the same (name, params, seed); elapsed time is kept on
 the report object but deliberately excluded from the serialization.
+
+Each campaign is one ``Campaign`` record in ``_CAMPAIGNS``: its parameters
+(``Param``: default, least legal value, cap), a generator that yields one
+argument tuple per trial (or VACUOUS), the check those arguments go to, and
+a decoder that turns a parsed witness back into the check's arguments.
+``run_campaign`` checks the merged parameters against the record once,
+before any trial; ``replay_witness`` is the record's decoder followed by
+its check; the CLI derives the ``check`` flags from the declared names.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -35,6 +44,7 @@ from .structure import (block_partition_is_constant, check_struct_density,
                         split_tree)
 
 VACUOUS_WARN_FRACTION = 0.9
+VACUOUS = "vacuous"
 
 
 @dataclass
@@ -114,7 +124,7 @@ def _check_fun(inst: Instance, s: int, t: int, bound_offset: int):
     """Violation dict, "vacuous", or None (pass)."""
     h = inst.fundamental
     if find_complete_bipartite(h, s, t) is not None:
-        return "vacuous"
+        return VACUOUS
     bound = max(2 * s - 2, t - 1) + bound_offset
     if degree_stats(h).min_degree > bound:
         return {"s": s, "t": t, "bound_offset": bound_offset,
@@ -125,7 +135,7 @@ def _check_fun(inst: Instance, s: int, t: int, bound_offset: int):
 def _check_cofun(inst: Instance, s: int, bound_offset: int):
     h = bipartite_complement(inst.fundamental)
     if find_complete_bipartite(h, s, s) is not None:
-        return "vacuous"
+        return VACUOUS
     bound = 5 * s - 1 + bound_offset
     if degree_stats(h).min_degree > bound:
         return {"s": s, "bound_offset": bound_offset,
@@ -145,7 +155,7 @@ def _check_tree(tree: Graph, s: int):
 
 def _check_struct_density(h: BiGraph, row_classes, col_classes, s: int):
     if find_complete_bipartite(h, s, s) is not None:
-        return "vacuous"
+        return VACUOUS
     if not check_struct_density(h, row_classes, col_classes, s):
         return {"s": s,
                 "rows": "|".join(",".join(map(str, c)) for c in row_classes),
@@ -156,7 +166,7 @@ def _check_struct_density(h: BiGraph, row_classes, col_classes, s: int):
 
 def _check_rankconn(g: Graph):
     if not is_c4_free(g):
-        return "vacuous"
+        return VACUOUS
     k = vertex_connectivity(g)
     sep = find_low_rank_separation(g, k + 1)
     if sep is not None:
@@ -218,7 +228,7 @@ def _check_conn_equiv(m: BinaryMatroid, k_max: int):
 
 def _check_avg_exists(g: Graph, k: int):
     if not is_c4_free(g) or degree_stats(g).average_degree < 4 * k:
-        return "vacuous"
+        return VACUOUS
     n = g.n
     for size in range(n, 0, -1):
         for keep in combinations(range(n), size):
@@ -232,7 +242,7 @@ def _check_avg_exists(g: Graph, k: int):
     return {"k": k, "data": _embed(format_graph(g))}
 
 
-# --- campaign runners ---
+# --- trial generators: each yields a check's arguments, or VACUOUS ---
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     g = Graph(n)
@@ -275,45 +285,25 @@ def _instances_for(params: dict, rng: random.Random):
         yield gen_random_instance(n, extra, rng.randrange(2 ** 32))
 
 
-def _tally(report: CampaignReport, outcome) -> None:
-    report.trials_run += 1
-    if outcome == "vacuous":
-        report.vacuous += 1
-    elif outcome is not None:
-        outcome["name"] = report.name
-        report.violations.append(outcome)
-
-
-def _run_fun(report: CampaignReport, rng: random.Random) -> None:
-    p = report.params
+def _gen_fun(p: dict, rng: random.Random):
     for inst in _instances_for(p, rng):
-        _tally(report, _check_fun(inst, p["s"], p["t"], p["bound_offset"]))
+        yield inst, p["s"], p["t"], p["bound_offset"]
 
 
-def _run_cofun(report: CampaignReport, rng: random.Random) -> None:
-    p = report.params
+def _gen_cofun(p: dict, rng: random.Random):
     for inst in _instances_for(p, rng):
-        _tally(report, _check_cofun(inst, p["s"], p["bound_offset"]))
+        yield inst, p["s"], p["bound_offset"]
 
 
-def _run_tree(report: CampaignReport, rng: random.Random) -> None:
-    max_edges = report.params["max_edges"]
-    if max_edges < 5:
-        raise ValueError(f"tree-lemma: max_edges must be at least 5, got {max_edges}")
-    if max_edges > 12:
-        raise CapExceeded("tree-lemma enumerates trees with at most 12 edges")
+def _gen_tree(p: dict, rng: random.Random):
     # A legal s needs 5s <= edges, so trees start at 5 edges.
-    for order in range(6, max_edges + 2):
-        for tree in free_trees(order):
-            edges = order - 1
-            s = 1
-            while 5 * s <= edges:
-                _tally(report, _check_tree(tree, s))
-                s += 1
+    for edges in range(5, p["max_edges"] + 1):
+        for tree in free_trees(edges + 1):
+            for s in range(1, edges // 5 + 1):
+                yield tree, s
 
 
-def _run_struct_density(report: CampaignReport, rng: random.Random) -> None:
-    p = report.params
+def _gen_struct_density(p: dict, rng: random.Random):
     for _ in range(p["trials"]):
         inst = gen_random_instance(rng.randint(3, 8), rng.randint(1, 6),
                                    rng.randrange(2 ** 32))
@@ -321,11 +311,11 @@ def _run_struct_density(report: CampaignReport, rng: random.Random) -> None:
         if rng.random() < 0.5:
             h = bipartite_complement(h)
         if h.na == 0 or h.nb == 0:
-            _tally(report, "vacuous")
+            yield VACUOUS
             continue
         row_classes = _random_partition(rng, h.na, p["classes"])
         col_classes = _random_partition(rng, h.nb, p["classes"])
-        _tally(report, _check_struct_density(h, row_classes, col_classes, p["s"]))
+        yield h, row_classes, col_classes, p["s"]
 
 
 def _random_partition(rng: random.Random, size: int, classes: int):
@@ -338,29 +328,20 @@ def _random_partition(rng: random.Random, size: int, classes: int):
     return tuple(out)
 
 
-def _run_rankconn(report: CampaignReport, rng: random.Random) -> None:
-    p = report.params
-    if p["n_max"] < 4:
-        raise ValueError(f"rankconn-lemma: n_max must be at least 4, got {p['n_max']}")
-    if p["n_max"] > 10:
-        raise CapExceeded("rankconn-lemma caps graphs at 10 vertices")
+def _gen_rankconn(p: dict, rng: random.Random):
     for _ in range(p["trials"]):
         n = rng.randint(4, p["n_max"])
         prob = rng.uniform(0.1, 0.45)
-        g = None
         for _ in range(50):  # rejection sampling for C4-freeness
-            cand = _random_graph(rng, n, prob)
-            if is_c4_free(cand):
-                g = cand
+            g = _random_graph(rng, n, prob)
+            if is_c4_free(g):
+                yield (g,)
                 break
-        if g is None:
-            _tally(report, "vacuous")
-            continue
-        _tally(report, _check_rankconn(g))
+        else:
+            yield VACUOUS
 
 
-def _run_pert(report: CampaignReport, rng: random.Random) -> None:
-    p = report.params
+def _gen_pert(p: dict, rng: random.Random):
     size = p["size"]
     for _ in range(p["trials"]):
         target_rank = rng.randint(0, p["max_rank"])
@@ -378,64 +359,126 @@ def _run_pert(report: CampaignReport, rng: random.Random) -> None:
             rows.append(acc)
         c = BitMatrix(size, size, rows)
         d1 = BitMatrix(size, size, [rng.randrange(1 << size) for _ in range(size)])
-        _tally(report, _check_pert(c, d1))
+        yield c, d1
 
 
-def _check_max_elements(max_elements: int, cap: int, name: str) -> None:
-    if max_elements < 2:
-        raise ValueError(f"{name}: max_elements must be at least 2, got {max_elements}")
-    if max_elements > cap:
-        raise CapExceeded(f"{name} caps matroids at {cap} elements")
-
-
-def _run_pivot_matroid(report: CampaignReport, rng: random.Random) -> None:
-    p = report.params
-    _check_max_elements(p["max_elements"], CIRCUIT_ENUM_CAP, report.name)
+def _gen_pivot_matroid(p: dict, rng: random.Random):
     for _ in range(p["trials"]):
         m = _random_matroid(rng, p["max_elements"])
         ones = [(i, j) for i in range(len(m.basis)) for j in range(len(m.nonbasis))
                 if m.rep.get(i, j)]
         if not ones:
-            _tally(report, "vacuous")
+            yield VACUOUS
             continue
         i, j = ones[rng.randrange(len(ones))]
-        _tally(report, _check_pivot_matroid(m, m.basis[i], m.nonbasis[j]))
+        yield m, m.basis[i], m.nonbasis[j]
 
 
-def _run_conn_equiv(report: CampaignReport, rng: random.Random) -> None:
-    p = report.params
-    if p["k_max"] < 1:
-        raise ValueError(f"conn-equiv: k_max must be at least 1, got {p['k_max']}")
-    _check_max_elements(p["max_elements"], subset_cap(), report.name)
+def _gen_conn_equiv(p: dict, rng: random.Random):
     for _ in range(p["trials"]):
-        m = _random_matroid(rng, p["max_elements"])
-        _tally(report, _check_conn_equiv(m, p["k_max"]))
+        yield _random_matroid(rng, p["max_elements"]), p["k_max"]
 
 
-def _run_avg_exists(report: CampaignReport, rng: random.Random) -> None:
-    p = report.params
-    if p["n_max"] > 12 or p["k"] != 1:
-        raise CapExceeded("avg-exists runs only at k=1 with at most 12 vertices")
+def _gen_avg_exists(p: dict, rng: random.Random):
     for _ in range(p["trials"]):
         n = rng.randint(5, p["n_max"])
-        g = _random_graph(rng, n, rng.uniform(0.3, 0.7))
-        _tally(report, _check_avg_exists(g, p["k"]))
+        yield _random_graph(rng, n, rng.uniform(0.3, 0.7)), p["k"]
+
+
+# --- witness decoders: a parsed witness back to its check's arguments ---
+
+def _data(w: dict) -> str:
+    return _unembed(w["data"])
+
+
+def _instance_from_witness(w: dict) -> Instance:
+    mg, tree = parse_multigraph(_data(w))
+    fundamental = graphic_matroid(mg, tree).fundamental_graph()
+    return Instance(mg, tree, fundamental, "replayed")
+
+
+def _classes(field: str):
+    return tuple(tuple(int(x) for x in c.split(",")) for c in field.split("|"))
+
+
+def _decode_pert(w: dict):
+    blob_c, blob_d = w["data"].split("&")
+    return parse_matrix(_unembed(blob_c)), parse_matrix(_unembed(blob_d))
+
+
+# --- the campaign records ---
+
+@dataclass(frozen=True)
+class Param:
+    """A campaign parameter's default and legal range.
+
+    A value below ``low`` is a usage error (ValueError).  A value above
+    ``cap`` (an int, or a callable read when the campaign starts) is more
+    than the campaign can decide in bounded work (CapExceeded).  None
+    leaves that side open.
+    """
+    default: object
+    low: int | None = None
+    cap: int | Callable[[], int] | None = None
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """Everything one campaign declares.
+
+    ``generate(params, rng)`` yields the argument tuple of one trial, or
+    VACUOUS for an instance that cannot meet the hypothesis; ``check(*args)``
+    returns a witness dict, VACUOUS or None (pass); ``decode(witness)``
+    rebuilds the argument tuple from a parsed witness, so every replay is
+    the same check again.
+    """
+    params: dict
+    generate: Callable
+    check: Callable
+    decode: Callable
+
+
+_INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2),
+                    "max_extra": Param(6, 0), "bound_offset": Param(0),
+                    "instances": Param(None)}
 
 
 _CAMPAIGNS = {
-    "fun-lemma": (_run_fun,
-                  {"s": 2, "t": 3, "trials": 500, "max_tree_vertices": 10,
-                   "max_extra": 6, "bound_offset": 0, "instances": None}),
-    "cofun-lemma": (_run_cofun,
-                    {"s": 2, "trials": 500, "max_tree_vertices": 10,
-                     "max_extra": 6, "bound_offset": 0, "instances": None}),
-    "tree-lemma": (_run_tree, {"max_edges": 11}),
-    "struct-density": (_run_struct_density, {"s": 2, "classes": 2, "trials": 200}),
-    "rankconn-lemma": (_run_rankconn, {"trials": 1000, "n_max": 8}),
-    "pert-partition": (_run_pert, {"trials": 200, "size": 8, "max_rank": 4}),
-    "pivot-matroid": (_run_pivot_matroid, {"trials": 200, "max_elements": 10}),
-    "conn-equiv": (_run_conn_equiv, {"trials": 100, "max_elements": 10, "k_max": 4}),
-    "avg-exists": (_run_avg_exists, {"trials": 25, "n_max": 12, "k": 1}),
+    "fun-lemma": Campaign(
+        {"s": Param(2, 1), "t": Param(3, 1), **_INSTANCE_PARAMS}, _gen_fun, _check_fun,
+        lambda w: (_instance_from_witness(w), int(w["s"]), int(w["t"]),
+                   int(w["bound_offset"]))),
+    "cofun-lemma": Campaign(
+        {"s": Param(2, 1), **_INSTANCE_PARAMS}, _gen_cofun, _check_cofun,
+        lambda w: (_instance_from_witness(w), int(w["s"]), int(w["bound_offset"]))),
+    "tree-lemma": Campaign(
+        {"max_edges": Param(11, 5, 12)}, _gen_tree, _check_tree,
+        lambda w: (parse_graph(_data(w)), int(w["s"]))),
+    "struct-density": Campaign(
+        {"s": Param(2, 1), "classes": Param(2, 1), "trials": Param(200, 1)},
+        _gen_struct_density, _check_struct_density,
+        lambda w: (parse_bigraph(_data(w)), _classes(w["rows"]), _classes(w["cols"]),
+                   int(w["s"]))),
+    "rankconn-lemma": Campaign(
+        {"trials": Param(1000, 1), "n_max": Param(8, 4, 10)}, _gen_rankconn, _check_rankconn,
+        lambda w: (parse_graph(_data(w)),)),
+    "pert-partition": Campaign(
+        {"trials": Param(200, 1), "size": Param(8, 1), "max_rank": Param(4, 0)},
+        _gen_pert, _check_pert, _decode_pert),
+    "pivot-matroid": Campaign(
+        {"trials": Param(200, 1), "max_elements": Param(10, 2, CIRCUIT_ENUM_CAP)},
+        _gen_pivot_matroid, _check_pivot_matroid,
+        lambda w: (parse_matroid(_data(w)), w["x"], w["y"])),
+    "conn-equiv": Campaign(
+        {"trials": Param(100, 1), "max_elements": Param(10, 2, subset_cap),
+         "k_max": Param(4, 1)}, _gen_conn_equiv, _check_conn_equiv,
+        lambda w: (parse_matroid(_data(w)), int(w["k_max"]))),
+    # k = 1 and at most 12 vertices keep the exhaustive subgraph search
+    # of _check_avg_exists bounded.
+    "avg-exists": Campaign(
+        {"trials": Param(25, 1), "n_max": Param(12, 5, 12), "k": Param(1, 1, 1)},
+        _gen_avg_exists, _check_avg_exists,
+        lambda w: (parse_graph(_data(w)), int(w["k"]))),
 }
 
 
@@ -443,98 +486,57 @@ def campaign_names() -> list[str]:
     return sorted(_CAMPAIGNS)
 
 
+def parameter_names() -> list[str]:
+    """Every parameter any campaign declares, sorted."""
+    return sorted({key for c in _CAMPAIGNS.values() for key in c.params})
+
+
+def _merge_params(name: str, declared: dict, params: dict | None) -> dict:
+    """Defaults overridden by ``params``, each checked against its range."""
+    merged = {key: p.default for key, p in declared.items()}
+    for key, value in (params or {}).items():
+        if key not in declared:
+            raise ValueError(f"unknown parameter {key!r} for campaign {name}")
+        merged[key] = value
+    # Usage errors (exit 2) are reported before caps (exit 3).
+    for key, p in declared.items():
+        if p.low is not None and merged[key] < p.low:
+            raise ValueError(f"{name}: {key} must be at least {p.low}, got {merged[key]}")
+    for key, p in declared.items():
+        cap = p.cap() if callable(p.cap) else p.cap
+        if cap is not None and merged[key] > cap:
+            raise CapExceeded(f"{name} caps {key} at {cap}, got {merged[key]}")
+    return merged
+
+
 def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> CampaignReport:
     """Run a named campaign; deterministic per (name, params, seed)."""
     if name not in _CAMPAIGNS:
         raise UnknownCampaign(name)
-    runner, defaults = _CAMPAIGNS[name]
-    merged = dict(defaults)
-    for key, value in (params or {}).items():
-        if key not in defaults:
-            raise ValueError(f"unknown parameter {key!r} for campaign {name}")
-        merged[key] = value
-    if merged.get("trials", 1) < 1:
-        raise ValueError(f"{name}: trials must be at least 1, got {merged['trials']}")
-    report = CampaignReport(name=name, params=merged, seed=seed)
+    campaign = _CAMPAIGNS[name]
+    report = CampaignReport(name=name, params=_merge_params(name, campaign.params, params),
+                            seed=seed)
     start = time.monotonic()
-    runner(report, random.Random(seed))
+    for args in campaign.generate(report.params, random.Random(seed)):
+        outcome = VACUOUS if args == VACUOUS else campaign.check(*args)
+        report.trials_run += 1
+        if outcome == VACUOUS:
+            report.vacuous += 1
+        elif outcome is not None:
+            outcome["name"] = name
+            report.violations.append(outcome)
     report.elapsed = time.monotonic() - start
     return report
 
 
 # --- replay ---
 
-def _instance_from_witness(w: dict) -> Instance:
-    mg, tree = parse_multigraph(_unembed(w["data"]))
-    fundamental = graphic_matroid(mg, tree).fundamental_graph()
-    return Instance(mg, tree, fundamental, "replayed")
-
-
-def _replay_fun(w: dict) -> bool:
-    out = _check_fun(_instance_from_witness(w), int(w["s"]), int(w["t"]),
-                     int(w["bound_offset"]))
-    return isinstance(out, dict)
-
-
-def _replay_cofun(w: dict) -> bool:
-    out = _check_cofun(_instance_from_witness(w), int(w["s"]), int(w["bound_offset"]))
-    return isinstance(out, dict)
-
-
-def _replay_tree(w: dict) -> bool:
-    return isinstance(_check_tree(parse_graph(_unembed(w["data"])), int(w["s"])), dict)
-
-
-def _replay_struct_density(w: dict) -> bool:
-    h = parse_bigraph(_unembed(w["data"]))
-    rows = tuple(tuple(int(x) for x in c.split(",")) for c in w["rows"].split("|"))
-    cols = tuple(tuple(int(x) for x in c.split(",")) for c in w["cols"].split("|"))
-    return isinstance(_check_struct_density(h, rows, cols, int(w["s"])), dict)
-
-
-def _replay_rankconn(w: dict) -> bool:
-    return isinstance(_check_rankconn(parse_graph(_unembed(w["data"]))), dict)
-
-
-def _replay_pert(w: dict) -> bool:
-    blob_c, blob_d = w["data"].split("&")
-    return isinstance(_check_pert(parse_matrix(_unembed(blob_c)),
-                                  parse_matrix(_unembed(blob_d))), dict)
-
-
-def _replay_pivot_matroid(w: dict) -> bool:
-    m = parse_matroid(_unembed(w["data"]))
-    return isinstance(_check_pivot_matroid(m, w["x"], w["y"]), dict)
-
-
-def _replay_conn_equiv(w: dict) -> bool:
-    m = parse_matroid(_unembed(w["data"]))
-    return isinstance(_check_conn_equiv(m, int(w["k_max"])), dict)
-
-
-def _replay_avg_exists(w: dict) -> bool:
-    return isinstance(_check_avg_exists(parse_graph(_unembed(w["data"])), int(w["k"])), dict)
-
-
-_REPLAYERS = {
-    "fun-lemma": _replay_fun,
-    "cofun-lemma": _replay_cofun,
-    "tree-lemma": _replay_tree,
-    "struct-density": _replay_struct_density,
-    "rankconn-lemma": _replay_rankconn,
-    "pert-partition": _replay_pert,
-    "pivot-matroid": _replay_pivot_matroid,
-    "conn-equiv": _replay_conn_equiv,
-    "avg-exists": _replay_avg_exists,
-}
-
-
 def replay_witness(w: dict) -> bool:
     """Re-run a serialized witness; True when the violation re-triggers."""
-    name = w.get("name")
-    if name not in _REPLAYERS:
-        raise UnknownCampaign(str(name))
-    return _REPLAYERS[name](w)
+    campaign = _CAMPAIGNS.get(w.get("name"))
+    if campaign is None:
+        raise UnknownCampaign(str(w.get("name")))
+    return isinstance(campaign.check(*campaign.decode(w)), dict)
 
 
 def replay_report(text: str) -> list[tuple[dict, bool]]:

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pivotkit.extremal import format_instance, gen_ktt_example
 from pivotkit.gf2 import parse_matrix
 from pivotkit.graph import Graph, format_graph, parse_bigraph, parse_graph
 from pivotkit.matroid import parse_matroid, parse_multigraph
+from pivotkit.verify import campaign_names, run_campaign
 
 
 def run(argv, stdin=""):
@@ -211,6 +214,15 @@ class TestExitCodes:
         code, _ = run(["check", "tree-lemma", "--max-edges", "13"])
         assert code == EXIT_BUDGET
 
+    @pytest.mark.parametrize("argv", [
+        ["rankconn-lemma", "--n-max", "11"],
+        ["avg-exists", "--n-max", "13"],
+        ["avg-exists", "--k", "2"],
+    ])
+    def test_campaign_parameter_above_cap_is_budget(self, argv):
+        code, out = run(["check"] + argv)
+        assert code == EXIT_BUDGET and out == ""
+
     def test_conn_equiv_over_subset_cap_exits_before_any_trial(self, monkeypatch):
         start = time.perf_counter()
         code, out = run(["check", "conn-equiv", "--max-elements", "40", "--trials", "1"])
@@ -250,6 +262,22 @@ class TestExitCodes:
         ["tree-lemma", "--max-edges", "-3"],
         ["rankconn-lemma", "--n-max", "2"],
         ["rankconn-lemma", "--n-max", "3"],
+        ["avg-exists", "--n-max", "4"],
+        ["avg-exists", "--k", "0"],
+        ["struct-density", "--classes", "0"],
+        ["struct-density", "--classes", "-1"],
+        ["pert-partition", "--size", "0", "--trials", "3"],
+        ["pert-partition", "--max-rank", "-1"],
+        ["fun-lemma", "--max-tree-vertices", "1"],
+        ["cofun-lemma", "--max-tree-vertices", "1"],
+        ["fun-lemma", "--max-extra", "-1"],
+        ["cofun-lemma", "--max-extra", "-1"],
+        ["fun-lemma", "--s", "0"],
+        ["fun-lemma", "--t", "0"],
+        ["fun-lemma", "--instance", "ktt:4", "--t", "-1"],
+        ["cofun-lemma", "--s", "0"],
+        ["struct-density", "--s", "0"],
+        ["avg-exists", "--n-max", "13", "--k", "0"],
     ])
     def test_campaign_parameter_out_of_range_is_usage(self, argv, capsys):
         code, out = run(["check"] + argv)
@@ -313,6 +341,30 @@ class TestCheckAndReplay:
             assert code == EXIT_OK
             assert out == (f"PASS\nname=tree-lemma\nseed={seed}\nparam.max_edges=11\n"
                            "trials_run=1765\nvacuous=0\nviolations=0\n")
+
+    @pytest.mark.parametrize("name", campaign_names())
+    def test_every_parameter_is_reachable_from_the_cli(self, name):
+        # Each integer parameter passed at its value through its flag
+        # gives the bytes of a run that leaves the flag out.
+        small = {} if name == "tree-lemma" else {"trials": 3}
+        base = ["check", name, "--seed", "1"]
+        for key, value in small.items():
+            base += ["--" + key.replace("_", "-"), str(value)]
+        expected = run(base)
+        assert expected[0] == EXIT_OK
+        for key, value in run_campaign(name, small, seed=1).params.items():
+            if isinstance(value, int):
+                assert run(base + ["--" + key.replace("_", "-"), str(value)]) == expected, key
+
+    def test_pinned_campaign_output(self):
+        # The first three seeds of the benchmark's pinned campaign units.
+        pins = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pins.json")
+                          .read_text())["campaigns"]
+        for name in campaign_names():
+            for seed in range(3):
+                code, out = run(["check", name, "--seed", str(seed)])
+                digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+                assert [code, digest] == pins[f"{name}/seed{seed}"], (name, seed)
 
     def test_smallest_legal_sizes_run(self):
         code, out = run(["check", "tree-lemma", "--max-edges", "5"])

@@ -1,10 +1,13 @@
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
-from pivotkit import structure
+from pivotkit import structure, verify
 from pivotkit.cutrank import find_low_rank_separation
 from pivotkit.errors import CapExceeded, FormatError, UnknownCampaign
+from pivotkit.graph import DegreeStats
 from pivotkit.matroid import connectivity_lambda, is_k_connected
 from pivotkit.verify import (_random_graph, _random_matroid, campaign_names,
                              format_report, parse_report, replay_report,
@@ -51,6 +54,29 @@ class TestRunCampaign:
             run_campaign("rankconn-lemma", {"trials": 1, "n_max": 11})
         with pytest.raises(CapExceeded):
             run_campaign("avg-exists", {"trials": 1, "n_max": 13})
+
+    @pytest.mark.parametrize("name, params, error", [
+        ("avg-exists", {"n_max": 4}, ValueError),
+        ("avg-exists", {"k": 0}, ValueError),
+        ("avg-exists", {"k": 2}, CapExceeded),
+        ("struct-density", {"classes": 0}, ValueError),
+        ("struct-density", {"s": 0}, ValueError),
+        ("pert-partition", {"size": 0, "trials": 3}, ValueError),
+        ("pert-partition", {"max_rank": -1}, ValueError),
+        ("fun-lemma", {"max_tree_vertices": 1}, ValueError),
+        ("cofun-lemma", {"max_extra": -1}, ValueError),
+        ("fun-lemma", {"instances": ["ktt:4"], "t": 0}, ValueError),
+        ("cofun-lemma", {"s": 0}, ValueError),
+        ("conn-equiv", {"k_max": 0, "max_elements": 40}, ValueError),
+        ("conn-equiv", {"max_elements": 40}, CapExceeded),
+    ])
+    def test_ranges_are_checked_before_any_trial(self, name, params, error, monkeypatch):
+        def no_trials(p, rng):
+            raise AssertionError("a trial was generated")
+        campaign = dataclasses.replace(verify._CAMPAIGNS[name], generate=no_trials)
+        monkeypatch.setitem(verify._CAMPAIGNS, name, campaign)
+        with pytest.raises(error, match="must be at least" if error is ValueError else "caps"):
+            run_campaign(name, params)
 
     def test_tree_lemma_reports_every_invalid_split(self, monkeypatch):
         # split_tree's one validation pass is the campaign's only check.
@@ -180,3 +206,64 @@ def test_one_search_at_k_max_answers_every_smaller_k():
         for k in range(1, k_max + 1):
             assert is_k_connected(m, k)[0] == (k <= m_order)
             assert (find_low_rank_separation(g, k) is None) == (k <= g_order)
+
+
+def _stats(min_degree, average_degree=0):
+    return lambda g: DegreeStats(min_degree, min_degree, Fraction(average_degree))
+
+
+def _failing_split(tree, s):
+    raise RuntimeError("planted")
+
+
+class _Separation:
+    order = 0  # below every λ order, so the two sides of conn-equiv disagree
+
+
+# Per campaign: small parameters and the verify globals that plant a violation.
+PLANTED = {
+    "fun-lemma": ({"trials": 20}, {"degree_stats": _stats(99)}),
+    "cofun-lemma": ({"trials": 20}, {"degree_stats": _stats(99)}),
+    "tree-lemma": ({"max_edges": 6}, {"split_tree": _failing_split}),
+    "struct-density": ({"trials": 20}, {"check_struct_density": lambda *args: False}),
+    "rankconn-lemma": ({"trials": 20, "n_max": 6},
+                       {"find_low_rank_separation": lambda g, k: _Separation()}),
+    "pert-partition": ({"trials": 5, "size": 4},
+                       {"block_partition_is_constant": lambda c, bp: False}),
+    "pivot-matroid": ({"trials": 5, "max_elements": 6}, {"circuits": lambda m: object()}),
+    "conn-equiv": ({"trials": 5, "max_elements": 6},
+                   {"find_low_rank_separation": lambda g, k: _Separation()}),
+    "avg-exists": ({"trials": 2, "n_max": 5},
+                   {"is_c4_free": lambda g: True, "degree_stats": _stats(0, 99),
+                    "find_low_rank_separation": lambda g, k: _Separation()}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_violation_round_trips_through_the_report(name, monkeypatch):
+    params, patches = PLANTED[name]
+    for attr, fake in patches.items():
+        monkeypatch.setattr(verify, attr, fake)
+    report = run_campaign(name, params, seed=2)
+    assert report.violations
+    parsed = parse_report(format_report(report))
+    assert len(parsed["witnesses"]) == len(report.violations)
+    assert all(replay_witness(w) for w in parsed["witnesses"])
+    # The decoder rebuilds the check's exact arguments, not merely some
+    # arguments that also violate.
+    campaign = verify._CAMPAIGNS[name]
+    for original, w in zip(report.violations, parsed["witnesses"]):
+        again = campaign.check(*campaign.decode(w))
+        again["name"] = name
+        assert _fields(again) == _fields(original)
+
+
+def _fields(witness):
+    # A replayed instance loses its "# gen ..." comment line and nothing else.
+    out = {k: str(v) for k, v in witness.items()}
+    out["data"] = ";".join(x for x in out["data"].split(";") if not x.startswith("#"))
+    return out
+
+
+def test_planted_campaigns_cover_every_campaign():
+    assert sorted(PLANTED) == campaign_names()
