@@ -23,8 +23,28 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
+def _bfs(adj: list[int], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first walk over adjacency bitmasks from root.
+
+    Returns the visiting order, which holds exactly the vertices reached,
+    and each vertex's parent: -1 for the root and for every vertex not
+    reached.  Neighbours are visited in ascending label.
+    """
+    parent = [-1] * len(adj)
+    order = [root]
+    seen = 1 << root
+    for v in order:
+        fresh = adj[v] & ~seen
+        seen |= fresh
+        for w in _bits(fresh):
+            parent[w] = v
+            order.append(w)
+    return order, parent
+
+
+def _independent(adj: list[int], mask: int) -> bool:
+    """True iff no edge has both ends in the vertex mask."""
+    return not any(adj[v] & mask for v in _bits(mask))
 
 
 class Graph:
@@ -52,7 +72,7 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.adj[v]))
@@ -61,7 +81,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
 
     def num_edges(self) -> int:
-        return sum(_popcount(a) for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def copy(self) -> "Graph":
         g = Graph(self.n)
@@ -134,16 +154,16 @@ class BiGraph:
         return self.biadj.get(i, j) == 1
 
     def degree_a(self, i: int) -> int:
-        return _popcount(self.biadj.rows[i])
+        return self.biadj.rows[i].bit_count()
 
     def degree_b(self, j: int) -> int:
-        return _popcount(self.biadj.column_bits(j))
+        return self.biadj.column_bits(j).bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.na) for j in _bits(self.biadj.rows[i])]
 
     def num_edges(self) -> int:
-        return sum(_popcount(r) for r in self.biadj.rows)
+        return sum(r.bit_count() for r in self.biadj.rows)
 
     def to_graph(self) -> Graph:
         """The same graph on vertices 0..na-1 (side A) then na..na+nb-1."""
@@ -197,14 +217,14 @@ def bipartite_complement(g: BiGraph) -> BiGraph:
 
 def _search_biclique(masks: list[int], s: int, t: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Find s rows whose common neighbourhood has at least t columns."""
-    candidates = [i for i, m in enumerate(masks) if _popcount(m) >= t]
+    candidates = [i for i, m in enumerate(masks) if m.bit_count() >= t]
     if len(candidates) < s:
         return None
     for subset in combinations(candidates, s):
         inter = -1
         for i in subset:
             inter &= masks[i]
-            if _popcount(inter) < t:
+            if inter.bit_count() < t:
                 break
         else:
             cols = []
@@ -241,7 +261,7 @@ def is_c4_free(g: Graph) -> bool:
     for u in range(g.n):
         au = g.adj[u]
         for v in range(u + 1, g.n):
-            if _popcount(au & g.adj[v]) >= 2:
+            if (au & g.adj[v]).bit_count() >= 2:
                 return False
     return True
 
@@ -260,51 +280,30 @@ def blow_up(g: Graph, k: int) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        fresh = g.adj[v] & ~seen
-        seen |= fresh
-        frontier.extend(_bits(fresh))
-    return seen == (1 << g.n) - 1
+    return g.n == 0 or len(_bfs(g.adj, 0)[0]) == g.n
 
 
 def _local_vertex_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
     """Max internally vertex-disjoint s-t paths, stopping at cutoff."""
-    n = g.n
-    # Node-split flow network: in(v)=2v, out(v)=2v+1; unit internal arcs.
-    cap: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        cap[(2 * v, 2 * v + 1)] = 1
-    for u in range(n):
-        for v in _bits(g.adj[u]):
-            cap[(2 * u + 1, 2 * v)] = 1
-    succ: dict[int, set[int]] = {i: set() for i in range(2 * n)}
-    for (a, b) in cap:
-        succ[a].add(b)
-        succ[b].add(a)  # residual arcs
+    # Node-split network, in(v) = 2v and out(v) = 2v + 1, with unit arcs
+    # in(v) -> out(v) and out(u) -> in(w) for each edge.  No arc's reverse
+    # is an arc, so the residual network is one successor mask per node
+    # and pushing a unit along a -> b moves bit b of a to bit a of b.
+    res = []
+    for v, mask in enumerate(g.adj):
+        res.append(1 << (2 * v + 1))
+        res.append(sum(1 << (2 * w) for w in _bits(mask)))
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cutoff:
-        # BFS for an augmenting path in the residual network.
-        prev = {source: -1}
-        queue = [source]
-        while queue and sink not in prev:
-            a = queue.pop(0)
-            for b in succ[a]:
-                if b not in prev and cap.get((a, b), 0) > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
+        parent = _bfs(res, source)[1]
+        if parent[sink] == -1:
             break
         b = sink
         while b != source:
-            a = prev[b]
-            cap[(a, b)] = cap.get((a, b), 0) - 1
-            cap[(b, a)] = cap.get((b, a), 0) + 1
+            a = parent[b]
+            res[a] ^= 1 << b
+            res[b] ^= 1 << a
             b = a
         flow += 1
     return flow
@@ -319,7 +318,7 @@ def vertex_connectivity(g: Graph) -> int:
     n = g.n
     if n <= 1:
         return 0
-    if all(_popcount(a) == n - 1 for a in g.adj):
+    if all(a.bit_count() == n - 1 for a in g.adj):
         return n - 1
     if not is_connected(g):
         return 0
@@ -347,39 +346,38 @@ def degree_stats(g) -> DegreeStats:
 def bipartition(g: Graph) -> Optional[tuple[list[int], list[int]]]:
     """Two-colour g; None if it is not bipartite.
 
-    Within each component the least vertex goes to side A.
+    Within each component the least vertex goes to side A, and every
+    other vertex goes to the side its BFS parent is not on.  Each
+    component's walk allocates an n-entry parent list, so c components
+    cost O(c * n): fine at the sizes bitmask graphs are meant for.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in _bits(g.adj[v]):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side_a = [v for v in range(g.n) if color[v] == 0]
-    side_b = [v for v in range(g.n) if color[v] == 1]
-    return side_a, side_b
+    a = b = 0
+    left = (1 << g.n) - 1
+    while left:
+        order, parent = _bfs(g.adj, (left & -left).bit_length() - 1)
+        a |= 1 << order[0]
+        for w in order[1:]:
+            if b >> parent[w] & 1:
+                a |= 1 << w
+            else:
+                b |= 1 << w
+        left &= ~(a | b)
+    if not (_independent(g.adj, a) and _independent(g.adj, b)):
+        return None
+    return list(_bits(a)), list(_bits(b))
 
 
 def to_bigraph(g: Graph, side_a: list[int], side_b: list[int]) -> BiGraph:
     """View g as a BiGraph over the given bipartition (must cover V(g))."""
     if sorted(side_a + side_b) != list(range(g.n)):
         raise ValueError("sides must partition the vertex set")
+    if not all(_independent(g.adj, sum(1 << v for v in side)) for side in (side_a, side_b)):
+        raise ValueError("edge inside one side: not bipartite for this split")
     pos_b = {v: j for j, v in enumerate(side_b)}
     m = BitMatrix.zeros(len(side_a), len(side_b))
     for i, u in enumerate(side_a):
         for w in _bits(g.adj[u]):
-            if w in pos_b:
-                m.set(i, pos_b[w], 1)
-            else:
-                raise ValueError("edge inside one side: not bipartite for this split")
+            m.set(i, pos_b[w], 1)
     return BiGraph(m)
 
 

@@ -46,24 +46,41 @@ class MultiGraph:
         return {label: (u, v) for label, u, v in self.edges}
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for _, u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return -1 not in _walk(self.n, self.edges)[1]
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={len(self.edges)})"
+
+
+def _walk(n: int, edges: list[tuple[str, int, int]]):
+    """Breadth-first walk from vertex 0 over labelled edges.
+
+    Returns (parent, depth, parent_edge); depth is -1 at every vertex
+    not reached.  Each vertex lists the indices of its edges rather
+    than a bitmask of its neighbours: a multigraph has no vertex cap,
+    and n masks take O(n^2) bits.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, (_, u, v) in enumerate(edges):
+        adj[u].append(i)
+        adj[v].append(i)
+    parent = [-1] * n
+    depth = [-1] * n
+    parent_edge: list[Optional[str]] = [None] * n
+    order = []
+    if n:
+        depth[0] = 0
+        order.append(0)
+    for v in order:
+        for i in adj[v]:
+            label, a, b = edges[i]
+            w = a ^ b ^ v  # the other end; v itself for a loop
+            if depth[w] == -1:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                parent_edge[w] = label
+                order.append(w)
+    return parent, depth, parent_edge
 
 
 @dataclass(frozen=True)
@@ -147,28 +164,8 @@ def _tree_structure(g: MultiGraph, t: SpanningTree):
     if len(t.tree_edges) != max(g.n - 1, 0):
         raise NotASpanningTree(
             f"tree has {len(t.tree_edges)} edges, expected {g.n - 1}")
-    adj: list[list[tuple[int, str]]] = [[] for _ in range(g.n)]
-    for label in t.tree_edges:
-        u, v = by_label[label]
-        adj[u].append((v, label))
-        adj[v].append((u, label))
-    parent = [-1] * g.n
-    parent_edge: list[Optional[str]] = [None] * g.n
-    depth = [0] * g.n
-    seen = [False] * g.n
-    if g.n > 0:
-        seen[0] = True
-        queue = [0]
-        while queue:
-            v = queue.pop(0)
-            for w, label in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    parent_edge[w] = label
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-    if not all(seen):
+    parent, depth, parent_edge = _walk(g.n, [e for e in g.edges if e[0] in t.tree_edges])
+    if -1 in depth:
         raise NotASpanningTree("tree edges do not span every vertex")
     return parent, depth, parent_edge
 

@@ -18,7 +18,7 @@ from typing import Union
 from .errors import (DimensionMismatch, NotATree, PartitionInvalid,
                      TreeTooSmall)
 from .gf2 import BitMatrix
-from .graph import BiGraph, Graph, _bits, degree_stats
+from .graph import BiGraph, Graph, _bfs, _bits, degree_stats
 
 Edge = tuple[int, int]
 
@@ -72,19 +72,12 @@ def _rooted_tree(t: Graph):
     n = t.n
     if n == 0:
         raise NotATree("expected a connected acyclic graph")
-    parent = [-1] * n
-    depth = [0] * n
-    order = [0]
-    seen = 1
-    for v in order:
-        mask = t.adj[v] & ~seen
-        seen |= mask
-        for w in _bits(mask):
-            parent[w] = v
-            depth[w] = depth[v] + 1
-            order.append(w)
+    order, parent = _bfs(t.adj, 0)
     if len(order) != n or t.num_edges() != n - 1:
         raise NotATree("expected a connected acyclic graph")
+    depth = [0] * n
+    for w in order[1:]:
+        depth[w] = depth[parent[w]] + 1
     return parent, depth, order
 
 

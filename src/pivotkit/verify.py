@@ -264,20 +264,23 @@ def _random_matroid(rng: random.Random, max_elements: int) -> BinaryMatroid:
 def _parse_instance_spec(spec: str) -> Instance:
     """Generator spec strings: ktt:<t>, c6blowup:<s>, random:<n>:<extra>:<seed>."""
     parts = spec.split(":")
-    if parts[0] == "ktt" and len(parts) == 2:
-        return gen_ktt_example(int(parts[1]))
-    if parts[0] == "c6blowup" and len(parts) == 2:
-        return gen_c6_blowup_example(int(parts[1]))
-    if parts[0] == "random" and len(parts) == 4:
-        return gen_random_instance(int(parts[1]), int(parts[2]), int(parts[3]))
+    try:
+        if parts[0] == "ktt" and len(parts) == 2:
+            return gen_ktt_example(int(parts[1]))
+        if parts[0] == "c6blowup" and len(parts) == 2:
+            return gen_c6_blowup_example(int(parts[1]))
+        if parts[0] == "random" and len(parts) == 4:
+            return gen_random_instance(int(parts[1]), int(parts[2]), int(parts[3]))
+    except ValueError as exc:
+        raise ValueError(f"bad instance spec {spec!r}: {exc}") from None
     raise ValueError(f"bad instance spec: {spec!r}")
 
 
 def _instances_for(params: dict, rng: random.Random):
     specs = params.get("instances")
     if specs:
-        for spec in specs:
-            yield _parse_instance_spec(spec)
+        # Every spec is parsed before the first trial runs.
+        yield from [_parse_instance_spec(spec) for spec in specs]
         return
     for _ in range(params["trials"]):
         n = rng.randint(2, params["max_tree_vertices"])

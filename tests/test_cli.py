@@ -315,6 +315,27 @@ class TestCheckAndReplay:
         code, out = run(["replay", str(report)])
         assert code == EXIT_OK and "no witnesses" in out
 
+    def test_bad_instance_spec_is_usage_before_any_trial(self, monkeypatch, capsys):
+        import pivotkit.verify
+        calls = []
+        real = pivotkit.verify.find_complete_bipartite
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pivotkit.verify, "find_complete_bipartite", counting)
+        code, out = run(["check", "fun-lemma", "--instance", "ktt:5",
+                         "--instance", "c6blowup:3", "--instance", "bogus"])
+        assert (code, out, calls) == (EXIT_USAGE, "", [])
+        assert "'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["ktt:x", "ktt:1", "c6blowup:", "random:5:x:1"])
+    def test_bad_instance_spec_message_names_the_spec(self, spec, capsys):
+        code, out = run(["check", "cofun-lemma", "--instance", spec])
+        assert code == EXIT_USAGE and out == ""
+        assert repr(spec) in capsys.readouterr().err
+
     def test_unknown_campaign_is_usage(self):
         code, _ = run(["check", "not-a-campaign"])
         assert code == EXIT_USAGE

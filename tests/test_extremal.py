@@ -89,6 +89,19 @@ class TestRandomInstance:
             inst = gen_random_instance(5, 6, seed)
             assert all(u != v for _, u, v in inst.multigraph.edges)
 
+    def test_large_instance_memory(self):
+        # MultiGraph has no vertex cap, so its walk keeps edge lists: a
+        # 20,000-vertex instance peaks near 13 MB.  One adjacency bitmask
+        # per vertex would take it near 50 MB.
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            gen_random_instance(20000, 5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2 ** 20
+
     def test_loops_allowed_when_asked(self):
         found = any(u == v
                     for seed in range(30)

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from pivotkit.gf2 import BitMatrix
 from pivotkit.graph import (BiGraph, Graph, bipartite_complement, bipartition,
                             blow_up, degree_stats, find_complete_bipartite,
-                            format_bigraph, format_graph, is_c4_free,
+                            format_bigraph, format_graph, is_c4_free, is_connected,
                             parse_bigraph, parse_graph, to_bigraph,
                             vertex_connectivity)
 
@@ -35,6 +36,15 @@ class TestBipartiteComplement:
     def test_involution(self):
         g = c6_bigraph()
         assert bipartite_complement(bipartite_complement(g)) == g
+
+
+class TestToBigraph:
+    def test_edge_inside_either_side_is_rejected(self):
+        g = Graph.path(3)
+        for sides in (([0, 1], [2]), ([0], [1, 2])):
+            with pytest.raises(ValueError, match="edge inside one side"):
+                to_bigraph(g, *sides)
+        assert format_bigraph(to_bigraph(g, [0, 2], [1])) == "bigraph 2 1\n0 0\n1 0\n"
 
 
 class TestFindCompleteBipartite:
@@ -135,20 +145,43 @@ class TestVertexConnectivity:
         assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
 
     def test_matches_networkx(self):
+        """Connectivity, bipartition and vertex connectivity against
+        networkx on every labelled graph with 2-5 vertices and on seeded
+        4-12-vertex graphs drawn like rankconn-lemma's (about half are
+        C4-free)."""
         import random
         import networkx as nx
+        graphs = []
         rng = random.Random(3)
         for _ in range(30):
             n = rng.randint(2, 8)
-            g = Graph(n)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if rng.random() < 0.4:
-                        g.add_edge(u, v)
+            graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < 0.4]))
+        for n in range(2, 6):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                graphs.append(Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+        rng = random.Random(5)
+        for _ in range(400):
+            n, p = rng.randint(4, 12), rng.uniform(0.1, 0.45)
+            graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < p]))
+        assert len(graphs) == 30 + 1098 + 400
+        assert sum(map(is_c4_free, graphs[-400:])) == 221
+        for g in graphs:
             h = nx.Graph()
-            h.add_nodes_from(range(n))
+            h.add_nodes_from(range(g.n))
             h.add_edges_from(g.edge_list())
             assert vertex_connectivity(g) == nx.node_connectivity(h)
+            assert is_connected(g) == nx.is_connected(h)
+            sides = bipartition(g)
+            assert (sides is not None) == nx.is_bipartite(h)
+            if sides is not None:
+                a, b = sides
+                assert sorted(a + b) == list(range(g.n))
+                assert not any(g.has_edge(u, v)
+                               for side in sides for u, v in combinations(side, 2))
+                assert all(min(c) in a for c in nx.connected_components(h))
 
 
 class TestDegreeStats:

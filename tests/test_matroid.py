@@ -76,6 +76,12 @@ class TestFundamentalMatrix:
         with pytest.raises((NotConnected, NotASpanningTree)):
             fundamental_matrix(mg, SpanningTree(frozenset({"e0"})))
 
+    def test_not_connected_is_raised_before_any_tree_check(self):
+        mg = MultiGraph(4, [("e0", 0, 1), ("e1", 2, 3), ("l", 2, 2)])
+        for tree in ({"e0"}, {"e0", "l"}, {"e0", "e1", "nope"}):
+            with pytest.raises(NotConnected):
+                fundamental_matrix(mg, SpanningTree(frozenset(tree)))
+
     def test_bad_tree(self):
         mg, _ = triangle()
         with pytest.raises(NotASpanningTree):
