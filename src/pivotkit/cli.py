@@ -289,7 +289,7 @@ def run_cli(argv=None) -> int:
     except (OrbitBudgetExceeded, SearchBudgetExceeded, CapExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, UnknownCampaign, FileNotFoundError, ValueError, KeyError) as exc:
+    except (FormatError, UnknownCampaign, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -45,10 +45,6 @@ class NotASpanningTree(ValueError):
     """The designated edge set is not a spanning tree."""
 
 
-class GroundSetTooLarge(ValueError):
-    """Matroid ground set exceeds the enumeration cap."""
-
-
 class ElementNotFound(KeyError):
     """Matroid element label not present where required."""
 
@@ -71,6 +67,10 @@ class UnknownCampaign(ValueError):
 
 class CapExceeded(RuntimeError):
     """Requested parameters exceed a documented size cap."""
+
+
+class GroundSetTooLarge(CapExceeded):
+    """Matroid ground set exceeds the circuit enumeration cap."""
 
 
 class SubsetCapExceeded(CapExceeded):

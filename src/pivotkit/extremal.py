@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import BiGraph
-from .matroid import MultiGraph, SpanningTree, format_multigraph, graphic_matroid
+from .matroid import MultiGraph, SpanningTree, format_multigraph, fundamental_matrix
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class Instance:
 
 
 def _make_instance(mg: MultiGraph, tree: SpanningTree, provenance: str) -> Instance:
-    fundamental = graphic_matroid(mg, tree).fundamental_graph()
-    return Instance(mg, tree, fundamental, provenance)
+    return Instance(mg, tree, BiGraph(fundamental_matrix(mg, tree)[0]), provenance)
 
 
 def format_instance(inst: Instance) -> str:

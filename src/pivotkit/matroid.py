@@ -56,9 +56,10 @@ def _walk(n: int, edges: list[tuple[str, int, int]]):
     """Breadth-first walk from vertex 0 over labelled edges.
 
     Returns (parent, depth, parent_edge); depth is -1 at every vertex
-    not reached.  Each vertex lists the indices of its edges rather
-    than a bitmask of its neighbours: a multigraph has no vertex cap,
-    and n masks take O(n^2) bits.
+    not reached, and parent_edge[w] is the index in edges of the edge
+    from w to its parent.  Each vertex lists the indices of its edges
+    rather than a bitmask of its neighbours: a multigraph has no vertex
+    cap, and n masks take O(n^2) bits.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, (_, u, v) in enumerate(edges):
@@ -66,19 +67,19 @@ def _walk(n: int, edges: list[tuple[str, int, int]]):
         adj[v].append(i)
     parent = [-1] * n
     depth = [-1] * n
-    parent_edge: list[Optional[str]] = [None] * n
+    parent_edge = [-1] * n
     order = []
     if n:
         depth[0] = 0
         order.append(0)
     for v in order:
         for i in adj[v]:
-            label, a, b = edges[i]
+            _, a, b = edges[i]
             w = a ^ b ^ v  # the other end; v itself for a loop
             if depth[w] == -1:
                 parent[w] = v
                 depth[w] = depth[v] + 1
-                parent_edge[w] = label
+                parent_edge[w] = i
                 order.append(w)
     return parent, depth, parent_edge
 
@@ -152,24 +153,6 @@ class BinaryMatroid:
         return f"BinaryMatroid(|B|={len(self.basis)}, |E-B|={len(self.nonbasis)})"
 
 
-def _tree_structure(g: MultiGraph, t: SpanningTree):
-    """Validate the spanning tree and return (parent, depth, parent_edge)."""
-    by_label = g.edge_by_label()
-    for label in t.tree_edges:
-        if label not in by_label:
-            raise NotASpanningTree(f"unknown tree edge label: {label}")
-        u, v = by_label[label]
-        if u == v:
-            raise NotASpanningTree(f"tree edge {label} is a loop")
-    if len(t.tree_edges) != max(g.n - 1, 0):
-        raise NotASpanningTree(
-            f"tree has {len(t.tree_edges)} edges, expected {g.n - 1}")
-    parent, depth, parent_edge = _walk(g.n, [e for e in g.edges if e[0] in t.tree_edges])
-    if -1 in depth:
-        raise NotASpanningTree("tree edges do not span every vertex")
-    return parent, depth, parent_edge
-
-
 def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[str], list[str]]:
     """The tree-edge x non-tree-edge cycle membership matrix.
 
@@ -177,23 +160,39 @@ def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[
     consists of the tree edges on the path between its endpoints.  A
     loop yields a zero column.  Returns (D, row labels, column labels)
     with labels in their order of appearance in g.edges.
+
+    One walk over the tree edges both validates the tree and roots it.
+    A valid tree spans g, so g itself is walked only once the tree is
+    rejected, to raise NotConnected ahead of any tree problem.
     """
-    if not g.is_connected():
-        raise NotConnected("multigraph is not connected")
-    parent, depth, parent_edge = _tree_structure(g, t)
-    tree_labels = [label for label, _, _ in g.edges if label in t.tree_edges]
-    cotree_labels = [label for label, _, _ in g.edges if label not in t.tree_edges]
-    row_index = {label: i for i, label in enumerate(tree_labels)}
-    d = BitMatrix.zeros(len(tree_labels), len(cotree_labels))
-    by_label = g.edge_by_label()
-    for j, label in enumerate(cotree_labels):
-        u, v = by_label[label]
+    tree = [e for e in g.edges if e[0] in t.tree_edges]
+    cotree = [e for e in g.edges if e[0] not in t.tree_edges]
+    parent, depth, row_of = _walk(g.n, tree)
+    # n - 1 known edges that reach every vertex hold no loop.
+    if not (len(tree) == len(t.tree_edges) == max(g.n - 1, 0) and -1 not in depth):
+        if not g.is_connected():
+            raise NotConnected("multigraph is not connected")
+        by_label = g.edge_by_label()
+        for label in t.tree_edges:
+            if label not in by_label:
+                raise NotASpanningTree(f"unknown tree edge label: {label}")
+            u, v = by_label[label]
+            if u == v:
+                raise NotASpanningTree(f"tree edge {label} is a loop")
+        if len(t.tree_edges) != max(g.n - 1, 0):
+            raise NotASpanningTree(
+                f"tree has {len(t.tree_edges)} edges, expected {g.n - 1}")
+        raise NotASpanningTree("tree edges do not span every vertex")
+    rows = [0] * len(tree)
+    for j, (_, u, v) in enumerate(cotree):
+        bit = 1 << j
         while u != v:
             if depth[u] < depth[v]:
                 u, v = v, u
-            d.set(row_index[parent_edge[u]], j, 1)
+            rows[row_of[u]] |= bit
             u = parent[u]
-    return d, tree_labels, cotree_labels
+    return (BitMatrix(len(rows), len(cotree), rows),
+            [e[0] for e in tree], [e[0] for e in cotree])
 
 
 def graphic_matroid(g: MultiGraph, t: SpanningTree) -> BinaryMatroid:
@@ -446,10 +445,10 @@ def parse_matroid(text: str) -> BinaryMatroid:
     lines = content_lines(text)
     if len(lines) < 3:
         raise FormatError("matroid document too short")
-    if not lines[0].startswith("basis") or not lines[1].startswith("nonbasis"):
+    basis = lines[0].split()
+    nonbasis = lines[1].split()
+    if basis.pop(0) != "basis" or nonbasis.pop(0) != "nonbasis":
         raise FormatError("matroid document must start with basis/nonbasis lines")
-    basis = lines[0].split()[1:]
-    nonbasis = lines[1].split()[1:]
     rep = parse_matrix("\n".join(lines[2:]))
     try:
         return BinaryMatroid(basis, nonbasis, rep)

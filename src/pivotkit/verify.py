@@ -27,16 +27,16 @@ from itertools import combinations
 
 from ._text import content_lines
 from .cutrank import find_low_rank_separation, subset_cap
-from .errors import CapExceeded, FormatError, UnknownCampaign
-from .extremal import Instance, format_instance, gen_c6_blowup_example, gen_ktt_example, gen_random_instance
+from .errors import CapExceeded, FormatError, NotATree, TreeTooSmall, UnknownCampaign
+from .extremal import (Instance, _make_instance, format_instance, gen_c6_blowup_example,
+                       gen_ktt_example, gen_random_instance)
 from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
 from .graph import (BiGraph, Graph, bipartite_complement, degree_stats,
                     find_complete_bipartite, format_bigraph, format_graph,
                     is_c4_free, parse_bigraph, parse_graph, vertex_connectivity)
 from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
                       connectivity_kernel, connectivity_lambda, format_matroid,
-                      graphic_matroid, is_k_connected, parse_matroid,
-                      parse_multigraph)
+                      is_k_connected, parse_matroid, parse_multigraph)
 from .pivot import pivot
 from .structure import (block_partition_is_constant, check_struct_density,
                         constant_block_partition, perturbation_partition,
@@ -144,10 +144,16 @@ def _check_cofun(inst: Instance, s: int, bound_offset: int):
 
 
 def _check_tree(tree: Graph, s: int):
-    # split_tree validates its own output and raises when it is invalid.
+    # Outside the lemma's hypothesis (s < 1, not a tree, fewer than 5s
+    # edges) is vacuous.  split_tree validates its own output and raises
+    # when it is invalid.
+    if s < 1:
+        return VACUOUS
     try:
         split_tree(tree, s)
-    except Exception as exc:  # any failure to split is a violation
+    except (NotATree, TreeTooSmall):
+        return VACUOUS
+    except Exception as exc:  # any other failure to split is a violation
         return {"s": s, "reason": type(exc).__name__,
                 "data": _embed(format_graph(tree))}
     return None
@@ -396,8 +402,7 @@ def _data(w: dict) -> str:
 
 def _instance_from_witness(w: dict) -> Instance:
     mg, tree = parse_multigraph(_data(w))
-    fundamental = graphic_matroid(mg, tree).fundamental_graph()
-    return Instance(mg, tree, fundamental, "replayed")
+    return _make_instance(mg, tree, "replayed")
 
 
 def _classes(field: str):

@@ -13,9 +13,9 @@ import pivotkit
 from pivotkit.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                           run_cli)
 from pivotkit.extremal import format_instance, gen_ktt_example
-from pivotkit.gf2 import parse_matrix
+from pivotkit.gf2 import BitMatrix, parse_matrix
 from pivotkit.graph import Graph, format_graph, parse_bigraph, parse_graph
-from pivotkit.matroid import parse_matroid, parse_multigraph
+from pivotkit.matroid import BinaryMatroid, format_matroid, parse_matroid, parse_multigraph
 from pivotkit.verify import campaign_names, run_campaign
 
 
@@ -162,6 +162,11 @@ class TestExitCodes:
         code, _ = run(["pivot", "/nonexistent/file", "0", "1"])
         assert code == EXIT_USAGE
 
+    def test_unreadable_file_is_usage(self, tmp_path, capsys):
+        code, out = run(["pivot", str(tmp_path), "0", "1"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_subcommand_is_usage(self):
         code, _ = run(["frobnicate"])
         assert code == EXIT_USAGE
@@ -233,6 +238,13 @@ class TestExitCodes:
         assert code == EXIT_BUDGET
         code, _ = run(["check", "conn-equiv", "--max-elements", "8", "--trials", "1"])
         assert code == EXIT_OK
+
+    def test_circuits_over_cap_is_budget(self, capsys):
+        m = BinaryMatroid([f"b{i}" for i in range(9)], [f"c{j}" for j in range(8)],
+                          BitMatrix.zeros(9, 8))
+        code, out = run(["matroid", "circuits", "-"], stdin=format_matroid(m))
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert "17 elements exceeds cap 16" in capsys.readouterr().err
 
     def test_pivot_matroid_over_circuit_cap_is_budget(self):
         code, out = run(["check", "pivot-matroid", "--trials", "50", "--max-elements", "20"])
@@ -307,6 +319,20 @@ class TestCheckAndReplay:
         code, out = run(["replay", str(report)])
         assert code == EXIT_VIOLATION
         assert "witness 0 CONFIRMED" in out
+
+    @pytest.mark.parametrize("tree, s, reason", [
+        (Graph.path(3), 1, "TreeTooSmall"),
+        (Graph.path(7), 0, "ValueError"),
+        (Graph.cycle(6), 1, "NotATree"),
+    ])
+    def test_tree_witness_outside_the_hypothesis_is_not_reproduced(self, tmp_path, tree, s,
+                                                                   reason):
+        data = format_graph(tree).strip().replace("\n", ";")
+        report = tmp_path / "report.txt"
+        report.write_text("FAIL\nname=tree-lemma\nviolations=1\n"
+                          f"witness name=tree-lemma reason={reason} s={s} data={data}\n")
+        code, out = run(["replay", str(report)])
+        assert (code, out) == (EXIT_USAGE, "witness 0 NOT-REPRODUCED\n")
 
     def test_replay_no_witnesses(self, tmp_path):
         _, out = run(["check", "pivot-matroid", "--trials", "5"])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pivotkit import matroid
 from pivotkit.cutrank import cut_rank
 from pivotkit.errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                              NotASpanningTree, NotConnected, PivotOnZero)
@@ -64,12 +65,29 @@ class TestFundamentalMatrix:
 
     def test_matches_incidence_solving_oracle(self):
         rng = random.Random(23)
-        for _ in range(40):
-            mg, t = random_connected_multigraph(rng)
+        for i in range(400):
+            mg, t = random_connected_multigraph(rng, allow_loops=False)
+            if i % 2:  # half of the instances get a loop at a random position
+                v = rng.randrange(mg.n)
+                mg.edges.insert(rng.randint(0, len(mg.edges)), ("loop", v, v))
             d, rows, cols = fundamental_matrix(mg, t)
             od, orows, ocols = fundamental_matrix_by_solving(mg, t)
             assert (rows, cols) == (orows, ocols)
             assert d == od
+
+    def test_a_valid_tree_is_walked_once(self, monkeypatch):
+        calls = []
+
+        def counting(n, edges):
+            calls.append(len(edges))
+            return real(n, edges)
+
+        real = matroid._walk
+        monkeypatch.setattr(matroid, "_walk", counting)
+        mg = MultiGraph(4, [("e0", 0, 1), ("f", 0, 3), ("e1", 1, 2), ("e2", 2, 3), ("l", 2, 2)])
+        d, _, _ = fundamental_matrix(mg, SpanningTree(frozenset({"e0", "e1", "e2"})))
+        assert d.to_lists() == [[1, 0], [1, 0], [1, 0]]
+        assert calls == [3]  # the tree edges only
 
     def test_not_connected(self):
         mg = MultiGraph(3, [("e0", 0, 1)])
@@ -368,3 +386,7 @@ class TestFormats:
             parse_multigraph("multigraph 2\n0 1 branch e0\n")
         with pytest.raises(FormatError):
             parse_matroid("basis a\nmatrix 1 0\n")
+        with pytest.raises(FormatError):
+            parse_matroid("basisX a\nnonbasis b\nmatrix 1 1\n1\n")
+        with pytest.raises(FormatError):
+            parse_matroid("basis a\nnonbasisfoo b\nmatrix 1 1\n1\n")
