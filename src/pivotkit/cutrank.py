@@ -22,7 +22,7 @@ _ENV_CAP = "PIVOTKIT_MAX_SUBSET_N"
 
 
 def subset_cap() -> int:
-    """The enumeration cap: 24 vertices, loweable via PIVOTKIT_MAX_SUBSET_N.
+    """The enumeration cap: 24 vertices, lowerable via PIVOTKIT_MAX_SUBSET_N.
 
     Raises ValueError when the variable is set to anything but a
     positive integer.

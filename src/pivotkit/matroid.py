@@ -163,7 +163,9 @@ def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[
 
     One walk over the tree edges both validates the tree and roots it.
     A valid tree spans g, so g itself is walked only once the tree is
-    rejected, to raise NotConnected ahead of any tree problem.
+    rejected, to raise NotConnected ahead of any tree problem.  Tree
+    labels are then checked in sorted order, so the problem reported
+    does not depend on the hash seed.
     """
     tree = [e for e in g.edges if e[0] in t.tree_edges]
     cotree = [e for e in g.edges if e[0] not in t.tree_edges]
@@ -173,7 +175,7 @@ def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[
         if not g.is_connected():
             raise NotConnected("multigraph is not connected")
         by_label = g.edge_by_label()
-        for label in t.tree_edges:
+        for label in sorted(t.tree_edges):
             if label not in by_label:
                 raise NotASpanningTree(f"unknown tree edge label: {label}")
             u, v = by_label[label]

@@ -158,7 +158,10 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     is deliberately distinct from False), and ValueError when budget < 1.
     On success, returns the witness sequence of ("pivot", x, y) /
     ("delete", v) steps, each in the labels of the intermediate graph it
-    applies to.
+    applies to.  Each labelled graph is canonicalised at most once: a
+    repeat (pivoting an edge back gives the parent) was matched or seen
+    already.  At most 1 + budget * (n + n(n-1)/2) labelled keys are kept
+    for an n-vertex g, so the budget caps memory as well as time.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -169,6 +172,7 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     if g.n == h.n and start_key == target:
         return True, []
     seen = {start_key}
+    met = {g.key()}
     frontier: list[tuple[Graph, list[tuple]]] = [(g, [])]
     expanded = depth = 0
     while frontier:
@@ -184,6 +188,9 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
                 for v in range(cur.n):
                     succs.append((cur.delete_vertex(v), ("delete", v)))
             for nxt_g, step in succs:
+                if (labelled := nxt_g.key()) in met:
+                    continue
+                met.add(labelled)
                 k = canonical_form(nxt_g)
                 if k in seen:
                     continue

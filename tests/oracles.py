@@ -9,19 +9,22 @@ the complement columns bit by bit.  The matroid connectivity function
 is the earlier one, ranking two submatrices of D copied bit by bit.
 The canonical form is the earlier one: the least adjacency code over
 every ordering that lists the colour-refinement classes as blocks,
-tried by backtracking.  The tree split and its checker are the earlier
-set-based ones, which build a Graph per part and test it by BFS.
+tried by backtracking.  The pivot-minor search is the earlier BFS,
+which canonicalises every successor (here with that canonical form).
+The tree split and its checker are the earlier set-based ones, which
+build a Graph per part and test it by BFS.
 """
 
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from pivotkit.cutrank import Separation, subset_cap
-from pivotkit.errors import (ElementNotFound, NotATree, SubsetCapExceeded,
-                             TreeTooSmall)
+from pivotkit.errors import (ElementNotFound, NotATree, SearchBudgetExceeded,
+                             SubsetCapExceeded, TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
 from pivotkit.graph import BiGraph, Graph, _bits, is_connected
 from pivotkit.matroid import BinaryMatroid, MultiGraph, SpanningTree
+from pivotkit.pivot import pivot
 from pivotkit.structure import Edge, SplitEdge, SplitVertex, TreeSplit
 
 
@@ -338,6 +341,53 @@ def canonical_form(g: Graph) -> tuple:
 
     rec(0, groups)
     return (n, best)
+
+
+def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list[tuple]]]:
+    """Decide whether h is reachable from g by pivots and vertex deletions.
+
+    Breadth-first search over canonical forms with a node budget; raises
+    SearchBudgetExceeded when the budget runs out (result unknown, which
+    is deliberately distinct from False), and ValueError when budget < 1.
+    On success, returns the witness sequence of ("pivot", x, y) /
+    ("delete", v) steps, each in the labels of the intermediate graph it
+    applies to.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if h.n > g.n:
+        return False, None
+    target = canonical_form(h)
+    start_key = canonical_form(g)
+    if g.n == h.n and start_key == target:
+        return True, []
+    seen = {start_key}
+    frontier: list[tuple[Graph, list[tuple]]] = [(g, [])]
+    expanded = depth = 0
+    while frontier:
+        nxt: list[tuple[Graph, list[tuple]]] = []
+        for cur, path in frontier:
+            expanded += 1
+            if expanded > budget:
+                raise SearchBudgetExceeded(budget, expanded - 1, len(seen), depth)
+            succs: list[tuple[Graph, tuple]] = []
+            for u, v in cur.edge_list():
+                succs.append((pivot(cur, u, v), ("pivot", u, v)))
+            if cur.n > h.n:
+                for v in range(cur.n):
+                    succs.append((cur.delete_vertex(v), ("delete", v)))
+            for nxt_g, step in succs:
+                k = canonical_form(nxt_g)
+                if k in seen:
+                    continue
+                seen.add(k)
+                new_path = path + [step]
+                if nxt_g.n == h.n and k == target:
+                    return True, new_path
+                nxt.append((nxt_g, new_path))
+        frontier = nxt
+        depth += 1
+    return False, None
 
 
 def _norm_edge(u: int, v: int) -> Edge:

@@ -446,3 +446,16 @@ def test_tree_lemma_does_not_load_networkx():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_tree_problem_message_is_independent_of_the_hash_seed():
+    src = Path(pivotkit.__file__).resolve().parents[1]
+    doc = "multigraph 3\n0 1 tree a\n1 2 tree b\n0 0 tree l\n1 1 tree m\n"
+    lines = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", "fundgraph", "-"],
+                              input=doc, capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_USAGE
+        lines.add(proc.stderr)
+    assert lines == {"error: tree edge l is a loop\n"}
