@@ -317,36 +317,38 @@ def minor(m: BinaryMatroid, deletions: Iterable[str], contractions: Iterable[str
     return cur
 
 
-def connectivity_kernel(m: BinaryMatroid) -> Callable[[int, Optional[int]], int]:
+def connectivity_kernel(m: BinaryMatroid) -> Callable[[int, int, Optional[int]], int]:
     """The connectivity function of m on element masks.
 
     Bit i of a mask is element i of ``element_order()``.  The returned
-    ``lam(x, stop=None)`` is rk(D[X_B, Y_C]) + rk(D[Y_B, X_C]), ranked on
-    the rows of D with the other side's columns masked in place, so no
-    submatrix is built.  With a positive ``stop`` the result is
-    min(lambda, stop) and elimination ends once it reaches ``stop``.
+    ``lam(x, w, stop=None)`` is rk(D[X_B, W_C]) + rk(D[W_B, X_C]) for
+    disjoint masks x and w, ranked on the rows of D with the other
+    side's columns masked in place, so no submatrix is built; with w the
+    complement of x it is lambda(X).  It is monotone in x and in w.
+    With a positive ``stop`` the result is min(that, stop) and
+    elimination ends once it reaches ``stop``.
     """
     pos = {e: i for i, e in enumerate(m.element_order())}
     rows = list(zip(m.rep.rows, [1 << pos[b] for b in m.basis]))
     col_bits = [1 << pos[c] for c in m.nonbasis]
-    all_cols = (1 << len(col_bits)) - 1
 
-    def lam(x: int, stop: Optional[int] = None) -> int:
-        xc = 0
+    def lam(x: int, w: int, stop: Optional[int] = None) -> int:
+        xc = wc = 0
         for j, bit in enumerate(col_bits):
             if x & bit:
                 xc |= 1 << j
-        yc = all_cols ^ xc
-        xb_rows, yb_rows = [], []
+            elif w & bit:
+                wc |= 1 << j
+        xb_rows, wb_rows = [], []
         for row, bit in rows:
             if x & bit:
-                xb_rows.append(row & yc)
-            else:
-                yb_rows.append(row & xc)
+                xb_rows.append(row & wc)
+            elif w & bit:
+                wb_rows.append(row & xc)
         r = rank_bits(xb_rows, stop)
         if stop is None:
-            return r + rank_bits(yb_rows)
-        return r if r == stop else r + rank_bits(yb_rows, stop - r)
+            return r + rank_bits(wb_rows)
+        return r if r == stop else r + rank_bits(wb_rows, stop - r)
 
     return lam
 
@@ -363,7 +365,7 @@ def connectivity_lambda(m: BinaryMatroid, x_set: Iterable[str]) -> int:
         if e not in pos:
             raise ElementNotFound(e)
         x |= 1 << pos[e]
-    return connectivity_kernel(m)(x)
+    return connectivity_kernel(m)(x, ((1 << len(pos)) - 1) ^ x)
 
 
 def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[str]]]:
@@ -372,9 +374,12 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
     Returns (True, None) or (False, witness X).  The witness is the
     first failure in the deterministic enumeration shared with
     find_low_rank_separation: l ascending, then |X| ascending over the
-    smaller side, then elements in sorted label order.  Each lambda comes
-    from ``connectivity_kernel`` with the search's limit as its stop, so
-    it is computed only up to the least order still open.
+    smaller side, then elements in sorted label order.  The search is
+    ``first_separation`` with value(P, W, lim) = ``connectivity_kernel``
+    on P and the outside mask W, stopped at lim: rk(D[P_B, W_C]) +
+    rk(D[W_B, P_C]) ranks submatrices of lambda(X)'s two terms for every
+    completion X of P, so a prefix reaching lim prunes its subtree.
+    Memory is O(n) and the witness is that of the full scan.
     """
     elements = m.element_order()
     ne = len(elements)
@@ -383,11 +388,11 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
         raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {cap}")
     lam = connectivity_kernel(m)
 
-    def capped_lambda(subset: tuple[int, ...], lim: int) -> int:
+    def capped_lambda(members: list[int], out: int, lim: int) -> int:
         x = 0
-        for i in subset:
+        for i in members:
             x |= 1 << i
-        return lam(x, lim)
+        return lam(x, out, lim)
 
     found = first_separation(ne, k, capped_lambda)
     if found is None:

@@ -218,7 +218,7 @@ def _check_conn_equiv(m: BinaryMatroid, k_max: int):
     full = (1 << n) - 1
     for x in range(1 << max(n - 1, 0)):
         comp = full ^ x
-        if lam(x) != rank_bits([adj[u] & comp for u in range(n) if x >> u & 1]):
+        if lam(x, comp) != rank_bits([adj[u] & comp for u in range(n) if x >> u & 1]):
             return {"k_max": k_max, "data": _embed(format_matroid(m))}
     # Both searches return a least-order witness, so one call each at
     # k_max answers every k in 1..k_max: a side is k-connected exactly

@@ -5,8 +5,10 @@ enumeration, biclique search by subset-pair enumeration, cycles by edge
 subset scanning, and fundamental matrices by GF(2) incidence solving.
 The separation searches are the earlier multi-pass versions: one pass
 per order over a memo of every value, with a cut-rank that re-indexes
-the complement columns bit by bit.  The matroid connectivity function
-is the earlier one, ranking two submatrices of D copied bit by bit.
+the complement columns bit by bit.  ``first_separation`` is the
+earlier single pass, which ranks every smaller side once.  The matroid
+connectivity function is the earlier one, ranking two submatrices of D
+copied bit by bit.
 The canonical form is the earlier one: the least adjacency code over
 every ordering that lists the colour-refinement classes as blocks,
 tried by backtracking.  The pivot-minor search is the earlier BFS,
@@ -16,7 +18,7 @@ build a Graph per part and test it by BFS.
 """
 
 from itertools import combinations, permutations
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from pivotkit.cutrank import Separation, subset_cap
 from pivotkit.errors import (ElementNotFound, NotATree, SearchBudgetExceeded,
@@ -211,6 +213,47 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
                 if value < order:
                     return Separation(subset, order, value)
     return None
+
+
+def _smaller_sides(n: int) -> Iterator[tuple[int, ...]]:
+    """One side of every split of range(n) into two nonempty parts.
+
+    The side is the smaller one, and a balanced split is given by the
+    side holding 0.  Sizes ascend; subsets of one size come in
+    lexicographic order.
+    """
+    for size in range(1, n // 2 + 1):
+        if 2 * size == n:
+            for rest in combinations(range(1, n), size - 1):
+                yield (0,) + rest
+        else:
+            yield from combinations(range(n), size)
+
+
+def first_separation(n: int, k: int,
+                     value: Callable[[tuple[int, ...], int], int]
+                     ) -> Optional[tuple[tuple[int, ...], int]]:
+    """The first X with value(X) < l <= |X|, |V-X| for some l in 1..k-1.
+
+    The witness has the least order l, then the least size, then comes
+    first lexicographically; its value is l - 1.  A single pass visits
+    each split once, keeping only the best witness so far.
+    ``value(X, lim)`` must return the true value when that is below
+    ``lim`` and any number >= ``lim`` otherwise; ``lim`` only falls as
+    witnesses are found.  Returns (X, value) or None.
+    """
+    top = k - 1  # a new witness must have a value below top
+    if top < 1:
+        return None
+    best = None
+    for subset in _smaller_sides(n):
+        lim = min(len(subset), top)
+        r = value(subset, lim)
+        if r < lim:
+            best, top = (subset, r), r
+            if r == 0:
+                break
+    return best
 
 
 def submatrix(m: BitMatrix, row_idx: Iterable[int], col_idx: Iterable[int]) -> BitMatrix:

@@ -4,10 +4,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pivotkit.cutrank
 from pivotkit.cutrank import (HARD_SUBSET_CAP, Separation, cut_rank,
                               find_low_rank_separation, subset_cap)
 from pivotkit.errors import SubsetCapExceeded
-from pivotkit.gf2 import BitMatrix, rank
+from pivotkit.gf2 import BitMatrix, rank, rank_bits
 from pivotkit.graph import Graph
 
 import oracles
@@ -153,3 +154,64 @@ class TestMatchesMultiPassOracle:
     @given(labelled_graphs(7, 12))
     def test_larger_graphs(self, g):
         self.assert_same(g, ks=range(2, 6))
+
+
+def gnp(n, p, label):
+    """Seeded G(n, p), drawn as the certify benchmark draws its graphs."""
+    rng = random.Random(label)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def certify_graph(n, p, seed):
+    return gnp(n, p, f"certify/n{n}/p{p}/g{seed}")
+
+
+class TestMatchesSinglePassOracle:
+    """The pruned walk returns the witness of the single pass that ranks
+    every smaller side."""
+
+    GRID = Graph(16, [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+                 + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)])
+    GRAPHS = {
+        **{f"certify n{n} p{p} g{s}": certify_graph(n, p, s)
+           for n in (14, 16) for p in (0.5, 0.08) for s in (0, 1)},
+        "C16": Graph.cycle(16),
+        "P16": Graph.path(16),
+        "K16": Graph.complete(16),
+        "grid 4x4": GRID,
+        "K8,8": Graph(16, [(i, 8 + j) for i in range(8) for j in range(8)]),
+        "empty 16": Graph(16),
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_same_witness(self, name):
+        g = self.GRAPHS[name]
+        full = (1 << g.n) - 1
+
+        def value(subset, lim):
+            out = full
+            for v in subset:
+                out ^= 1 << v
+            return rank_bits([g.adj[u] & out for u in subset], lim)
+
+        for k in range(2, 6):
+            found = oracles.first_separation(g.n, k, value)
+            want = None if found is None else Separation(found[0], found[1] + 1, found[1])
+            assert find_low_rank_separation(g, k) == want
+
+
+class TestPrunedWork:
+    """A dense graph with no separation is answered without ranking every side."""
+
+    @pytest.mark.parametrize("k, most_calls", [(3, 5000), (4, 15000)])
+    def test_dense_n18_rank_calls(self, monkeypatch, k, most_calls):
+        calls = 0
+
+        def counted(rows, stop=None):
+            nonlocal calls
+            calls += 1
+            return rank_bits(rows, stop)
+
+        monkeypatch.setattr(pivotkit.cutrank, "rank_bits", counted)
+        assert find_low_rank_separation(certify_graph(18, 0.5, 0), k) is None
+        assert calls <= most_calls  # the full scan ranks all 131,071 sides
