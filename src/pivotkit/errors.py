@@ -18,7 +18,17 @@ class NotAnEdge(ValueError):
 
 
 class OrbitBudgetExceeded(RuntimeError):
-    """Pivot orbit grew past the caller's size budget."""
+    """Pivot orbit grew past the caller's size budget.
+
+    Says how far the closure got: ``found`` labelled graphs found, the one
+    past the budget included, and ``depth`` the BFS level of that graph
+    (0 is the starting graph).
+    """
+
+    def __init__(self, max_size: int, found: int, depth: int):
+        super().__init__(f"orbit exceeds {max_size}: found={found} depth={depth}")
+        self.found = found
+        self.depth = depth
 
 
 class SearchBudgetExceeded(RuntimeError):

@@ -9,7 +9,6 @@ canonical form, so they are exact at small scale.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 from .errors import NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
@@ -47,15 +46,18 @@ def pivot_orbit(g: Graph, max_size: int) -> list[Graph]:
     """Breadth-first closure of g under pivoting over all edges.
 
     Raises OrbitBudgetExceeded as soon as the orbit grows past max_size,
-    and ValueError when max_size < 1.  Graphs are labeled; the orbit is
-    returned in discovery order.
+    saying how many graphs were found and how deep, and ValueError when
+    max_size < 1.  Graphs are labeled; the orbit is returned in discovery
+    order.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     seen = {g.key()}
     order = [g]
     frontier = [g]
+    depth = 0
     while frontier:
+        depth += 1
         nxt = []
         for h in frontier:
             for u, v in h.edge_list():
@@ -64,84 +66,143 @@ def pivot_orbit(g: Graph, max_size: int) -> list[Graph]:
                 if k not in seen:
                     seen.add(k)
                     if len(seen) > max_size:
-                        raise OrbitBudgetExceeded(f"orbit exceeds {max_size}")
+                        raise OrbitBudgetExceeded(max_size, len(seen), depth)
                     order.append(p)
                     nxt.append(p)
         frontier = nxt
     return order
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
-    """Refine a colouring until the number of classes stops growing.
+def _refine(adj: list[int], cells: list[int], queue: list[int]) -> list[int]:
+    """Split an ordered partition until it is equitable, by splitter cells.
 
-    A signature is a colour and the multiset of neighbour colours, packed
-    into one integer (the colour above a count per colour, each field
-    wide enough for n - 1); new colours rank the distinct signatures.
+    Cells and splitters are vertex masks.  Each splitter S, in queue
+    order, splits every cell by the number of neighbours in S of its
+    vertices; the pieces replace the cell in place, in ascending count,
+    and join the queue.  Returns the partition once the queue is used up
+    or every cell is a singleton.
     """
-    n, classes = len(colors), len(set(colors))
-    width = n.bit_length()
-    while classes < n:
-        weights = [1 << (width * c) for c in colors]
-        top = width * (max(colors) + 1)
-        sigs = [(c << top) + sum(map(weights.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranks[s] for s in sigs]
-        if len(ranks) == classes:
+    n = len(adj)
+    for s in queue:  # the loop also visits the pieces appended below
+        if len(cells) == n:
             break
-        classes = len(ranks)
-    return colors
+        out: list[int] = []
+        if s & (s - 1) == 0:  # one vertex: split into non-neighbours, neighbours
+            row = adj[s.bit_length() - 1]
+            for c in cells:
+                hit = c & row
+                if hit and hit != c:
+                    out += (c ^ hit, hit)
+                    queue += (c ^ hit, hit)
+                else:
+                    out.append(c)
+            cells = out
+            continue
+        for c in cells:
+            if c & (c - 1) == 0:
+                out.append(c)
+                continue
+            pieces: dict[int, int] = {}  # count in S -> vertices with it
+            rest = c
+            while rest:
+                low = rest & -rest
+                k = (adj[low.bit_length() - 1] & s).bit_count()
+                pieces[k] = pieces.get(k, 0) | low
+                rest ^= low
+            if len(pieces) == 1:
+                out.append(c)
+            else:
+                split = [pieces[k] for k in sorted(pieces)]
+                out += split
+                queue += split
+        cells = out
+    return cells
+
+
+def _twin_swaps(adj: list[int]) -> list[tuple[list[int], int]]:
+    """Transpositions of twins, as (vertex map, its fixed points).
+
+    Twins have equal open or equal closed neighbourhoods, so swapping two
+    of them fixes every other vertex and is an automorphism.  The swaps of
+    consecutive members of a twin class generate all its permutations.
+    """
+    n = len(adj)
+    swaps = []
+    for rows in (adj, [row | 1 << v for v, row in enumerate(adj)]):
+        last: dict[int, int] = {}  # neighbourhood -> its latest vertex
+        for v, row in enumerate(rows):
+            u = last.get(row)
+            if u is not None:
+                auto = list(range(n))
+                auto[u], auto[v] = v, u
+                swaps.append((auto, ((1 << n) - 1) ^ (1 << u) ^ (1 << v)))
+            last[row] = v
+    return swaps
 
 
 def canonical_form(g: Graph) -> tuple:
     """A canonical key, (n, least leaf code), by individualization-refinement.
 
-    Keys are equal exactly when graphs are isomorphic.  Starting from
-    degrees, refine; then, for each vertex of the first smallest class
-    with more than one vertex, give it its own colour just before the
-    rest of its class and recurse.  A leaf, where all colours differ,
-    codes the adjacency upper triangle in colour order.  Equal leaf codes
-    give automorphisms, which prune children in one orbit (McKay and
-    Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014).
+    Keys are equal exactly when graphs are isomorphic; the integer values
+    may differ between versions of this function.  The ordered partition
+    of the vertices, held as masks, starts as one cell, which splits by
+    degree, and is refined by splitter cells until equitable.  Then each
+    vertex of the first smallest cell with more than one vertex gets a
+    cell of its own just before the rest of that cell, and the search
+    recurses with that vertex as the only splitter: the parent partition
+    is already equitable.  A leaf, where all cells are singletons, codes
+    the adjacency rows in cell order.  Automorphisms fixing the
+    individualized vertices prune children in one orbit; they come from
+    equal leaf codes and, before the first branch, from transpositions of
+    twins (McKay, "Practical graph isomorphism", 1981; McKay and Piperno,
+    "Practical graph isomorphism II", J. Symb. Comput. 2014).
     """
     n, adj = g.n, g.adj
-    nbrs = [list(_bits(row)) for row in adj]
+    cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1]) if n else []
+    autos = _twin_swaps(adj) if len(cells) < n else []
     best = best_order = None
-    autos: list[tuple[list[int], int]] = []  # (vertex map, its fixed points)
 
-    def search(colors: list[int], path: int) -> None:
+    def search(cells: list[int], path: int) -> None:
         nonlocal best, best_order
-        colors = _refine(nbrs, colors)
-        if len(set(colors)) == n:
-            order = sorted(range(n), key=colors.__getitem__)
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            bit = [0] * n  # vertex -> its bit at its leaf position
+            for i, v in enumerate(order):
+                bit[v] = 1 << i
             code = 0
-            for j, v in enumerate(order):
-                for u in order[:j]:
-                    code = (code << 1) | ((adj[v] >> u) & 1)
+            for v in order:
+                row, moved = adj[v], 0
+                while row:
+                    low = row & -row
+                    moved |= bit[low.bit_length() - 1]
+                    row ^= low
+                code = code << n | moved
             if best is None or code < best:
                 best, best_order = code, order
             elif code == best:
                 auto = [v for _, v in sorted(zip(best_order, order))]
                 autos.append((auto, sum(1 << u for u in range(n) if auto[u] == u)))
             return
-        sizes = Counter(colors)
-        target = min((k, c) for c, k in sizes.items() if k > 1)[1]
-        doubled = [2 * c + 1 for c in colors]  # room below each class
-        seen: set[int] = set()  # orbits of the children searched so far
-        for v in range(n):
-            if colors[v] == target and v not in seen:
-                doubled[v] -= 1
-                search(doubled, path | (1 << v))
-                doubled[v] += 1
-                # Automorphisms fixing the path map v's subtree onto its images'.
+        i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))[1]
+        cell = todo = cells[i]
+        seen = 0  # orbits of the children searched so far
+        while todo:
+            b = todo & -todo
+            search(_refine(adj, cells[:i] + [b, cell ^ b] + cells[i + 1:], [b]), path | b)
+            seen |= b
+            if todo & ~seen:
+                # Automorphisms fixing the path map b's subtree onto its images'.
                 fixing = [a for a, fixed in autos if path & ~fixed == 0]
-                stack = [v]
+                stack = [b.bit_length() - 1]
                 while stack:
                     u = stack.pop()
-                    if u not in seen:
-                        seen.add(u)
-                        stack.extend(a[u] for a in fixing)
+                    for a in fixing:
+                        if not seen >> a[u] & 1:
+                            seen |= 1 << a[u]
+                            stack.append(a[u])
+            todo &= ~seen
 
-    search([len(nb) for nb in nbrs], 0)
+    search(cells, 0)
     return (n, best)
 
 

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from pivotkit.cutrank import cut_rank
 from pivotkit.errors import NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
-from pivotkit.graph import Graph, bipartition
+from pivotkit.graph import Graph, bipartition, blow_up
 from pivotkit.pivot import (are_isomorphic, canonical_form, is_pivot_minor,
                             pivot, pivot_orbit)
 
@@ -36,6 +36,39 @@ def gnp(rng, n, p):
 
 def k_nn(n):
     return Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+
+
+def multipartite(sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return Graph(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
+                             if part[u] != part[v]])
+
+
+def with_true_twin(g, v):
+    """g plus a new vertex joined to v and to every neighbour of v."""
+    h = Graph(g.n + 1, g.edge_list())
+    for u in [v] + g.neighbors(v):
+        h.add_edge(u, g.n)
+    return h
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edge_list()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def complement(g):
+    return Graph(g.n, [(u, v) for u, v in combinations(range(g.n), 2)
+                       if not g.has_edge(u, v)])
+
+
+def shuffled(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
 
 
 class TestPivot:
@@ -92,6 +125,15 @@ class TestPivotOrbit:
                       if (i + j) % 2])
         with pytest.raises(OrbitBudgetExceeded):
             pivot_orbit(g, 1)
+
+    @pytest.mark.parametrize("max_size, depth", [(5, 1), (7, 2)])
+    def test_budget_exceeded_reports_progress(self, max_size, depth):
+        # Levels 0 and 1 hold C6 and the six graphs its edge pivots give.
+        with pytest.raises(OrbitBudgetExceeded) as info:
+            pivot_orbit(Graph.cycle(6), max_size)
+        exc = info.value
+        assert exc.found == max_size + 1 and exc.depth == depth
+        assert str(exc) == f"orbit exceeds {max_size}: found={max_size + 1} depth={depth}"
 
     @pytest.mark.parametrize("max_size", [0, -3])
     def test_max_size_below_one_rejected(self, max_size):
@@ -167,12 +209,68 @@ class TestIsomorphism:
         hosts = [gnp(rng, n, p) for n in range(7, 11) for p in (0.3, 0.5, 0.7)]
         # The symmetric ones took the ordering search up to 36 s each.
         symmetric = [Graph.cycle(10), k_nn(5), Graph.complete(10), Graph(12)]
-        for g in hosts + symmetric:
+        # Every vertex has a twin, and then regular graphs with twins whose
+        # one degree cell holds several orbits, where a wrong swap would
+        # prune the child that leads to the least leaf.
+        c3_c4 = disjoint_union(Graph.cycle(3), Graph.cycle(4))
+        k33_k4 = disjoint_union(k_nn(3), Graph.complete(4))
+        twin_rich = [Graph(24), Graph.complete(24), k_nn(12),
+                     disjoint_union(*[Graph.complete(3)] * 8), blow_up(Graph.cycle(6), 4),
+                     c3_c4, complement(c3_c4), blow_up(c3_c4, 2), k33_k4, complement(k33_k4),
+                     disjoint_union(k_nn(2), Graph.complete(3), Graph.complete(3))]
+        for g in hosts + symmetric + twin_rich:
             form = canonical_form(g)
             for _ in range(3):
                 perm = list(range(g.n))
                 rng.shuffle(perm)
                 assert canonical_form(relabel(g, perm)) == form
+
+    def test_twin_heavy_forms_match_the_oracle_and_vf2(self):
+        """Planted false twins (blow-ups), planted true twins and complete
+        multipartite graphs on 7-12 vertices: equal forms must mean
+        isomorphic, by the ordering search and by VF2."""
+        rng = random.Random(41)
+        graphs = []
+        for _ in range(5):
+            base = gnp(rng, rng.randint(5, 6), 0.5)
+            toggled = Graph(base.n, set(base.edge_list()) ^ {(0, 1)})
+            graphs += [blow_up(base, 2), blow_up(relabel(base, shuffled(rng, base.n)), 2),
+                       blow_up(toggled, 2)]
+            base = gnp(rng, rng.randint(5, 9), 0.5)
+            v, u = rng.sample(range(base.n), 2)
+            g = with_true_twin(base, v)
+            # Copying v or its copy gives one graph up to isomorphism.
+            graphs += [with_true_twin(g, v), with_true_twin(g, base.n), with_true_twin(g, u)]
+        # Distinct part sizes up to 4 keep the ordering search to at most
+        # 1!2!3!4! orderings; the next test takes equal part sizes.
+        graphs += [multipartite(s) for s in ((3, 4), (1, 2, 4), (1, 3, 4),
+                                             (2, 3, 4), (1, 2, 3, 4))]
+        forms = [canonical_form(g) for g in graphs]
+        keys = [oracles.canonical_form(g) for g in graphs]
+        outcomes = set()
+        for (g1, f1, k1), (g2, f2, k2) in combinations(zip(graphs, forms, keys), 2):
+            if g1.n == g2.n:
+                same = f1 == f2
+                assert same == (k1 == k2) == nx.is_isomorphic(to_nx(g1), to_nx(g2))
+                outcomes.add(same)
+        assert outcomes == {True, False}
+        for g, form in zip(graphs, forms):
+            for _ in range(3):
+                assert canonical_form(relabel(g, shuffled(rng, g.n))) == form
+
+    def test_multipartite_forms_follow_the_part_sizes(self):
+        """Complete multipartite graphs, where each part of two or more
+        vertices is a twin class, are isomorphic exactly when their part
+        sizes agree as multisets."""
+        rng = random.Random(43)
+        sizes = [(3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4), (3, 3, 3, 3), (2, 2, 4, 4),
+                 (2, 3, 3, 4), (1, 1, 2, 2, 2, 2, 2), (1, 2, 2, 3, 4), (1, 1, 1, 3, 3, 3)]
+        graphs = [(tuple(sorted(s)), multipartite(s)) for s in sizes]
+        graphs += [(parts, relabel(g, shuffled(rng, g.n))) for parts, g in graphs]
+        forms = [canonical_form(g) for _, g in graphs]
+        for ((p1, g1), f1), ((p2, g2), f2) in combinations(zip(graphs, forms), 2):
+            if g1.n == g2.n:
+                assert (f1 == f2) == (p1 == p2) == nx.is_isomorphic(to_nx(g1), to_nx(g2))
 
     def test_are_isomorphic_agrees_with_vf2(self):
         rng = random.Random(23)
@@ -236,8 +334,11 @@ class TestIsPivotMinor:
         """The BFS keeps the first labelled graph of each class, so any
         exact canonical form gives the same witnesses."""
         rng = random.Random(29)
-        hosts = [gnp(rng, 7, 0.5) for _ in range(20)] + [Graph.cycle(8)]
+        hosts = [gnp(rng, 7, 0.5) for _ in range(20)]
         queries = [(h, g) for g in hosts for h in (Graph.cycle(5), Graph.path(5))]
+        # The bench's symmetric hosts, where twin swaps prune the most.
+        queries += [(h, g) for g in (Graph.cycle(8), k_nn(4))
+                    for h in (Graph.cycle(5), Graph.path(5), Graph.cycle(6))]
         new = [is_pivot_minor(h, g, 20000) for h, g in queries]
         monkeypatch.setattr(sys.modules["pivotkit.pivot"], "canonical_form",
                             oracles.canonical_form)
