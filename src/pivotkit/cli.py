@@ -9,6 +9,7 @@ ASCII with `#` comment lines ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cutrank import cut_rank, find_low_rank_separation
@@ -58,6 +59,7 @@ def _connectivity_k(raw: str) -> int:
     return k
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pivotkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -36,9 +36,12 @@ def _bfs(adj: list[int], root: int) -> tuple[list[int], list[int]]:
     for v in order:
         fresh = adj[v] & ~seen
         seen |= fresh
-        for w in _bits(fresh):
+        while fresh:
+            low = fresh & -fresh
+            w = low.bit_length() - 1
             parent[w] = v
             order.append(w)
+            fresh ^= low
     return order, parent
 
 
@@ -283,16 +286,9 @@ def is_connected(g: Graph) -> bool:
     return g.n == 0 or len(_bfs(g.adj, 0)[0]) == g.n
 
 
-def _local_vertex_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
-    """Max internally vertex-disjoint s-t paths, stopping at cutoff."""
-    # Node-split network, in(v) = 2v and out(v) = 2v + 1, with unit arcs
-    # in(v) -> out(v) and out(u) -> in(w) for each edge.  No arc's reverse
-    # is an arc, so the residual network is one successor mask per node
-    # and pushing a unit along a -> b moves bit b of a to bit a of b.
-    res = []
-    for v, mask in enumerate(g.adj):
-        res.append(1 << (2 * v + 1))
-        res.append(sum(1 << (2 * w) for w in _bits(mask)))
+def _local_vertex_connectivity(net: list[int], s: int, t: int, cutoff: int) -> int:
+    """Max internally vertex-disjoint s-t paths in net, stopping at cutoff."""
+    res = list(net)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cutoff:
@@ -312,23 +308,36 @@ def _local_vertex_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
 def vertex_connectivity(g: Graph) -> int:
     """Size of a minimum vertex cut; n-1 for complete graphs.
 
-    Exact at desk scale (intended for n <= 20): runs a unit-capacity
-    max-flow between every non-adjacent vertex pair.
+    Exact at desk scale (intended for n <= 20).  Runs unit-capacity
+    max-flows only over the Esfahanian-Hakimi pairs (Networks 14, 1984):
+    with v the least vertex of minimum degree, v against each
+    non-neighbour, then each non-adjacent pair of v's neighbours.  A
+    minimum cut either misses v, and separates it from a non-neighbour,
+    or holds v, and then separates two of its neighbours.  The cutoff
+    starts at deg(v), an upper bound on the answer.
     """
     n = g.n
-    if n <= 1:
+    if n <= 1 or not is_connected(g):
         return 0
-    if all(a.bit_count() == n - 1 for a in g.adj):
-        return n - 1
-    if not is_connected(g):
-        return 0
-    best = n - 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                best = min(best, _local_vertex_connectivity(g, u, v, best))
-                if best == 0:
-                    return 0
+    degs = [a.bit_count() for a in g.adj]
+    best = min(degs)
+    v = degs.index(best)
+    if best == n - 1:
+        return best
+    # Node-split network, in(u) = 2u and out(u) = 2u + 1, with unit arcs
+    # in(u) -> out(u) and out(u) -> in(w) for each edge.  No arc's reverse
+    # is an arc, so the residual network is one successor mask per node
+    # and pushing a unit along a -> b moves bit b of a to bit a of b.
+    net = []
+    for u, mask in enumerate(g.adj):
+        net += [1 << (2 * u + 1), sum(1 << (2 * w) for w in _bits(mask))]
+    near = g.adj[v]
+    pairs = [(v, w) for w in _bits(((1 << n) - 1) ^ near ^ (1 << v))]
+    pairs += [(x, y) for x, y in combinations(_bits(near), 2) if not g.adj[x] >> y & 1]
+    for s, t in pairs:
+        if best == 1:  # the least value of a connected graph
+            break
+        best = _local_vertex_connectivity(net, s, t, best)
     return best
 
 

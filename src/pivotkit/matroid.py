@@ -229,27 +229,22 @@ def change_basis(m: BinaryMatroid, x: str, y: str) -> BinaryMatroid:
 def circuits(m: BinaryMatroid) -> frozenset[frozenset[str]]:
     """All minimal dependent subsets of the ground set.
 
-    Enumerates the GF(2) null space of [I|D] over all element subsets,
-    then keeps the inclusion-minimal zero-sum sets.  Capped at 16
-    elements.
+    Enumerates the cycle space of [I|D], the GF(2) null space, as the
+    XORs of the |E-B| fundamental circuits (2^|E-B| sets), then keeps
+    the inclusion-minimal nonempty sets.  Capped at 16 elements.
     """
     elements = list(m.basis) + list(m.nonbasis)
     ne = len(elements)
     if ne > CIRCUIT_ENUM_CAP:
         raise GroundSetTooLarge(f"{ne} elements exceeds cap {CIRCUIT_ENUM_CAP}")
-    cols = [1 << i for i in range(len(m.basis))]
-    cols += [m.rep.column_bits(j) for j in range(len(m.nonbasis))]
-    # xs[S] = XOR of the columns indexed by subset S.
-    xs = [0] * (1 << ne)
-    zero_sets = []
-    for s in range(1, 1 << ne):
-        low = s & -s
-        xs[s] = xs[s ^ low] ^ cols[low.bit_length() - 1]
-        if xs[s] == 0:
-            zero_sets.append(s)
+    r = len(m.basis)
+    zero_sets = [0]
+    for j in range(len(m.nonbasis)):
+        fundamental = 1 << (r + j) | m.rep.column_bits(j)
+        zero_sets += [s ^ fundamental for s in zero_sets]
     zero_sets.sort(key=int.bit_count)
     minimal: list[int] = []
-    for s in zero_sets:
+    for s in zero_sets[1:]:
         if not any(c & s == c for c in minimal):
             minimal.append(s)
     out = set()
@@ -322,29 +317,20 @@ def connectivity_kernel(m: BinaryMatroid) -> Callable[[int, int, Optional[int]],
 
     Bit i of a mask is element i of ``element_order()``.  The returned
     ``lam(x, w, stop=None)`` is rk(D[X_B, W_C]) + rk(D[W_B, X_C]) for
-    disjoint masks x and w, ranked on the rows of D with the other
-    side's columns masked in place, so no submatrix is built; with w the
-    complement of x it is lambda(X).  It is monotone in x and in w.
+    disjoint masks x and w.  Each row of D is stored once as a mask over
+    element positions, so a row of X_B masked with w is a row of
+    D[X_B, W_C] and no submatrix is built; with w the complement of x it
+    is lambda(X).  It is monotone in x and in w.
     With a positive ``stop`` the result is min(that, stop) and
     elimination ends once it reaches ``stop``.
     """
     pos = {e: i for i, e in enumerate(m.element_order())}
-    rows = list(zip(m.rep.rows, [1 << pos[b] for b in m.basis]))
-    col_bits = [1 << pos[c] for c in m.nonbasis]
+    rows = [(sum(1 << pos[c] for j, c in enumerate(m.nonbasis) if row >> j & 1), 1 << pos[b])
+            for row, b in zip(m.rep.rows, m.basis)]
 
     def lam(x: int, w: int, stop: Optional[int] = None) -> int:
-        xc = wc = 0
-        for j, bit in enumerate(col_bits):
-            if x & bit:
-                xc |= 1 << j
-            elif w & bit:
-                wc |= 1 << j
-        xb_rows, wb_rows = [], []
-        for row, bit in rows:
-            if x & bit:
-                xb_rows.append(row & wc)
-            elif w & bit:
-                wb_rows.append(row & xc)
+        xb_rows = [row & w for row, bit in rows if x & bit]
+        wb_rows = [row & x for row, bit in rows if w & bit]
         r = rank_bits(xb_rows, stop)
         if stop is None:
             return r + rank_bits(wb_rows)

@@ -14,18 +14,21 @@ every ordering that lists the colour-refinement classes as blocks,
 tried by backtracking.  The pivot-minor search is the earlier BFS,
 which canonicalises every successor (here with that canonical form).
 The tree split and its checker are the earlier set-based ones, which
-build a Graph per part and test it by BFS.
+build a Graph per part and test it by BFS.  Vertex connectivity is the
+earlier all-pairs one, a max-flow on a freshly built network for every
+non-adjacent pair; circuits are the earlier power-set scan, which XORs
+the columns of [I|D] over every element subset.
 """
 
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Optional
 
 from pivotkit.cutrank import Separation, subset_cap
-from pivotkit.errors import (ElementNotFound, NotATree, SearchBudgetExceeded,
-                             SubsetCapExceeded, TreeTooSmall)
+from pivotkit.errors import (ElementNotFound, GroundSetTooLarge, NotATree,
+                             SearchBudgetExceeded, SubsetCapExceeded, TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
-from pivotkit.graph import BiGraph, Graph, _bits, is_connected
-from pivotkit.matroid import BinaryMatroid, MultiGraph, SpanningTree
+from pivotkit.graph import BiGraph, Graph, _bfs, _bits, is_connected
+from pivotkit.matroid import CIRCUIT_ENUM_CAP, BinaryMatroid, MultiGraph, SpanningTree
 from pivotkit.pivot import pivot
 from pivotkit.structure import Edge, SplitEdge, SplitVertex, TreeSplit
 
@@ -578,3 +581,84 @@ def tree_split_problem(t: Graph, s: int, split: TreeSplit):
 
 def _vertices(edges: frozenset[Edge]) -> set[int]:
     return {v for e in edges for v in e}
+
+
+def _local_vertex_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
+    """Max internally vertex-disjoint s-t paths, stopping at cutoff."""
+    # Node-split network, in(v) = 2v and out(v) = 2v + 1, with unit arcs
+    # in(v) -> out(v) and out(u) -> in(w) for each edge.  No arc's reverse
+    # is an arc, so the residual network is one successor mask per node
+    # and pushing a unit along a -> b moves bit b of a to bit a of b.
+    res = []
+    for v, mask in enumerate(g.adj):
+        res.append(1 << (2 * v + 1))
+        res.append(sum(1 << (2 * w) for w in _bits(mask)))
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while flow < cutoff:
+        parent = _bfs(res, source)[1]
+        if parent[sink] == -1:
+            break
+        b = sink
+        while b != source:
+            a = parent[b]
+            res[a] ^= 1 << b
+            res[b] ^= 1 << a
+            b = a
+        flow += 1
+    return flow
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Size of a minimum vertex cut; n-1 for complete graphs.
+
+    Exact at desk scale (intended for n <= 20): runs a unit-capacity
+    max-flow between every non-adjacent vertex pair.
+    """
+    n = g.n
+    if n <= 1:
+        return 0
+    if all(a.bit_count() == n - 1 for a in g.adj):
+        return n - 1
+    if not is_connected(g):
+        return 0
+    best = n - 1
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v):
+                best = min(best, _local_vertex_connectivity(g, u, v, best))
+                if best == 0:
+                    return 0
+    return best
+
+
+def circuits(m: BinaryMatroid) -> frozenset[frozenset[str]]:
+    """All minimal dependent subsets of the ground set.
+
+    Enumerates the GF(2) null space of [I|D] over all element subsets,
+    then keeps the inclusion-minimal zero-sum sets.  Capped at 16
+    elements.
+    """
+    elements = list(m.basis) + list(m.nonbasis)
+    ne = len(elements)
+    if ne > CIRCUIT_ENUM_CAP:
+        raise GroundSetTooLarge(f"{ne} elements exceeds cap {CIRCUIT_ENUM_CAP}")
+    cols = [1 << i for i in range(len(m.basis))]
+    cols += [m.rep.column_bits(j) for j in range(len(m.nonbasis))]
+    # xs[S] = XOR of the columns indexed by subset S.
+    xs = [0] * (1 << ne)
+    zero_sets = []
+    for s in range(1, 1 << ne):
+        low = s & -s
+        xs[s] = xs[s ^ low] ^ cols[low.bit_length() - 1]
+        if xs[s] == 0:
+            zero_sets.append(s)
+    zero_sets.sort(key=int.bit_count)
+    minimal: list[int] = []
+    for s in zero_sets:
+        if not any(c & s == c for c in minimal):
+            minimal.append(s)
+    out = set()
+    for s in minimal:
+        out.add(frozenset(elements[i] for i in range(ne) if (s >> i) & 1))
+    return frozenset(out)

@@ -438,14 +438,33 @@ def test_cli_import_does_not_load_networkx():
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
-def test_tree_lemma_does_not_load_networkx():
+def test_campaigns_do_not_load_networkx():
+    # src/ uses only the standard library: every campaign at its defaults
+    # runs without networkx ever being imported.
     src = Path(pivotkit.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import sys; from pivotkit.verify import run_campaign; "
-            "assert run_campaign('tree-lemma').passed; print('networkx' in sys.modules)")
+    code = ("import sys; from pivotkit.verify import campaign_names, run_campaign; "
+            "assert all(run_campaign(name).passed for name in campaign_names()); "
+            "print('networkx' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+
+def test_successive_calls_share_no_parser_state():
+    # The parser is built once per process; one call's options must not
+    # reach the next.
+    src = Path(pivotkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["check", "fun-lemma", "--trials", "5"]
+    fresh = subprocess.run([sys.executable, "-m", "pivotkit.cli", *argv],
+                           capture_output=True, text=True, env=env)
+    assert fresh.returncode == EXIT_OK and "param.instances=None\n" in fresh.stdout
+    code, out = run(["check", "fun-lemma", "--instance", "ktt:3", "--instance", "ktt:4"])
+    assert code == EXIT_OK and "param.instances=['ktt:3', 'ktt:4']\n" in out
+    assert run(argv) == (EXIT_OK, fresh.stdout)
+    assert run(["check", "fun-lemma", "--trials", "x"]) == (EXIT_USAGE, "")
+    assert run(argv) == (EXIT_OK, fresh.stdout)
 
 
 def test_tree_problem_message_is_independent_of_the_hash_seed():

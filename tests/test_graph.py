@@ -11,6 +11,7 @@ from pivotkit.graph import (BiGraph, Graph, bipartite_complement, bipartition,
                             vertex_connectivity)
 
 from oracles import biclique_by_enumeration
+from oracles import vertex_connectivity as vertex_connectivity_all_pairs
 
 
 def c6_bigraph():
@@ -143,6 +144,38 @@ class TestVertexConnectivity:
 
     def test_disconnected(self):
         assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
+
+    def test_matches_all_pairs_oracle_on_c4_free_graphs(self):
+        """Seeded C4-free graphs drawn like rankconn-lemma's (4-10
+        vertices, edge probability 0.1-0.45), until 300 are connected,
+        and the Petersen graph (kappa = 3, girth 5)."""
+        import random
+        rng = random.Random(14)
+        graphs = []
+        connected = 0
+        while connected < 300:
+            n, p = rng.randint(4, 10), rng.uniform(0.1, 0.45)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            if is_c4_free(g):
+                graphs.append(g)
+                connected += is_connected(g)
+        graphs.append(Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]))
+        values = [vertex_connectivity(g) for g in graphs]
+        assert values == [vertex_connectivity_all_pairs(g) for g in graphs]
+        assert set(values) == {0, 1, 2, 3}
+
+    def test_cut_through_the_least_degree_vertex(self):
+        # Vertex 0 (the only one of least degree, 2) joins {1, 2} of a K5
+        # on 1-5 to {6, 7} of a K5 on 6-10.  Separating 0 from any
+        # non-neighbour takes two vertices; the cut {0} separates a
+        # non-adjacent pair of 0's neighbours, such as 1 and 6.
+        edges = [(0, 1), (0, 2), (0, 6), (0, 7)]
+        edges += list(combinations(range(1, 6), 2)) + list(combinations(range(6, 11), 2))
+        g = Graph(11, edges)
+        assert vertex_connectivity(g) == vertex_connectivity_all_pairs(g) == 1
 
     def test_matches_networkx(self):
         """Connectivity, bipartition and vertex connectivity against

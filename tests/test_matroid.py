@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
 from pivotkit.pivot import are_isomorphic, pivot
 from pivotkit.verify import _random_matroid
 
+from oracles import circuits as circuits_by_power_set
 from oracles import connectivity_lambda as connectivity_lambda_oracle
 from oracles import (fundamental_matrix_by_solving, multigraph_cycles,
                      multigraph_minor)
@@ -134,6 +136,61 @@ class TestCircuits:
                 continue
             m = graphic_matroid(mg, t)
             assert circuits(m) == multigraph_cycles(mg)
+
+    def test_matches_power_set_oracle_on_random_matroids(self):
+        # Seeded binary matroids of 2-12 elements with planted loops (zero
+        # columns), coloops (zero rows) and parallel pairs (a repeated
+        # column, or a unit column parallel to a basis element).
+        rng = random.Random(59)
+        kinds = set()
+        for _ in range(150):
+            ne = rng.randint(2, 12)
+            nr = rng.randint(0, ne)
+            nc = ne - nr
+            cols = [rng.randrange(1 << nr) for _ in range(nc)]
+            if nc and rng.random() < 0.3:
+                cols[rng.randrange(nc)] = 0
+            if nc > 1 and rng.random() < 0.3:
+                cols[rng.randrange(nc)] = cols[rng.randrange(nc)]
+            if nc and nr and rng.random() < 0.3:
+                cols[rng.randrange(nc)] = 1 << rng.randrange(nr)
+            rows = [sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(nr)]
+            if nr and rng.random() < 0.3:
+                rows[rng.randrange(nr)] = 0
+            m = BinaryMatroid([f"b{i}" for i in range(nr)], [f"c{j}" for j in range(nc)],
+                              BitMatrix(nr, nc, rows))
+            got = circuits(m)
+            assert got == circuits_by_power_set(m)
+            kinds |= {"loop" if len(c) == 1 else "parallel" if len(c) == 2 else "other"
+                      for c in got}
+            kinds |= {"coloop" for e in m.ground() if not any(e in c for c in got)}
+        assert kinds == {"loop", "parallel", "coloop", "other"}
+
+    @staticmethod
+    def from_columns(vectors):
+        """The binary matroid whose elements are the given GF(2) vectors,
+        with the first rank-many of them, the unit vectors, as basis."""
+        r = max(vectors).bit_length()
+        assert vectors[:r] == [1 << i for i in range(r)]
+        rows = [sum((v >> i & 1) << j for j, v in enumerate(vectors[r:])) for i in range(r)]
+        return BinaryMatroid([f"p{v}" for v in vectors[:r]], [f"p{v}" for v in vectors[r:]],
+                             BitMatrix(r, len(vectors) - r, rows))
+
+    def test_projective_and_affine_geometries(self):
+        # PG(3,2): the 15 nonzero vectors of GF(2)^4; its circuits are the
+        # 35 lines, 105 4-sets and 168 5-sets.  AG(4,2): the 16 points v of
+        # GF(2)^4 as the vectors (v, 1) of GF(2)^5, written in the basis of
+        # the points e1..e4 and 0, so v maps to v plus bit 4 when |v| is
+        # even.  It has 16 elements (the cap); its circuits are the 140
+        # planes and 448 6-sets.
+        pg = self.from_columns([1, 2, 4, 8] + [v for v in range(1, 16) if v & (v - 1)])
+        ag = self.from_columns([1, 2, 4, 8, 16] + [v | (v.bit_count() + 1) % 2 << 4
+                                                   for v in range(16) if v & (v - 1)])
+        assert (pg.size(), ag.size()) == (15, 16)
+        for m, sizes in ((pg, {3: 35, 4: 105, 5: 168}), (ag, {4: 140, 6: 448})):
+            got = circuits(m)
+            assert got == circuits_by_power_set(m)
+            assert Counter(map(len, got)) == sizes
 
     def test_cap(self):
         rep = BitMatrix.zeros(9, 8)
@@ -313,6 +370,30 @@ class TestConnectivity:
         for mg, t in graphs:
             for build in (graphic_matroid, cographic_matroid):
                 self.assert_kernel_matches_oracle(build(mg, t))
+
+    def test_kernel_matches_oracle_with_interleaved_labels(self):
+        # Sorted labels that mix basis and non-basis elements, so an
+        # element's position is neither its row nor its column index:
+        # shuffled label names, and 11-12 labels e<i> with e0..e2 in the
+        # basis, where e10 and e11 sort between e1 and e2.
+        rng = random.Random(103)
+        matroids = []
+        for _ in range(60):
+            m = _random_matroid(rng, 9)
+            names = rng.sample("abcdefghijklmnopqrstuvwxyz", m.size())
+            matroids.append(BinaryMatroid(names[:len(m.basis)], names[len(m.basis):], m.rep))
+        for _ in range(4):
+            nr = rng.randint(3, 5)
+            nc = rng.randint(11, 12) - nr
+            labels = [f"e{i}" for i in range(nr + nc)]
+            rep = BitMatrix(nr, nc, [rng.randrange(1 << nc) for _ in range(nr)])
+            matroids.append(BinaryMatroid(labels[:nr], labels[nr:], rep))
+        mixed = 0
+        for m in matroids:
+            in_basis = [e in m.basis for e in m.element_order()]
+            mixed += in_basis not in (sorted(in_basis), sorted(in_basis, reverse=True))
+            self.assert_kernel_matches_oracle(m)
+        assert mixed >= 40 and matroids[-1].element_order()[2] == "e10"
 
     def test_is_k_connected_triangle(self):
         mg, t = triangle()
