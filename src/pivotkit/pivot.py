@@ -12,31 +12,36 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
-from .graph import Graph, _bits
+from .graph import Graph
 
 
 def pivot(g: Graph, x: int, y: int) -> Graph:
-    """Pivot the edge xy; raises NotAnEdge when xy is not an edge."""
+    """Pivot the edge xy; raises NotAnEdge when xy is not an edge.
+
+    One pass over the rows: with V1, V2 and V3 the neighbours private to
+    x, private to y and common, a row in one region flips its bits in the
+    other two; then every row swaps its bits x and y where they differ,
+    and rows x and y (in no region) are exchanged.
+    """
     if x == y or not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
         raise NotAnEdge(f"({x},{y}) is not an edge")
     ax, ay = g.adj[x], g.adj[y]
     v1 = ax & ~ay & ~(1 << y)
     v2 = ay & ~ax & ~(1 << x)
     v3 = ax & ay
-    adj = list(g.adj)
-    for p_mask, q_mask in ((v1, v2), (v2, v3), (v3, v1)):
-        for u in _bits(p_mask):
-            adj[u] ^= q_mask
-        for w in _bits(q_mask):
-            adj[w] ^= p_mask
-    # Swap the labels x and y: exchange rows, then bits x and y in every row.
+    xy = (1 << x) | (1 << y)
+    adj = []
+    for u, row in enumerate(g.adj):
+        if v1 >> u & 1:
+            row ^= v2 | v3
+        elif v2 >> u & 1:
+            row ^= v1 | v3
+        elif v3 >> u & 1:
+            row ^= v1 | v2
+        if (row >> x ^ row >> y) & 1:
+            row ^= xy
+        adj.append(row)
     adj[x], adj[y] = adj[y], adj[x]
-    for u in range(g.n):
-        row = adj[u]
-        bx, by = (row >> x) & 1, (row >> y) & 1
-        if bx != by:
-            row ^= (1 << x) | (1 << y)
-        adj[u] = row
     out = Graph(g.n)
     out.adj = adj
     return out
@@ -140,7 +145,7 @@ def _twin_swaps(adj: list[int]) -> list[tuple[list[int], int]]:
     return swaps
 
 
-def canonical_form(g: Graph) -> tuple:
+def canonical_form(g: Graph, automorphisms: Optional[list[list[int]]] = None) -> tuple:
     """A canonical key, (n, least leaf code), by individualization-refinement.
 
     Keys are equal exactly when graphs are isomorphic; the integer values
@@ -155,7 +160,10 @@ def canonical_form(g: Graph) -> tuple:
     individualized vertices prune children in one orbit; they come from
     equal leaf codes and, before the first branch, from transpositions of
     twins (McKay, "Practical graph isomorphism", 1981; McKay and Piperno,
-    "Practical graph isomorphism II", J. Symb. Comput. 2014).
+    "Practical graph isomorphism II", J. Symb. Comput. 2014).  When an
+    ``automorphisms`` list is given, every map found is appended to it,
+    the twin transpositions and the equal-leaf maps, as a list a with
+    vertex v sent to a[v]; each is an automorphism of g.
     """
     n, adj = g.n, g.adj
     cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1]) if n else []
@@ -203,12 +211,55 @@ def canonical_form(g: Graph) -> tuple:
             todo &= ~seen
 
     search(cells, 0)
+    if automorphisms is not None:
+        automorphisms += (auto for auto, _ in autos)
     return (n, best)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test: equal vertex counts and canonical forms."""
     return g1.n == g2.n and canonical_form(g1) == canonical_form(g2)
+
+
+def _pairs(g: Graph, deletions: bool) -> list[tuple[int, int]]:
+    """The search steps from g as pairs: (u, v) with u < v pivots the edge
+    uv, in edge_list() order, and then, when deletions are allowed, (v, v)
+    deletes v."""
+    pairs = g.edge_list()
+    if deletions:
+        pairs += [(v, v) for v in range(g.n)]
+    return pairs
+
+
+def _orbit_firsts(g: Graph, autos: list[list[int]], deletions: bool) -> int:
+    """A mask over the positions of _pairs(g, deletions): the steps that
+    come first within their orbit under the group the maps generate.
+
+    Successors in one orbit of automorphisms of g are isomorphic, so only
+    the first of them can reach a new class: the edge first in
+    edge_list() order (pivoting xy and yx gives one graph) and the least
+    vertex.  Taking vertex v as the pair (v, v) lets one closure over
+    unordered pairs find both kinds of orbit.  Without maps every bit is
+    set (-1).
+    """
+    if not autos:
+        return -1
+    keep, met = 0, set()
+    for i, pair in enumerate(_pairs(g, deletions)):
+        if pair in met:
+            continue
+        keep |= 1 << i
+        met.add(pair)
+        stack = [pair]
+        while stack:
+            u, v = stack.pop()
+            for a in autos:
+                x, y = a[u], a[v]
+                image = (x, y) if x <= y else (y, x)
+                if image not in met:
+                    met.add(image)
+                    stack.append(image)
+    return keep
 
 
 def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list[tuple]]]:
@@ -219,47 +270,54 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     is deliberately distinct from False), and ValueError when budget < 1.
     On success, returns the witness sequence of ("pivot", x, y) /
     ("delete", v) steps, each in the labels of the intermediate graph it
-    applies to.  Each labelled graph is canonicalised at most once: a
-    repeat (pivoting an edge back gives the parent) was matched or seen
-    already.  At most 1 + budget * (n + n(n-1)/2) labelled keys are kept
-    for an n-vertex g, so the budget caps memory as well as time.
+    applies to.  A state is expanded by one pivot per orbit of its edges
+    and one deletion per orbit of its vertices, under the automorphisms
+    canonical_form found while labelling it: the edge first in
+    edge_list() order and the least vertex of each orbit.  A later member
+    of an orbit has the first member's form, which is seen by then, so
+    the frontier, the answer, the witness and the budget figures are
+    those of the search that expands every successor.  Each labelled
+    graph is canonicalised at most once: a repeat (pivoting an edge back
+    gives the parent) was matched or seen already.  A frontier state keeps
+    its graph, its path and a mask of its n + m steps, and at most
+    1 + budget * (n + n(n-1)/2) labelled keys are kept for an n-vertex g,
+    so the budget caps memory as well as time.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if h.n > g.n:
         return False, None
     target = canonical_form(h)
-    start_key = canonical_form(g)
+    autos: list[list[int]] = []
+    start_key = canonical_form(g, autos)
     if g.n == h.n and start_key == target:
         return True, []
     seen = {start_key}
     met = {g.key()}
-    frontier: list[tuple[Graph, list[tuple]]] = [(g, [])]
+    frontier = [(g, [], _orbit_firsts(g, autos, g.n > h.n))]
     expanded = depth = 0
     while frontier:
-        nxt: list[tuple[Graph, list[tuple]]] = []
-        for cur, path in frontier:
+        nxt: list[tuple[Graph, list[tuple], int]] = []
+        for cur, path, keep in frontier:
             expanded += 1
             if expanded > budget:
                 raise SearchBudgetExceeded(budget, expanded - 1, len(seen), depth)
-            succs: list[tuple[Graph, tuple]] = []
-            for u, v in cur.edge_list():
-                succs.append((pivot(cur, u, v), ("pivot", u, v)))
-            if cur.n > h.n:
-                for v in range(cur.n):
-                    succs.append((cur.delete_vertex(v), ("delete", v)))
-            for nxt_g, step in succs:
+            for i, (u, v) in enumerate(_pairs(cur, cur.n > h.n)):
+                if not keep >> i & 1:
+                    continue
+                nxt_g = pivot(cur, u, v) if u != v else cur.delete_vertex(v)
                 if (labelled := nxt_g.key()) in met:
                     continue
                 met.add(labelled)
-                k = canonical_form(nxt_g)
+                autos = []
+                k = canonical_form(nxt_g, autos)
                 if k in seen:
                     continue
                 seen.add(k)
-                new_path = path + [step]
+                new_path = path + [("pivot", u, v) if u != v else ("delete", v)]
                 if nxt_g.n == h.n and k == target:
                     return True, new_path
-                nxt.append((nxt_g, new_path))
+                nxt.append((nxt_g, new_path, _orbit_firsts(nxt_g, autos, nxt_g.n > h.n)))
         frontier = nxt
         depth += 1
     return False, None

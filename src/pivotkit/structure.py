@@ -327,7 +327,15 @@ def perturbation_partition(g1: BiGraph, g2: BiGraph) -> BlockPartition:
 
 
 def block_partition_is_constant(c: BitMatrix, bp: BlockPartition) -> bool:
-    """Independent scan: every block constant and matching its tag."""
+    """Independent scan: every block constant and matching its tag.
+
+    False when bp's classes do not partition c's rows and columns, or
+    its tags are not one per block.
+    """
+    try:
+        _validate_block_partition(bp, c.nrows, c.ncols)
+    except PartitionInvalid:
+        return False
     for ri, rc in enumerate(bp.row_classes):
         for ci, cc in enumerate(bp.col_classes):
             want = 1 if bp.tags[ri][ci] in ("one", "complement") else 0
@@ -339,9 +347,14 @@ def block_partition_is_constant(c: BitMatrix, bp: BlockPartition) -> bool:
 
 
 def reconstruct_from_partition(g2: BiGraph, bp: BlockPartition) -> BiGraph:
-    """Rebuild g1 from g2 plus a graph-pair BlockPartition's tags."""
+    """Rebuild g1 from g2 plus a graph-pair BlockPartition's tags.
+
+    Raises PartitionInvalid when bp's classes do not partition g2's sides
+    or its tags are not one per block.
+    """
     if bp.mode != "graph-pair":
         raise ValueError("expected a graph-pair partition")
+    _validate_block_partition(bp, g2.na, g2.nb)
     out = g2.biadj.copy()
     for ri, rc in enumerate(bp.row_classes):
         for ci, cc in enumerate(bp.col_classes):
@@ -363,6 +376,14 @@ def _validate_partition(classes, size: int, what: str) -> None:
             seen.add(i)
     if len(seen) != size:
         raise PartitionInvalid(f"{what} classes do not cover 0..{size - 1}")
+
+
+def _validate_block_partition(bp: BlockPartition, nrows: int, ncols: int) -> None:
+    _validate_partition(bp.row_classes, nrows, "row")
+    _validate_partition(bp.col_classes, ncols, "column")
+    if len(bp.tags) != len(bp.row_classes) or \
+            any(len(row) != len(bp.col_classes) for row in bp.tags):
+        raise PartitionInvalid("expected one tag per block")
 
 
 def check_struct_density(g: BiGraph, row_classes, col_classes, s: int) -> bool:

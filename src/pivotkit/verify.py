@@ -27,7 +27,8 @@ from itertools import combinations
 
 from ._text import content_lines
 from .cutrank import find_low_rank_separation, subset_cap
-from .errors import CapExceeded, FormatError, NotATree, TreeTooSmall, UnknownCampaign
+from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid, TreeTooSmall,
+                     UnknownCampaign)
 from .extremal import (Instance, _make_instance, format_instance, gen_c6_blowup_example,
                        gen_ktt_example, gen_random_instance)
 from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
@@ -189,9 +190,12 @@ def _check_pert(c: BitMatrix, d1: BitMatrix):
     if ok:
         g1, g2 = BiGraph(d1), BiGraph(d1 ^ c)
         bp2 = perturbation_partition(g1, g2)
-        ok = (len(bp2.row_classes) <= 2 ** p
-              and len(bp2.col_classes) <= 2 ** p
-              and reconstruct_from_partition(g2, bp2) == g1)
+        try:
+            ok = (len(bp2.row_classes) <= 2 ** p
+                  and len(bp2.col_classes) <= 2 ** p
+                  and reconstruct_from_partition(g2, bp2) == g1)
+        except PartitionInvalid:  # a partition that drops or repeats a class
+            ok = False
     if not ok:
         return {"data": _embed(format_matrix(c)) + "&" + _embed(format_matrix(d1))}
     return None

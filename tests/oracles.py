@@ -9,10 +9,13 @@ the complement columns bit by bit.  ``first_separation`` is the
 earlier single pass, which ranks every smaller side once.  The matroid
 connectivity function is the earlier one, ranking two submatrices of D
 copied bit by bit.
-The canonical form is the earlier one: the least adjacency code over
-every ordering that lists the colour-refinement classes as blocks,
-tried by backtracking.  The pivot-minor search is the earlier BFS,
-which canonicalises every successor (here with that canonical form).
+The pivot is the earlier three-pass one: it complements each pair of
+regions in turn, then exchanges rows x and y and swaps bits x and y in
+every row.  The canonical form is the earlier one: the least adjacency
+code over every ordering that lists the colour-refinement classes as
+blocks, tried by backtracking.  The pivot-minor search is the earlier BFS,
+which builds and canonicalises every successor (here with that
+canonical form and that pivot).
 The tree split and its checker are the earlier set-based ones, which
 build a Graph per part and test it by BFS.  Vertex connectivity is the
 earlier all-pairs one, a max-flow on a freshly built network for every
@@ -24,12 +27,11 @@ from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Optional
 
 from pivotkit.cutrank import Separation, subset_cap
-from pivotkit.errors import (ElementNotFound, GroundSetTooLarge, NotATree,
+from pivotkit.errors import (ElementNotFound, GroundSetTooLarge, NotAnEdge, NotATree,
                              SearchBudgetExceeded, SubsetCapExceeded, TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
 from pivotkit.graph import BiGraph, Graph, _bfs, _bits, is_connected
 from pivotkit.matroid import CIRCUIT_ENUM_CAP, BinaryMatroid, MultiGraph, SpanningTree
-from pivotkit.pivot import pivot
 from pivotkit.structure import Edge, SplitEdge, SplitVertex, TreeSplit
 
 
@@ -317,6 +319,33 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
                 if lam(xs) < order:
                     return False, xs
     return True, None
+
+
+def pivot(g: Graph, x: int, y: int) -> Graph:
+    """Pivot the edge xy; raises NotAnEdge when xy is not an edge."""
+    if x == y or not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
+        raise NotAnEdge(f"({x},{y}) is not an edge")
+    ax, ay = g.adj[x], g.adj[y]
+    v1 = ax & ~ay & ~(1 << y)
+    v2 = ay & ~ax & ~(1 << x)
+    v3 = ax & ay
+    adj = list(g.adj)
+    for p_mask, q_mask in ((v1, v2), (v2, v3), (v3, v1)):
+        for u in _bits(p_mask):
+            adj[u] ^= q_mask
+        for w in _bits(q_mask):
+            adj[w] ^= p_mask
+    # Swap the labels x and y: exchange rows, then bits x and y in every row.
+    adj[x], adj[y] = adj[y], adj[x]
+    for u in range(g.n):
+        row = adj[u]
+        bx, by = (row >> x) & 1, (row >> y) & 1
+        if bx != by:
+            row ^= (1 << x) | (1 << y)
+        adj[u] = row
+    out = Graph(g.n)
+    out.adj = adj
+    return out
 
 
 def _refine_colors(g: Graph) -> list[int]:

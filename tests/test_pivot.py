@@ -1,6 +1,9 @@
+import importlib.util
+import json
 import random
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -71,6 +74,31 @@ def shuffled(rng, n):
     return perm
 
 
+def petersen():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)])
+
+
+def prism(k):
+    """Two k-cycles joined by a perfect matching: vertex-transitive, and
+    for k != 4 the rungs are an edge orbit of their own."""
+    return Graph(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                 + [(k + i, k + (i + 1) % k) for i in range(k)]
+                 + [(i, k + i) for i in range(k)])
+
+
+def twin_heavy(rng):
+    """Blow-ups, planted true twins and complete multipartite graphs."""
+    graphs = []
+    for _ in range(4):
+        graphs.append(blow_up(gnp(rng, rng.randint(3, 5), 0.5), 2))
+        base = gnp(rng, rng.randint(4, 6), 0.5)
+        g = with_true_twin(base, 0)
+        graphs.append(with_true_twin(g, base.n))
+    return graphs + [multipartite(s) for s in ((3, 3, 3), (2, 2, 2, 2), (1, 2, 3))]
+
+
 class TestPivot:
     def test_single_edge_fixed(self):
         g = Graph(2, [(0, 1)])
@@ -94,6 +122,18 @@ class TestPivot:
         for g in all_graphs(4):
             for u, v in g.edge_list():
                 assert pivot(g, u, v) == pivot(g, v, u)
+
+    def test_matches_the_three_pass_oracle(self):
+        """Every edge, both ways round, of every labelled graph on at most
+        five vertices, of 300 seeded G(8, p) and of K_24."""
+        rng = random.Random(37)
+        graphs = [g for n in range(2, 6) for g in all_graphs(n)]
+        graphs += [gnp(rng, 8, rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
+        graphs.append(Graph.complete(24))
+        for g in graphs:
+            for u, v in g.edge_list():
+                assert pivot(g, u, v) == oracles.pivot(g, u, v)
+                assert pivot(g, v, u) == oracles.pivot(g, v, u)
 
     def test_bipartite_preserved_and_cutranks(self):
         for g in all_graphs(5):
@@ -272,6 +312,33 @@ class TestIsomorphism:
             if g1.n == g2.n:
                 assert (f1 == f2) == (p1 == p2) == nx.is_isomorphic(to_nx(g1), to_nx(g2))
 
+    def test_appended_maps_are_automorphisms(self):
+        """Each map canonical_form appends is a permutation that keeps the
+        edge set, and the list leaves the form as it is.  On the
+        vertex-transitive graphs the maps carry vertex 0 to every vertex,
+        so the search keeps one deletion there."""
+        rng = random.Random(47)
+        transitive = [Graph.cycle(8), k_nn(4), petersen(), blow_up(Graph.cycle(6), 4), prism(5)]
+        graphs = twin_heavy(rng) + transitive
+        graphs += [relabel(g, shuffled(rng, g.n)) for g in graphs]
+        for g in graphs:
+            autos = []
+            assert canonical_form(g, autos) == canonical_form(g)
+            assert autos, g
+            edges = set(g.edge_list())
+            for a in autos:
+                assert sorted(a) == list(range(g.n))
+                assert {(min(a[u], a[v]), max(a[u], a[v])) for u, v in edges} == edges
+            if any(are_isomorphic(g, t) for t in transitive):
+                orbit, stack = {0}, [0]
+                while stack:
+                    u = stack.pop()
+                    for a in autos:
+                        if a[u] not in orbit:
+                            orbit.add(a[u])
+                            stack.append(a[u])
+                assert len(orbit) == g.n
+
     def test_are_isomorphic_agrees_with_vf2(self):
         rng = random.Random(23)
         for _ in range(300):
@@ -340,8 +407,10 @@ class TestIsPivotMinor:
         queries += [(h, g) for g in (Graph.cycle(8), k_nn(4))
                     for h in (Graph.cycle(5), Graph.path(5), Graph.cycle(6))]
         new = [is_pivot_minor(h, g, 20000) for h, g in queries]
+        # The ordering search finds no automorphisms, so every successor
+        # is expanded.
         monkeypatch.setattr(sys.modules["pivotkit.pivot"], "canonical_form",
-                            oracles.canonical_form)
+                            lambda g, automorphisms=None: oracles.canonical_form(g))
         assert [is_pivot_minor(h, g, 20000) for h, g in queries] == new
         assert any(found for found, _ in new) and not all(found for found, _ in new)
 
@@ -369,17 +438,72 @@ class TestIsPivotMinor:
     def test_each_labelled_graph_canonicalised_once(self, monkeypatch):
         """Pivoting an edge back gives the parent; a BFS that
         canonicalises every successor gives the same answer with 530
-        calls on these 352 labelled graphs."""
+        calls on 352 labelled graphs, and one that skips only labelled
+        repeats with those 352.  Expanding one successor per
+        automorphism orbit leaves 217."""
         module = sys.modules["pivotkit.pivot"]
         form, keys = module.canonical_form, []
 
-        def recording(g):
+        def recording(g, automorphisms=None):
             keys.append(g.key())
-            return form(g)
+            return form(g, automorphisms)
 
         monkeypatch.setattr(module, "canonical_form", recording)
         assert is_pivot_minor(Graph.cycle(5), Graph.cycle(8), 20000) == (False, None)
-        assert len(keys) == len(set(keys)) == 352
+        assert len(keys) == len(set(keys)) == 217
+
+    def test_orbit_rule_keeps_the_oracle_outcomes(self, monkeypatch):
+        """On symmetric hosts, where one successor per orbit prunes the
+        most, the answers, witnesses and budget figures are those of the
+        BFS that builds and canonicalises every successor.  That BFS runs
+        here with this module's canonical form, so the two differ only in
+        the search; its own ordering search takes about a minute per query
+        on the Petersen graph."""
+        def outcome(search, h, g, budget):
+            try:
+                return search(h, g, budget)
+            except SearchBudgetExceeded as exc:
+                return ("budget", exc.expanded, exc.classes, exc.depth)
+
+        monkeypatch.setattr(oracles, "canonical_form", canonical_form)
+        rng = random.Random(53)
+        # On the prism, pruning edges by the vertex orbits of their ends
+        # would take a rung for a cycle edge.
+        hosts = [Graph.cycle(8), k_nn(4), petersen(), blow_up(Graph.cycle(6), 2), prism(5)]
+        hosts += twin_heavy(rng)[-4:]
+        queries = [(h, g, budget) for g in hosts for budget in (30, 20000)
+                   for h in (Graph.cycle(5), Graph.path(5), Graph.cycle(6), Graph.path(4))]
+        # Beyond 30 states the 24-vertex blow-up takes about 20 s.
+        queries.append((Graph.cycle(5), blow_up(Graph.cycle(6), 4), 30))
+        kinds = set()
+        for h, g, budget in queries:
+            got = outcome(is_pivot_minor, h, g, budget)
+            assert got == outcome(oracles.is_pivot_minor, h, g, budget)
+            kinds.add(got[0])
+        assert kinds == {True, False, "budget"}
+
+    def test_pinned_bench_queries(self):
+        """Every pooled pivot-search unit of the benchmark keeps its
+        pinned answer and witness, and each witness replays to a copy of
+        H."""
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        pins = json.loads((bench / "pins.json").read_text())["pivot-search"]
+        search = workloads.PivotSearch()
+        pool = search.pool()
+        assert len(pool) == len(pins) == 78
+        for unit in pool:
+            h, g = search.prepare(unit)
+            found, steps = search.run((h, g))
+            assert search.record((found, steps)) == pins[search.key(unit)], unit
+            if found:
+                for step in steps:
+                    g = oracles.pivot(g, *step[1:]) if step[0] == "pivot" \
+                        else g.delete_vertex(step[1])
+                assert nx.is_isomorphic(to_nx(g), to_nx(h)), unit
 
     def test_witness_replays(self):
         h = Graph(3, [(0, 1), (0, 2)])

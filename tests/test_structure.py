@@ -8,7 +8,7 @@ from pivotkit.errors import (DimensionMismatch, NotATree, PartitionInvalid,
                              TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank
 from pivotkit.graph import BiGraph, Graph
-from pivotkit.structure import (SplitEdge, SplitVertex,
+from pivotkit.structure import (BlockPartition, SplitEdge, SplitVertex,
                                 block_partition_is_constant,
                                 check_struct_density,
                                 constant_block_partition,
@@ -194,6 +194,17 @@ class TestConstantBlockPartition:
         assert len(bp.row_classes) == 1 and len(bp.col_classes) == 1
         assert bp.tags == (("zero",),)
 
+    def test_non_partitions_are_not_constant(self):
+        c = BitMatrix.zeros(3, 2)
+        assert block_partition_is_constant(c, constant_block_partition(c))
+        for rows, cols, tags in [(((0,),), ((0,),), (("zero",),)),  # rows 1, 2 and column 1 unlisted
+                                 (((0,), (0, 1, 2)), ((0, 1),), (("zero",), ("zero",))),
+                                 (((0, 0, 1, 2),), ((0, 1),), (("zero",),)),
+                                 (((0, 1, 2),), ((0, 1), ()), (("zero", "zero"),)),
+                                 (((0, 1, 2),), ((0, 1, 2),), (("zero",),)),
+                                 (((0, 1, 2),), ((0, 1),), ())]:
+            assert not block_partition_is_constant(c, BlockPartition("matrix", rows, cols, tags))
+
     def test_format(self):
         bp = constant_block_partition(BitMatrix.ones(2, 2))
         text = format_block_partition(bp)
@@ -230,6 +241,15 @@ class TestPerturbationPartition:
             p = rank(g1.biadj ^ g2.biadj)
             assert len(bp.row_classes) <= 2 ** p
             assert len(bp.col_classes) <= 2 ** p
+
+    def test_reconstruct_rejects_non_partitions(self):
+        # Row 2 is in no class, so its value in g2 would be kept unchecked.
+        g2 = BiGraph(BitMatrix.zeros(3, 2))
+        for rows, tags in [(((0, 1),), (("complement",),)),
+                           (((0, 1), (1, 2)), (("complement",), ("equal",))),
+                           (((0, 1, 2),), (("complement",), ("equal",)))]:
+            with pytest.raises(PartitionInvalid):
+                reconstruct_from_partition(g2, BlockPartition("graph-pair", rows, ((0, 1),), tags))
 
     def test_reconstruct_rejects_matrix_mode(self):
         bp = constant_block_partition(BitMatrix.zeros(2, 2))

@@ -265,5 +265,20 @@ def _fields(witness):
     return out
 
 
+@pytest.mark.parametrize("partition", ["constant_block_partition", "perturbation_partition"])
+def test_pert_partition_that_drops_a_class_is_a_violation(partition, monkeypatch):
+    """A partition missing its last row class fails the check in every
+    trial; it is neither a PASS nor a usage error."""
+    made = getattr(verify, partition)
+
+    def dropping(*args):
+        bp = made(*args)
+        return dataclasses.replace(bp, row_classes=bp.row_classes[:-1], tags=bp.tags[:-1])
+
+    monkeypatch.setattr(verify, partition, dropping)
+    report = run_campaign("pert-partition", {"trials": 5, "size": 4}, seed=2)
+    assert len(report.violations) == report.trials_run == 5
+
+
 def test_planted_campaigns_cover_every_campaign():
     assert sorted(PLANTED) == campaign_names()
