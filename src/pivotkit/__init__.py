@@ -2,11 +2,10 @@
 brute-force verification campaigns for the small-scale facts that tie
 them together."""
 
-from .gf2 import BitMatrix, matrix_pivot, rank, xor_rank
-from .graph import (BiGraph, DegreeStats, Graph, bipartite_complement, blow_up,
-                    degree_stats, find_complete_bipartite, is_c4_free,
-                    vertex_connectivity)
-from .pivot import are_isomorphic, is_pivot_minor, pivot, pivot_orbit
+from .gf2 import BitMatrix, matrix_pivot, rank
+from .graph import (BiGraph, DegreeStats, Graph, bipartite_complement, degree_stats,
+                    find_complete_bipartite, is_c4_free, vertex_connectivity)
+from .pivot import is_pivot_minor, pivot, pivot_orbit
 from .cutrank import Separation, cut_rank, find_low_rank_separation
 from .matroid import (BinaryMatroid, MultiGraph, SpanningTree, change_basis,
                       circuits, cographic_matroid, connectivity_lambda,
@@ -19,10 +18,10 @@ from .extremal import (Instance, gen_c6_blowup_example, gen_ktt_example,
 from .verify import CampaignReport, run_campaign
 
 __all__ = [
-    "BitMatrix", "matrix_pivot", "rank", "xor_rank",
-    "BiGraph", "DegreeStats", "Graph", "bipartite_complement", "blow_up",
+    "BitMatrix", "matrix_pivot", "rank",
+    "BiGraph", "DegreeStats", "Graph", "bipartite_complement",
     "degree_stats", "find_complete_bipartite", "is_c4_free", "vertex_connectivity",
-    "are_isomorphic", "is_pivot_minor", "pivot", "pivot_orbit",
+    "is_pivot_minor", "pivot", "pivot_orbit",
     "Separation", "cut_rank", "find_low_rank_separation",
     "BinaryMatroid", "MultiGraph", "SpanningTree", "change_basis", "circuits",
     "cographic_matroid", "connectivity_lambda", "graphic_matroid",

@@ -8,7 +8,6 @@ every graph is therefore 1-rank-connected.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -16,26 +15,7 @@ from .errors import SubsetCapExceeded
 from .gf2 import rank_bits
 from .graph import Graph
 
-HARD_SUBSET_CAP = 24
-_ENV_CAP = "PIVOTKIT_MAX_SUBSET_N"
-
-
-def subset_cap() -> int:
-    """The enumeration cap: 24 vertices, lowerable via PIVOTKIT_MAX_SUBSET_N.
-
-    Raises ValueError when the variable is set to anything but a
-    positive integer.
-    """
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return HARD_SUBSET_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{_ENV_CAP} must be a positive integer, got {raw!r}")
-    return min(cap, HARD_SUBSET_CAP)
+SUBSET_CAP = 24  # the most vertices or elements a subset search enumerates
 
 
 @dataclass(frozen=True)
@@ -126,9 +106,8 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
     count is over the enumeration cap.
     """
     n = g.n
-    cap = subset_cap()
-    if n > cap:
-        raise SubsetCapExceeded(f"{n} vertices exceeds the subset cap {cap}")
+    if n > SUBSET_CAP:
+        raise SubsetCapExceeded(f"{n} vertices exceeds the subset cap {SUBSET_CAP}")
     adj = g.adj
 
     def capped_cut_rank(members: list[int], out: int, lim: int) -> int:

@@ -37,37 +37,6 @@ class BitMatrix:
                     raise ValueError("row has bits outside the column range")
             self.rows = list(rows)
 
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]], ncols: int | None = None) -> "BitMatrix":
-        """Build from a list of 0/1 lists."""
-        nrows = len(entries)
-        if ncols is None:
-            ncols = len(entries[0]) if entries else 0
-        rows = []
-        for e in entries:
-            if len(e) != ncols:
-                raise ValueError("ragged rows")
-            bits = 0
-            for j, v in enumerate(e):
-                if v not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                bits |= v << j
-            rows.append(bits)
-        return cls(nrows, ncols, rows)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls(nrows, ncols)
-
-    @classmethod
-    def ones(cls, nrows: int, ncols: int) -> "BitMatrix":
-        full = (1 << ncols) - 1
-        return cls(nrows, ncols, [full] * nrows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError("matrix index out of range")
@@ -98,9 +67,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.ncols, self.nrows,
                          [self.column_bits(j) for j in range(self.ncols)])
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -162,11 +128,6 @@ def matrix_pivot(m: BitMatrix, x: int, y: int) -> BitMatrix:
         else:
             rows.append(row)
     return BitMatrix(m.nrows, m.ncols, rows)
-
-
-def xor_rank(m1: BitMatrix, m2: BitMatrix) -> int:
-    """Rank of m1 XOR m2; the perturbation order between two matrices."""
-    return rank(m1 ^ m2)
 
 
 def format_matrix(m: BitMatrix) -> str:

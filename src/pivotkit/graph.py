@@ -45,11 +45,6 @@ def _bfs(adj: list[int], root: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _independent(adj: list[int], mask: int) -> bool:
-    """True iff no edge has both ends in the vertex mask."""
-    return not any(adj[v] & mask for v in _bits(mask))
-
-
 class Graph:
     """A simple undirected graph on vertices 0..n-1 (no loops)."""
 
@@ -77,19 +72,11 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
-
     def edge_list(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
 
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
-
-    def copy(self) -> "Graph":
-        g = Graph(self.n)
-        g.adj = list(self.adj)
-        return g
 
     def delete_vertex(self, v: int) -> "Graph":
         """Remove v, relabelling vertices above v down by one."""
@@ -129,10 +116,6 @@ class Graph:
             raise ValueError("cycles need at least 3 vertices")
         return cls(n, [(i, (i + 1) % n) for i in range(n)])
 
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls(n, combinations(range(n), 2))
-
 
 class BiGraph:
     """A bipartite graph given by its biadjacency matrix.
@@ -153,9 +136,6 @@ class BiGraph:
     def nb(self) -> int:
         return self.biadj.ncols
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return self.biadj.get(i, j) == 1
-
     def degree_a(self, i: int) -> int:
         return self.biadj.rows[i].bit_count()
 
@@ -168,15 +148,6 @@ class BiGraph:
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.biadj.rows)
 
-    def to_graph(self) -> Graph:
-        """The same graph on vertices 0..na-1 (side A) then na..na+nb-1."""
-        g = Graph(self.na + self.nb)
-        for i, row in enumerate(self.biadj.rows):
-            g.adj[i] = row << self.na
-            for j in _bits(row):
-                g.adj[self.na + j] |= 1 << i
-        return g
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiGraph):
             return NotImplemented
@@ -187,14 +158,6 @@ class BiGraph:
 
     def __repr__(self) -> str:
         return f"BiGraph({self.na}+{self.nb}, m={self.num_edges()})"
-
-    @classmethod
-    def complete(cls, a: int, b: int) -> "BiGraph":
-        return cls(BitMatrix.ones(a, b))
-
-    @classmethod
-    def empty(cls, a: int, b: int) -> "BiGraph":
-        return cls(BitMatrix.zeros(a, b))
 
 
 @dataclass(frozen=True)
@@ -269,19 +232,6 @@ def is_c4_free(g: Graph) -> bool:
     return True
 
 
-def blow_up(g: Graph, k: int) -> Graph:
-    """Replace each vertex by k independent copies, joining copies of
-    adjacent vertices completely."""
-    if k < 1:
-        raise ValueError("blow-up factor must be at least 1")
-    out = Graph(g.n * k)
-    for u, v in g.edge_list():
-        for a in range(k):
-            for b in range(k):
-                out.add_edge(u * k + a, v * k + b)
-    return out
-
-
 def is_connected(g: Graph) -> bool:
     return g.n == 0 or len(_bfs(g.adj, 0)[0]) == g.n
 
@@ -352,44 +302,6 @@ def degree_stats(g) -> DegreeStats:
     return DegreeStats(min(degs), max(degs), Fraction(sum(degs), len(degs)))
 
 
-def bipartition(g: Graph) -> Optional[tuple[list[int], list[int]]]:
-    """Two-colour g; None if it is not bipartite.
-
-    Within each component the least vertex goes to side A, and every
-    other vertex goes to the side its BFS parent is not on.  Each
-    component's walk allocates an n-entry parent list, so c components
-    cost O(c * n): fine at the sizes bitmask graphs are meant for.
-    """
-    a = b = 0
-    left = (1 << g.n) - 1
-    while left:
-        order, parent = _bfs(g.adj, (left & -left).bit_length() - 1)
-        a |= 1 << order[0]
-        for w in order[1:]:
-            if b >> parent[w] & 1:
-                a |= 1 << w
-            else:
-                b |= 1 << w
-        left &= ~(a | b)
-    if not (_independent(g.adj, a) and _independent(g.adj, b)):
-        return None
-    return list(_bits(a)), list(_bits(b))
-
-
-def to_bigraph(g: Graph, side_a: list[int], side_b: list[int]) -> BiGraph:
-    """View g as a BiGraph over the given bipartition (must cover V(g))."""
-    if sorted(side_a + side_b) != list(range(g.n)):
-        raise ValueError("sides must partition the vertex set")
-    if not all(_independent(g.adj, sum(1 << v for v in side)) for side in (side_a, side_b)):
-        raise ValueError("edge inside one side: not bipartite for this split")
-    pos_b = {v: j for j, v in enumerate(side_b)}
-    m = BitMatrix.zeros(len(side_a), len(side_b))
-    for i, u in enumerate(side_a):
-        for w in _bits(g.adj[u]):
-            m.set(i, pos_b[w], 1)
-    return BiGraph(m)
-
-
 def format_graph(g: Graph) -> str:
     lines = [f"graph {g.n}"]
     for u, v in g.edge_list():
@@ -434,7 +346,7 @@ def parse_bigraph(text: str) -> BiGraph:
     if len(head) != 3 or head[0] != "bigraph":
         raise FormatError(f"bad bigraph header: {lines[0]!r}")
     try:
-        m = BitMatrix.zeros(int(head[1]), int(head[2]))
+        m = BitMatrix(int(head[1]), int(head[2]))
     except ValueError as exc:
         raise FormatError("bad side sizes") from exc
     for line in lines[1:]:

@@ -18,7 +18,7 @@ from .errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                      SubsetCapExceeded)
 from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank_bits
 from .graph import BiGraph, Graph
-from .cutrank import first_separation, subset_cap
+from .cutrank import SUBSET_CAP, first_separation
 
 CIRCUIT_ENUM_CAP = 16
 
@@ -109,9 +109,6 @@ class BinaryMatroid:
 
     def ground(self) -> frozenset[str]:
         return frozenset(self.basis) | frozenset(self.nonbasis)
-
-    def size(self) -> int:
-        return len(self.basis) + len(self.nonbasis)
 
     def row_of(self, x: str) -> int:
         try:
@@ -369,9 +366,8 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
     """
     elements = m.element_order()
     ne = len(elements)
-    cap = subset_cap()
-    if ne > cap:
-        raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {cap}")
+    if ne > SUBSET_CAP:
+        raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {SUBSET_CAP}")
     lam = connectivity_kernel(m)
 
     def capped_lambda(members: list[int], out: int, lim: int) -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
+from .cutrank import SUBSET_CAP
+from .errors import CapExceeded, NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
 from .graph import Graph
 
 
@@ -47,16 +48,24 @@ def pivot(g: Graph, x: int, y: int) -> Graph:
     return out
 
 
+def _check_host(g: Graph) -> None:
+    """Raise CapExceeded when g has more vertices than SUBSET_CAP."""
+    if g.n > SUBSET_CAP:
+        raise CapExceeded(f"{g.n} vertices exceeds the cap {SUBSET_CAP}")
+
+
 def pivot_orbit(g: Graph, max_size: int) -> list[Graph]:
     """Breadth-first closure of g under pivoting over all edges.
 
     Raises OrbitBudgetExceeded as soon as the orbit grows past max_size,
-    saying how many graphs were found and how deep, and ValueError when
-    max_size < 1.  Graphs are labeled; the orbit is returned in discovery
+    saying how many graphs were found and how deep, ValueError when
+    max_size < 1, and CapExceeded when g has more than SUBSET_CAP
+    vertices.  Graphs are labeled; the orbit is returned in discovery
     order.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
+    _check_host(g)
     seen = {g.key()}
     order = [g]
     frontier = [g]
@@ -216,11 +225,6 @@ def canonical_form(g: Graph, automorphisms: Optional[list[list[int]]] = None) ->
     return (n, best)
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: equal vertex counts and canonical forms."""
-    return g1.n == g2.n and canonical_form(g1) == canonical_form(g2)
-
-
 def _pairs(g: Graph, deletions: bool) -> list[tuple[int, int]]:
     """The search steps from g as pairs: (u, v) with u < v pivots the edge
     uv, in edge_list() order, and then, when deletions are allowed, (v, v)
@@ -267,7 +271,9 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
 
     Breadth-first search over canonical forms with a node budget; raises
     SearchBudgetExceeded when the budget runs out (result unknown, which
-    is deliberately distinct from False), and ValueError when budget < 1.
+    is deliberately distinct from False), ValueError when budget < 1, and
+    CapExceeded, before any search, when g has more than SUBSET_CAP
+    vertices.
     On success, returns the witness sequence of ("pivot", x, y) /
     ("delete", v) steps, each in the labels of the intermediate graph it
     applies to.  A state is expanded by one pivot per orbit of its edges
@@ -279,12 +285,14 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     those of the search that expands every successor.  Each labelled
     graph is canonicalised at most once: a repeat (pivoting an edge back
     gives the parent) was matched or seen already.  A frontier state keeps
-    its graph, its path and a mask of its n + m steps, and at most
+    its graph, its path and the maps canonical_form found for it; its
+    orbits are closed only when it is expanded.  At most
     1 + budget * (n + n(n-1)/2) labelled keys are kept for an n-vertex g,
     so the budget caps memory as well as time.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    _check_host(g)
     if h.n > g.n:
         return False, None
     target = canonical_form(h)
@@ -294,14 +302,15 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         return True, []
     seen = {start_key}
     met = {g.key()}
-    frontier = [(g, [], _orbit_firsts(g, autos, g.n > h.n))]
+    frontier = [(g, [], autos)]
     expanded = depth = 0
     while frontier:
-        nxt: list[tuple[Graph, list[tuple], int]] = []
-        for cur, path, keep in frontier:
+        nxt: list[tuple[Graph, list[tuple], list[list[int]]]] = []
+        for cur, path, cur_autos in frontier:
             expanded += 1
             if expanded > budget:
                 raise SearchBudgetExceeded(budget, expanded - 1, len(seen), depth)
+            keep = _orbit_firsts(cur, cur_autos, cur.n > h.n)
             for i, (u, v) in enumerate(_pairs(cur, cur.n > h.n)):
                 if not keep >> i & 1:
                     continue
@@ -317,7 +326,7 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
                 new_path = path + [("pivot", u, v) if u != v else ("delete", v)]
                 if nxt_g.n == h.n and k == target:
                     return True, new_path
-                nxt.append((nxt_g, new_path, _orbit_firsts(nxt_g, autos, nxt_g.n > h.n)))
+                nxt.append((nxt_g, new_path, autos))
         frontier = nxt
         depth += 1
     return False, None

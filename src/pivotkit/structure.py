@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import (DimensionMismatch, NotATree, PartitionInvalid,
                      TreeTooSmall)
@@ -275,31 +275,22 @@ def _next_free_tree(layout: list[int]):
     return out
 
 
+def _group_indices(keys: Iterable[int]) -> list[list[int]]:
+    """Indices with equal keys, one class each, in order of first appearance."""
+    classes: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return list(classes.values())
+
+
 def constant_block_partition(c: BitMatrix) -> BlockPartition:
     """Group equal rows and equal columns; every block is constant.
 
     The number of classes on each side is at most 2^rank(c), since all
     rows (columns) lie in the row (column) space.
     """
-    row_classes: list[list[int]] = []
-    row_index: dict[int, int] = {}
-    for i, r in enumerate(c.rows):
-        k = row_index.get(r)
-        if k is None:
-            row_index[r] = len(row_classes)
-            row_classes.append([i])
-        else:
-            row_classes[k].append(i)
-    col_classes: list[list[int]] = []
-    col_index: dict[int, int] = {}
-    for j in range(c.ncols):
-        bits = c.column_bits(j)
-        k = col_index.get(bits)
-        if k is None:
-            col_index[bits] = len(col_classes)
-            col_classes.append([j])
-        else:
-            col_classes[k].append(j)
+    row_classes = _group_indices(c.rows)
+    col_classes = _group_indices(c.column_bits(j) for j in range(c.ncols))
     tags = tuple(
         tuple("one" if c.get(rc[0], cc[0]) else "zero" for cc in col_classes)
         for rc in row_classes)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from ._text import content_lines
-from .cutrank import find_low_rank_separation, subset_cap
+from .cutrank import SUBSET_CAP, find_low_rank_separation
 from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid, TreeTooSmall,
                      UnknownCampaign)
 from .extremal import (Instance, _make_instance, format_instance, gen_c6_blowup_example,
@@ -425,13 +425,12 @@ class Param:
     """A campaign parameter's default and legal range.
 
     A value below ``low`` is a usage error (ValueError).  A value above
-    ``cap`` (an int, or a callable read when the campaign starts) is more
-    than the campaign can decide in bounded work (CapExceeded).  None
-    leaves that side open.
+    ``cap`` is more than the campaign can decide in bounded work
+    (CapExceeded).  None leaves that side open.
     """
     default: object
     low: int | None = None
-    cap: int | Callable[[], int] | None = None
+    cap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -482,7 +481,7 @@ _CAMPAIGNS = {
         _gen_pivot_matroid, _check_pivot_matroid,
         lambda w: (parse_matroid(_data(w)), w["x"], w["y"])),
     "conn-equiv": Campaign(
-        {"trials": Param(100, 1), "max_elements": Param(10, 2, subset_cap),
+        {"trials": Param(100, 1), "max_elements": Param(10, 2, SUBSET_CAP),
          "k_max": Param(4, 1)}, _gen_conn_equiv, _check_conn_equiv,
         lambda w: (parse_matroid(_data(w)), int(w["k_max"]))),
     # k = 1 and at most 12 vertices keep the exhaustive subgraph search
@@ -515,9 +514,8 @@ def _merge_params(name: str, declared: dict, params: dict | None) -> dict:
         if p.low is not None and merged[key] < p.low:
             raise ValueError(f"{name}: {key} must be at least {p.low}, got {merged[key]}")
     for key, p in declared.items():
-        cap = p.cap() if callable(p.cap) else p.cap
-        if cap is not None and merged[key] > cap:
-            raise CapExceeded(f"{name} caps {key} at {cap}, got {merged[key]}")
+        if p.cap is not None and merged[key] > p.cap:
+            raise CapExceeded(f"{name} caps {key} at {p.cap}, got {merged[key]}")
     return merged
 
 

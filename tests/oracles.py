@@ -3,6 +3,8 @@
 These deliberately avoid the code paths they validate: rank by row-space
 enumeration, biclique search by subset-pair enumeration, cycles by edge
 subset scanning, and fundamental matrices by GF(2) incidence solving.
+``blow_up`` builds the blown-up graphs that ``gen_c6_blowup_example``'s
+fundamental graphs are compared with.
 The separation searches are the earlier multi-pass versions: one pass
 per order over a memo of every value, with a cut-rank that re-indexes
 the complement columns bit by bit.  ``first_separation`` is the
@@ -26,7 +28,7 @@ the columns of [I|D] over every element subset.
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Optional
 
-from pivotkit.cutrank import Separation, subset_cap
+from pivotkit.cutrank import SUBSET_CAP, Separation
 from pivotkit.errors import (ElementNotFound, GroundSetTooLarge, NotAnEdge, NotATree,
                              SearchBudgetExceeded, SubsetCapExceeded, TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
@@ -51,9 +53,22 @@ def biclique_by_enumeration(g: BiGraph, s: int, t: int) -> bool:
             continue
         for rows in combinations(range(g.na), p):
             for cols in combinations(range(g.nb), q):
-                if all(g.has_edge(i, j) for i in rows for j in cols):
+                if all(g.biadj.get(i, j) for i in rows for j in cols):
                     return True
     return False
+
+
+def blow_up(g: Graph, k: int) -> Graph:
+    """Replace each vertex by k independent copies, joining copies of
+    adjacent vertices completely; vertex u's copies are uk..uk+k-1."""
+    if k < 1:
+        raise ValueError("blow-up factor must be at least 1")
+    out = Graph(g.n * k)
+    for u, v in g.edge_list():
+        for a in range(k):
+            for b in range(k):
+                out.add_edge(u * k + a, v * k + b)
+    return out
 
 
 def multigraph_cycles(mg: MultiGraph) -> frozenset[frozenset[str]]:
@@ -106,7 +121,7 @@ def fundamental_matrix_by_solving(mg: MultiGraph, tree: SpanningTree):
             return 0
         return (1 << u) | (1 << v)
 
-    d = BitMatrix.zeros(len(tree_labels), len(cotree_labels))
+    d = BitMatrix(len(tree_labels), len(cotree_labels))
     nt = len(tree_labels)
     for j, lab in enumerate(cotree_labels):
         # Gaussian elimination on [tree columns | target] over GF(2).
@@ -191,9 +206,8 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
     the vertex count is over the enumeration cap.
     """
     n = g.n
-    cap = subset_cap()
-    if n > cap:
-        raise SubsetCapExceeded(f"{n} vertices exceeds the subset cap {cap}")
+    if n > SUBSET_CAP:
+        raise SubsetCapExceeded(f"{n} vertices exceeds the subset cap {SUBSET_CAP}")
     # Cache cut-ranks: each partition is visited once per l.
     cache: dict[int, int] = {}
 
@@ -296,9 +310,8 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
     """
     elements = m.element_order()
     ne = len(elements)
-    cap = subset_cap()
-    if ne > cap:
-        raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {cap}")
+    if ne > SUBSET_CAP:
+        raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {SUBSET_CAP}")
     cache: dict[frozenset[str], int] = {}
 
     def lam(xs: frozenset[str]) -> int:

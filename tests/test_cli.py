@@ -16,7 +16,7 @@ from pivotkit.extremal import format_instance, gen_ktt_example
 from pivotkit.gf2 import BitMatrix, parse_matrix
 from pivotkit.graph import Graph, format_graph, parse_bigraph, parse_graph
 from pivotkit.matroid import BinaryMatroid, format_matroid, parse_matroid, parse_multigraph
-from pivotkit.verify import campaign_names, run_campaign
+from pivotkit.verify import _CAMPAIGNS, _merge_params, campaign_names, run_campaign
 
 
 def run(argv, stdin=""):
@@ -144,16 +144,6 @@ class TestExitCodes:
         code, out = run(["matroid", "connectivity", "-", "--", k], stdin=mat)
         assert code == EXIT_USAGE and out == ""
 
-    @pytest.mark.parametrize("raw", ["abc", "-1", "0"])
-    def test_bad_subset_cap_env_is_usage(self, monkeypatch, raw):
-        monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", raw)
-        code, _ = run(["rankconn", "-", "2"], stdin=format_graph(Graph.cycle(4)))
-        assert code == EXIT_USAGE
-        _, doc = run(["gen", "ktt", "3"])
-        _, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
-        code, _ = run(["matroid", "connectivity", "-", "2"], stdin=mat)
-        assert code == EXIT_USAGE
-
     def test_parse_error_is_usage(self):
         code, _ = run(["cutrank", "-", "--set", "0"], stdin="nonsense\n")
         assert code == EXIT_USAGE
@@ -172,7 +162,7 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_budget_exit(self):
-        h = format_graph(Graph.complete(3))
+        h = format_graph(Graph.cycle(3))
         g = format_graph(Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)]))
         import tempfile, os
         with tempfile.TemporaryDirectory() as d:
@@ -197,13 +187,23 @@ class TestExitCodes:
 
     def test_budget_exit_reports_progress_on_stderr(self, tmp_path, capsys):
         hp, gp = tmp_path / "h", tmp_path / "g"
-        hp.write_text(format_graph(Graph.complete(3)))
+        hp.write_text(format_graph(Graph.cycle(3)))
         gp.write_text(format_graph(Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5),
                                              (2, 5), (2, 3)])))
         code, out = run(["pivotminor", str(hp), str(gp), "--budget", "2"])
         assert code == EXIT_BUDGET and out == ""
         err = capsys.readouterr().err
         assert "expanded=2" in err and "classes=" in err and "depth=1" in err
+
+    def test_pivotminor_host_over_the_subset_cap_is_budget(self, tmp_path, capsys):
+        hp, gp = tmp_path / "h", tmp_path / "g"
+        hp.write_text(format_graph(Graph.path(3)))
+        gp.write_text(format_graph(Graph.path(40)))
+        start = time.perf_counter()
+        code, out = run(["pivotminor", str(hp), str(gp), "--budget", str(10 ** 12)])
+        assert code == EXIT_BUDGET and out == ""
+        assert time.perf_counter() - start < 1.0
+        assert "40 vertices exceeds the cap 24" in capsys.readouterr().err
 
     def test_pivotminor_refute(self, tmp_path):
         hp = tmp_path / "h"
@@ -228,20 +228,21 @@ class TestExitCodes:
         code, out = run(["check"] + argv)
         assert code == EXIT_BUDGET and out == ""
 
-    def test_conn_equiv_over_subset_cap_exits_before_any_trial(self, monkeypatch):
+    def test_conn_equiv_over_subset_cap_exits_before_any_trial(self):
         start = time.perf_counter()
-        code, out = run(["check", "conn-equiv", "--max-elements", "40", "--trials", "1"])
-        assert code == EXIT_BUDGET and out == ""
+        for max_elements in ("25", "40"):
+            code, out = run(["check", "conn-equiv", "--max-elements", max_elements,
+                             "--trials", "1"])
+            assert code == EXIT_BUDGET and out == ""
         assert time.perf_counter() - start < 1.0
-        monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", "8")
-        code, _ = run(["check", "conn-equiv", "--max-elements", "9", "--trials", "1"])
-        assert code == EXIT_BUDGET
-        code, _ = run(["check", "conn-equiv", "--max-elements", "8", "--trials", "1"])
-        assert code == EXIT_OK
+        # The cap itself is legal; checking it runs no trial.
+        params = _merge_params("conn-equiv", _CAMPAIGNS["conn-equiv"].params,
+                               {"max_elements": 24})
+        assert params["max_elements"] == 24
 
     def test_circuits_over_cap_is_budget(self, capsys):
         m = BinaryMatroid([f"b{i}" for i in range(9)], [f"c{j}" for j in range(8)],
-                          BitMatrix.zeros(9, 8))
+                          BitMatrix(9, 8))
         code, out = run(["matroid", "circuits", "-"], stdin=format_matroid(m))
         assert (code, out) == (EXIT_BUDGET, "")
         assert "17 elements exceeds cap 16" in capsys.readouterr().err

@@ -1,12 +1,15 @@
+import importlib.util
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pivotkit.cutrank
-from pivotkit.cutrank import (HARD_SUBSET_CAP, Separation, cut_rank,
-                              find_low_rank_separation, subset_cap)
+from pivotkit.cutrank import (SUBSET_CAP, Separation, cut_rank,
+                              find_low_rank_separation)
 from pivotkit.errors import SubsetCapExceeded
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
 from pivotkit.graph import Graph
@@ -18,7 +21,7 @@ def cut_rank_by_matrix(g, xs):
     """Oracle: build the X-by-complement submatrix explicitly and rank it."""
     xs = sorted(xs)
     comp = [v for v in range(g.n) if v not in xs]
-    m = BitMatrix.zeros(len(xs), len(comp))
+    m = BitMatrix(len(xs), len(comp))
     for i, u in enumerate(xs):
         for j, v in enumerate(comp):
             if g.has_edge(u, v):
@@ -31,12 +34,12 @@ class TestCutRank:
         assert cut_rank(Graph.cycle(4), [0, 1]) == 2
 
     def test_empty_and_full_sides(self):
-        g = Graph.complete(4)
+        g = Graph(4, combinations(range(4), 2))
         assert cut_rank(g, []) == 0
         assert cut_rank(g, range(4)) == 0
 
     def test_complete_graph_any_split_is_one(self):
-        g = Graph.complete(5)
+        g = Graph(5, combinations(range(5), 2))
         for r in range(1, 5):
             for xs in combinations(range(5), r):
                 assert cut_rank(g, xs) == 1
@@ -93,21 +96,31 @@ class TestFindLowRankSeparation:
         s2 = find_low_rank_separation(g, 3)
         assert s1 == s2
 
-    def test_subset_cap_env(self, monkeypatch):
-        monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", "4")
-        assert subset_cap() == 4
-        with pytest.raises(SubsetCapExceeded):
-            find_low_rank_separation(Graph.cycle(5), 2)
+    def test_subset_cap_edge(self):
+        """24 vertices are searched; 25 raise before any subset is ranked,
+        whatever k is."""
+        assert find_low_rank_separation(Graph(SUBSET_CAP), 2) == Separation((0,), 1, 0)
+        for k in (2, 10 ** 6):
+            with pytest.raises(SubsetCapExceeded, match="25 vertices exceeds the subset cap 24"):
+                find_low_rank_separation(Graph.cycle(SUBSET_CAP + 1), k)
 
-    @pytest.mark.parametrize("raw", ["abc", "-1", "0", ""])
-    def test_subset_cap_env_must_be_a_positive_integer(self, monkeypatch, raw):
-        monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", raw)
-        with pytest.raises(ValueError, match="PIVOTKIT_MAX_SUBSET_N"):
-            find_low_rank_separation(Graph.cycle(4), 2)
-
-    def test_env_cannot_raise_cap(self, monkeypatch):
-        monkeypatch.setenv("PIVOTKIT_MAX_SUBSET_N", "99")
-        assert subset_cap() == HARD_SUBSET_CAP
+    def test_pinned_bench_queries(self):
+        """Every pooled certify unit of the benchmark keeps its pinned
+        separation, and each witness passes the bench's own rank check."""
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                      bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        pins = json.loads((bench / "pins.json").read_text())["certify"]
+        certify = workloads.Certify()
+        pool = certify.pool()
+        assert len(pool) == len(pins) == 192
+        for unit in pool:
+            inputs = certify.prepare(unit)
+            sep = certify.run(inputs)
+            assert certify.record(sep) == pins[certify.key(unit)], unit
+            assert certify.recheck(inputs, sep) is None, unit
 
     def test_small_sides_not_counted(self):
         # A pendant vertex has cut-rank 1, which only violates order >= 2,
@@ -177,7 +190,7 @@ class TestMatchesSinglePassOracle:
            for n in (14, 16) for p in (0.5, 0.08) for s in (0, 1)},
         "C16": Graph.cycle(16),
         "P16": Graph.path(16),
-        "K16": Graph.complete(16),
+        "K16": Graph(16, combinations(range(16), 2)),
         "grid 4x4": GRID,
         "K8,8": Graph(16, [(i, 8 + j) for i in range(8) for j in range(8)]),
         "empty 16": Graph(16),

@@ -3,9 +3,14 @@ from hypothesis import given, strategies as st
 
 from pivotkit.errors import DimensionMismatch, PivotOnZero
 from pivotkit.gf2 import (BitMatrix, format_matrix, matrix_pivot, parse_matrix,
-                          rank, rank_bits, xor_rank)
+                          rank, rank_bits)
 
 from oracles import rank_by_span
+
+
+def mat(*rows):
+    """The matrix whose rows are the given 0/1 strings."""
+    return parse_matrix(f"matrix {len(rows)} {len(rows[0])}\n" + "\n".join(rows))
 
 
 def bitmatrices(max_dim=5):
@@ -18,19 +23,19 @@ def bitmatrices(max_dim=5):
 
 class TestRank:
     def test_identity(self):
-        assert rank(BitMatrix.identity(3)) == 3
+        assert rank(BitMatrix(3, 3, [1, 2, 4])) == 3
 
     def test_all_ones(self):
-        assert rank(BitMatrix.ones(4, 5)) == 1
+        assert rank(BitMatrix(4, 5, [0b11111] * 4)) == 1
 
     def test_dependent_rows(self):
         # rows XOR to zero, so only two are independent
-        m = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        m = mat("110", "011", "101")
         assert rank(m) == rank_by_span(m) == 2
 
     def test_empty(self):
-        assert rank(BitMatrix.zeros(0, 3)) == 0
-        assert rank(BitMatrix.zeros(3, 0)) == 0
+        assert rank(BitMatrix(0, 3)) == 0
+        assert rank(BitMatrix(3, 0)) == 0
 
     @given(bitmatrices())
     def test_matches_span_oracle(self, m):
@@ -47,20 +52,20 @@ class TestRank:
 
 class TestMatrixPivot:
     def test_one_by_one(self):
-        m = BitMatrix.from_rows([[1]])
+        m = mat("1")
         assert matrix_pivot(m, 0, 0) == m
 
     def test_entrywise_formula(self):
-        m = BitMatrix.from_rows([[1, 1], [1, 0]])
-        assert matrix_pivot(m, 0, 0).to_lists() == [[1, 1], [1, 1]]
+        m = mat("11", "10")
+        assert matrix_pivot(m, 0, 0) == mat("11", "11")
 
     def test_involution_of_previous(self):
-        m = BitMatrix.from_rows([[1, 1], [1, 1]])
-        assert matrix_pivot(m, 0, 0).to_lists() == [[1, 1], [1, 0]]
+        m = mat("11", "11")
+        assert matrix_pivot(m, 0, 0) == mat("11", "10")
 
     def test_pivot_on_zero_raises(self):
         with pytest.raises(PivotOnZero):
-            matrix_pivot(BitMatrix.from_rows([[0, 1], [1, 0]]), 0, 0)
+            matrix_pivot(mat("01", "10"), 0, 0)
 
     def test_involution_exhaustive_3x3(self):
         for bits in range(1 << 9):
@@ -71,46 +76,47 @@ class TestMatrixPivot:
                         assert matrix_pivot(matrix_pivot(m, x, y), x, y) == m
 
     def test_preserves_pivot_row_and_column(self):
-        m = BitMatrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+        m = mat("101", "110", "011")
         p = matrix_pivot(m, 1, 1)
         assert [p.get(1, j) for j in range(3)] == [m.get(1, j) for j in range(3)]
         assert [p.get(i, 1) for i in range(3)] == [m.get(i, 1) for i in range(3)]
 
 
 class TestXorRank:
+    """rank(m1 ^ m2), the perturbation order between two matrices."""
+
     def test_self_difference(self):
-        m = BitMatrix.from_rows([[1, 0], [1, 1]])
-        assert xor_rank(m, m) == 0
+        m = mat("10", "11")
+        assert rank(m ^ m) == 0
 
     def test_all_ones_difference(self):
-        assert xor_rank(BitMatrix.zeros(2, 3), BitMatrix.ones(2, 3)) == 1
+        assert rank(BitMatrix(2, 3) ^ mat("111", "111")) == 1
 
     def test_swap_matrix(self):
-        m1 = BitMatrix.from_rows([[1, 0], [0, 1]])
-        m2 = BitMatrix.from_rows([[0, 1], [1, 0]])
-        assert xor_rank(m1, m2) == 1
+        assert rank(mat("10", "01") ^ mat("01", "10")) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            xor_rank(BitMatrix.zeros(2, 2), BitMatrix.zeros(2, 3))
+            BitMatrix(2, 2) ^ BitMatrix(2, 3)
 
     @given(bitmatrices(4), bitmatrices(4))
     def test_symmetry_and_zero_iff_equal(self, m1, m2):
         if (m1.nrows, m1.ncols) != (m2.nrows, m2.ncols):
             return
-        assert xor_rank(m1, m2) == xor_rank(m2, m1)
-        assert (xor_rank(m1, m2) == 0) == (m1 == m2)
+        assert rank(m1 ^ m2) == rank(m2 ^ m1)
+        assert (rank(m1 ^ m2) == 0) == (m1 == m2)
 
 
 class TestFormat:
     def test_round_trip(self):
-        m = BitMatrix.from_rows([[1, 0, 1], [0, 0, 1]])
+        m = BitMatrix(2, 3, [0b101, 0b100])
+        assert format_matrix(m) == "matrix 2 3\n101\n001\n"
         assert parse_matrix(format_matrix(m)) == m
 
     def test_comments_ignored(self):
         text = "# comment\nmatrix 1 2\n10\n"
-        assert parse_matrix(text) == BitMatrix.from_rows([[1, 0]])
+        assert parse_matrix(text) == BitMatrix(1, 2, [0b01])
 
     def test_empty_matrix_round_trip(self):
-        m = BitMatrix.zeros(0, 0)
+        m = BitMatrix(0, 0)
         assert parse_matrix(format_matrix(m)) == m

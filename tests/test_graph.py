@@ -4,29 +4,31 @@ from itertools import combinations
 import pytest
 
 from pivotkit.gf2 import BitMatrix
-from pivotkit.graph import (BiGraph, Graph, bipartite_complement, bipartition,
-                            blow_up, degree_stats, find_complete_bipartite,
-                            format_bigraph, format_graph, is_c4_free, is_connected,
-                            parse_bigraph, parse_graph, to_bigraph,
+from pivotkit.graph import (BiGraph, Graph, bipartite_complement, degree_stats,
+                            find_complete_bipartite, format_bigraph, format_graph,
+                            is_c4_free, is_connected, parse_bigraph, parse_graph,
                             vertex_connectivity)
 
-from oracles import biclique_by_enumeration
+from oracles import biclique_by_enumeration, blow_up
 from oracles import vertex_connectivity as vertex_connectivity_all_pairs
 
 
 def c6_bigraph():
     # 6-cycle a0 b0 a1 b1 a2 b2: each a_i adjacent to b_i and b_{i-1}
-    m = BitMatrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
-    return BiGraph(m)
+    return BiGraph(BitMatrix(3, 3, [0b101, 0b011, 0b110]))
+
+
+def complete_bigraph(a, b):
+    return BiGraph(BitMatrix(a, b, [(1 << b) - 1] * a))
 
 
 class TestBipartiteComplement:
     def test_complete_becomes_edgeless(self):
-        g = bipartite_complement(BiGraph.complete(2, 3))
+        g = bipartite_complement(complete_bigraph(2, 3))
         assert g.num_edges() == 0
 
     def test_edgeless_becomes_complete(self):
-        assert bipartite_complement(BiGraph.empty(2, 2)) == BiGraph.complete(2, 2)
+        assert bipartite_complement(BiGraph(BitMatrix(2, 2))) == complete_bigraph(2, 2)
 
     def test_c6_becomes_matching(self):
         g = bipartite_complement(c6_bigraph())
@@ -39,29 +41,24 @@ class TestBipartiteComplement:
         assert bipartite_complement(bipartite_complement(g)) == g
 
 
-class TestToBigraph:
-    def test_edge_inside_either_side_is_rejected(self):
-        g = Graph.path(3)
-        for sides in (([0, 1], [2]), ([0], [1, 2])):
-            with pytest.raises(ValueError, match="edge inside one side"):
-                to_bigraph(g, *sides)
-        assert format_bigraph(to_bigraph(g, [0, 2], [1])) == "bigraph 2 1\n0 0\n1 0\n"
-
-
 class TestFindCompleteBipartite:
     def test_k44_has_no_k25(self):
-        assert find_complete_bipartite(BiGraph.complete(4, 4), 2, 5) is None
+        assert find_complete_bipartite(complete_bigraph(4, 4), 2, 5) is None
 
     def test_k22_found_in_k22(self):
-        w = find_complete_bipartite(BiGraph.complete(2, 2), 2, 2)
+        w = find_complete_bipartite(complete_bigraph(2, 2), 2, 2)
         assert w is not None
         assert sorted(w.s_set) == [0, 1] and sorted(w.t_set) == [0, 1]
 
     def test_c6_blowup_cases(self):
+        # The copies of C6's even vertices are the rows, those of its odd
+        # vertices the columns.
         g = blow_up(Graph.cycle(6), 3)
-        sides = bipartition(g)
-        assert sides is not None
-        bg = to_bigraph(g, *sides)
+        side_a = [v for v in range(g.n) if v // 3 % 2 == 0]
+        side_b = [v for v in range(g.n) if v // 3 % 2 == 1]
+        bg = BiGraph(BitMatrix(9, 9, [sum(1 << j for j, w in enumerate(side_b)
+                                          if g.has_edge(u, w)) for u in side_a]))
+        assert bg.num_edges() == g.num_edges()
         assert find_complete_bipartite(bg, 4, 4) is None
         w = find_complete_bipartite(bg, 3, 6)
         assert w is not None
@@ -82,9 +79,9 @@ class TestFindCompleteBipartite:
         w = find_complete_bipartite(g, 1, 2)
         assert w is not None
         if w.s_side == "A":
-            assert all(g.has_edge(i, j) for i in w.s_set for j in w.t_set)
+            assert all(g.biadj.get(i, j) for i in w.s_set for j in w.t_set)
         else:
-            assert all(g.has_edge(i, j) for j in w.s_set for i in w.t_set)
+            assert all(g.biadj.get(i, j) for j in w.s_set for i in w.t_set)
 
 
 class TestC4Free:
@@ -105,7 +102,8 @@ class TestC4Free:
             na, nb = rng.randint(2, 5), rng.randint(2, 5)
             m = BitMatrix(na, nb, [rng.randrange(1 << nb) for _ in range(na)])
             bg = BiGraph(m)
-            assert is_c4_free(bg.to_graph()) == (find_complete_bipartite(bg, 2, 2) is None)
+            as_graph = Graph(na + nb, [(i, na + j) for i, j in bg.edges()])
+            assert is_c4_free(as_graph) == (find_complete_bipartite(bg, 2, 2) is None)
 
 
 class TestBlowUp:
@@ -134,7 +132,7 @@ class TestBlowUp:
 
 class TestVertexConnectivity:
     def test_complete(self):
-        assert vertex_connectivity(Graph.complete(5)) == 4
+        assert vertex_connectivity(Graph(5, combinations(range(5), 2))) == 4
 
     def test_cycle(self):
         assert vertex_connectivity(Graph.cycle(5)) == 2
@@ -178,10 +176,9 @@ class TestVertexConnectivity:
         assert vertex_connectivity(g) == vertex_connectivity_all_pairs(g) == 1
 
     def test_matches_networkx(self):
-        """Connectivity, bipartition and vertex connectivity against
-        networkx on every labelled graph with 2-5 vertices and on seeded
-        4-12-vertex graphs drawn like rankconn-lemma's (about half are
-        C4-free)."""
+        """Connectivity and vertex connectivity against networkx on every
+        labelled graph with 2-5 vertices and on seeded 4-12-vertex graphs
+        drawn like rankconn-lemma's (about half are C4-free)."""
         import random
         import networkx as nx
         graphs = []
@@ -207,19 +204,11 @@ class TestVertexConnectivity:
             h.add_edges_from(g.edge_list())
             assert vertex_connectivity(g) == nx.node_connectivity(h)
             assert is_connected(g) == nx.is_connected(h)
-            sides = bipartition(g)
-            assert (sides is not None) == nx.is_bipartite(h)
-            if sides is not None:
-                a, b = sides
-                assert sorted(a + b) == list(range(g.n))
-                assert not any(g.has_edge(u, v)
-                               for side in sides for u, v in combinations(side, 2))
-                assert all(min(c) in a for c in nx.connected_components(h))
 
 
 class TestDegreeStats:
     def test_k44(self):
-        st = degree_stats(BiGraph.complete(4, 4))
+        st = degree_stats(complete_bigraph(4, 4))
         assert (st.min_degree, st.max_degree, st.average_degree) == (4, 4, 4)
 
     def test_edgeless(self):

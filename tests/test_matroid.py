@@ -4,9 +4,10 @@ from collections import Counter
 import pytest
 
 from pivotkit import matroid
-from pivotkit.cutrank import cut_rank
+from pivotkit.cutrank import SUBSET_CAP, cut_rank
 from pivotkit.errors import (ElementNotFound, FormatError, GroundSetTooLarge,
-                             NotASpanningTree, NotConnected, PivotOnZero)
+                             NotASpanningTree, NotConnected, PivotOnZero,
+                             SubsetCapExceeded)
 from pivotkit.extremal import gen_c6_blowup_example, gen_ktt_example
 from pivotkit.gf2 import BitMatrix, rank
 from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
@@ -16,7 +17,7 @@ from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
                               fundamental_matrix, graphic_matroid,
                               is_k_connected, minor, parse_matroid,
                               parse_multigraph)
-from pivotkit.pivot import are_isomorphic, pivot
+from pivotkit.pivot import pivot
 from pivotkit.verify import _random_matroid
 
 from oracles import circuits as circuits_by_power_set
@@ -55,17 +56,17 @@ class TestFundamentalMatrix:
         mg, t = triangle()
         d, rows, cols = fundamental_matrix(mg, t)
         assert rows == ["e0", "e1"] and cols == ["e2"]
-        assert d.to_lists() == [[1], [1]]
+        assert d == BitMatrix(2, 1, [1, 1])
 
     def test_loop_gives_zero_column(self):
         mg = MultiGraph(2, [("t", 0, 1), ("l", 1, 1)])
         d, rows, cols = fundamental_matrix(mg, SpanningTree(frozenset({"t"})))
-        assert cols == ["l"] and d.to_lists() == [[0]]
+        assert cols == ["l"] and d == BitMatrix(1, 1)
 
     def test_parallel_edge(self):
         mg = MultiGraph(2, [("t", 0, 1), ("p", 0, 1)])
         d, _, _ = fundamental_matrix(mg, SpanningTree(frozenset({"t"})))
-        assert d.to_lists() == [[1]]
+        assert d == BitMatrix(1, 1, [1])
 
     def test_matches_incidence_solving_oracle(self):
         rng = random.Random(23)
@@ -90,7 +91,7 @@ class TestFundamentalMatrix:
         monkeypatch.setattr(matroid, "_walk", counting)
         mg = MultiGraph(4, [("e0", 0, 1), ("f", 0, 3), ("e1", 1, 2), ("e2", 2, 3), ("l", 2, 2)])
         d, _, _ = fundamental_matrix(mg, SpanningTree(frozenset({"e0", "e1", "e2"})))
-        assert d.to_lists() == [[1, 0], [1, 0], [1, 0]]
+        assert d == BitMatrix(3, 2, [1, 1, 1])
         assert calls == [3]  # the tree edges only
 
     def test_not_connected(self):
@@ -186,14 +187,14 @@ class TestCircuits:
         pg = self.from_columns([1, 2, 4, 8] + [v for v in range(1, 16) if v & (v - 1)])
         ag = self.from_columns([1, 2, 4, 8, 16] + [v | (v.bit_count() + 1) % 2 << 4
                                                    for v in range(16) if v & (v - 1)])
-        assert (pg.size(), ag.size()) == (15, 16)
+        assert (len(pg.ground()), len(ag.ground())) == (15, 16)
         for m, sizes in ((pg, {3: 35, 4: 105, 5: 168}), (ag, {4: 140, 6: 448})):
             got = circuits(m)
             assert got == circuits_by_power_set(m)
             assert Counter(map(len, got)) == sizes
 
     def test_cap(self):
-        rep = BitMatrix.zeros(9, 8)
+        rep = BitMatrix(9, 8)
         m = BinaryMatroid([f"b{i}" for i in range(9)],
                           [f"c{j}" for j in range(8)], rep)
         with pytest.raises(GroundSetTooLarge):
@@ -380,7 +381,7 @@ class TestConnectivity:
         matroids = []
         for _ in range(60):
             m = _random_matroid(rng, 9)
-            names = rng.sample("abcdefghijklmnopqrstuvwxyz", m.size())
+            names = rng.sample("abcdefghijklmnopqrstuvwxyz", len(m.ground()))
             matroids.append(BinaryMatroid(names[:len(m.basis)], names[len(m.basis):], m.rep))
         for _ in range(4):
             nr = rng.randint(3, 5)
@@ -411,6 +412,14 @@ class TestConnectivity:
         assert witness is not None
         lam = connectivity_lambda(m, witness)
         assert lam < 2 and len(witness) >= lam + 1
+
+    def test_is_k_connected_subset_cap_edge(self):
+        labels = [f"e{i:02}" for i in range(SUBSET_CAP + 1)]
+        m = BinaryMatroid(labels[:12], labels[12:], BitMatrix(12, 13))
+        with pytest.raises(SubsetCapExceeded, match="25 elements exceeds the subset cap 24"):
+            is_k_connected(m, 2)
+        m = BinaryMatroid(labels[:12], labels[12:-1], BitMatrix(12, 12))
+        assert is_k_connected(m, 2) == (False, frozenset({"e00"}))
 
     def test_is_k_connected_matches_multi_pass_oracle(self):
         # Random graphs give witnesses of order 1 and 2; the C6 blow-up

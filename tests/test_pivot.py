@@ -9,11 +9,13 @@ import networkx as nx
 import pytest
 
 import oracles
-from pivotkit.cutrank import cut_rank
-from pivotkit.errors import NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
-from pivotkit.graph import Graph, bipartition, blow_up
-from pivotkit.pivot import (are_isomorphic, canonical_form, is_pivot_minor,
-                            pivot, pivot_orbit)
+from pivotkit.cutrank import SUBSET_CAP, cut_rank
+from pivotkit.errors import (CapExceeded, NotAnEdge, OrbitBudgetExceeded,
+                             SearchBudgetExceeded)
+from pivotkit.graph import Graph
+from pivotkit.pivot import canonical_form, is_pivot_minor, pivot, pivot_orbit
+
+from oracles import blow_up
 
 
 def all_graphs(n):
@@ -27,6 +29,10 @@ def to_nx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edge_list())
     return h
+
+
+def complete(n):
+    return Graph(n, combinations(range(n), 2))
 
 
 def relabel(g, perm):
@@ -50,8 +56,9 @@ def multipartite(sizes):
 def with_true_twin(g, v):
     """g plus a new vertex joined to v and to every neighbour of v."""
     h = Graph(g.n + 1, g.edge_list())
-    for u in [v] + g.neighbors(v):
-        h.add_edge(u, g.n)
+    for u in range(g.n):
+        if u == v or g.has_edge(u, v):
+            h.add_edge(u, g.n)
     return h
 
 
@@ -129,7 +136,7 @@ class TestPivot:
         rng = random.Random(37)
         graphs = [g for n in range(2, 6) for g in all_graphs(n)]
         graphs += [gnp(rng, 8, rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
-        graphs.append(Graph.complete(24))
+        graphs.append(complete(24))
         for g in graphs:
             for u, v in g.edge_list():
                 assert pivot(g, u, v) == oracles.pivot(g, u, v)
@@ -137,11 +144,11 @@ class TestPivot:
 
     def test_bipartite_preserved_and_cutranks(self):
         for g in all_graphs(5):
-            if bipartition(g) is None:
+            if not nx.is_bipartite(to_nx(g)):
                 continue
             for u, v in g.edge_list():
                 p = pivot(g, u, v)
-                assert bipartition(p) is not None
+                assert nx.is_bipartite(to_nx(p))
                 # every cut-rank value is preserved
                 for mask in range(1 << g.n):
                     xs = [w for w in range(g.n) if (mask >> w) & 1]
@@ -180,26 +187,30 @@ class TestPivotOrbit:
         with pytest.raises(ValueError):
             pivot_orbit(Graph(2, [(0, 1)]), max_size)
 
+    def test_host_over_the_subset_cap(self):
+        assert pivot_orbit(Graph(SUBSET_CAP), 1) == [Graph(SUBSET_CAP)]
+        with pytest.raises(CapExceeded, match="25 vertices exceeds the cap 24"):
+            pivot_orbit(Graph.path(SUBSET_CAP + 1), 10 ** 12)
+
     def test_bipartite_orbit_stays_bipartite(self):
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
         for h in pivot_orbit(g, 500):
-            assert bipartition(h) is not None
+            assert nx.is_bipartite(to_nx(h))
 
 
 class TestIsomorphism:
     def test_relabeled_path(self):
         g1 = Graph(3, [(0, 1), (1, 2)])
         g2 = Graph(3, [(1, 2), (0, 2)])
-        assert are_isomorphic(g1, g2)
+        assert canonical_form(g1) == canonical_form(g2)
 
     def test_path_vs_triangle(self):
-        assert not are_isomorphic(Graph(3, [(0, 1), (1, 2)]), Graph.complete(3))
+        assert canonical_form(Graph(3, [(0, 1), (1, 2)])) != canonical_form(complete(3))
 
     def test_degree_sequence_prune(self):
         c6 = Graph.cycle(6)
-        from pivotkit.graph import blow_up
         k2_blown = blow_up(Graph(2, [(0, 1)]), 2)  # C4, 4 vertices
-        assert not are_isomorphic(c6, k2_blown)
+        assert canonical_form(c6) != canonical_form(k2_blown)
 
     def test_canonical_form_invariant_under_relabeling(self):
         import random
@@ -248,16 +259,16 @@ class TestIsomorphism:
         rng = random.Random(17)
         hosts = [gnp(rng, n, p) for n in range(7, 11) for p in (0.3, 0.5, 0.7)]
         # The symmetric ones took the ordering search up to 36 s each.
-        symmetric = [Graph.cycle(10), k_nn(5), Graph.complete(10), Graph(12)]
+        symmetric = [Graph.cycle(10), k_nn(5), complete(10), Graph(12)]
         # Every vertex has a twin, and then regular graphs with twins whose
         # one degree cell holds several orbits, where a wrong swap would
         # prune the child that leads to the least leaf.
         c3_c4 = disjoint_union(Graph.cycle(3), Graph.cycle(4))
-        k33_k4 = disjoint_union(k_nn(3), Graph.complete(4))
-        twin_rich = [Graph(24), Graph.complete(24), k_nn(12),
-                     disjoint_union(*[Graph.complete(3)] * 8), blow_up(Graph.cycle(6), 4),
+        k33_k4 = disjoint_union(k_nn(3), complete(4))
+        twin_rich = [Graph(24), complete(24), k_nn(12),
+                     disjoint_union(*[complete(3)] * 8), blow_up(Graph.cycle(6), 4),
                      c3_c4, complement(c3_c4), blow_up(c3_c4, 2), k33_k4, complement(k33_k4),
-                     disjoint_union(k_nn(2), Graph.complete(3), Graph.complete(3))]
+                     disjoint_union(k_nn(2), complete(3), complete(3))]
         for g in hosts + symmetric + twin_rich:
             form = canonical_form(g)
             for _ in range(3):
@@ -321,6 +332,7 @@ class TestIsomorphism:
         transitive = [Graph.cycle(8), k_nn(4), petersen(), blow_up(Graph.cycle(6), 4), prism(5)]
         graphs = twin_heavy(rng) + transitive
         graphs += [relabel(g, shuffled(rng, g.n)) for g in graphs]
+        transitive_forms = {canonical_form(t) for t in transitive}
         for g in graphs:
             autos = []
             assert canonical_form(g, autos) == canonical_form(g)
@@ -329,7 +341,7 @@ class TestIsomorphism:
             for a in autos:
                 assert sorted(a) == list(range(g.n))
                 assert {(min(a[u], a[v]), max(a[u], a[v])) for u, v in edges} == edges
-            if any(are_isomorphic(g, t) for t in transitive):
+            if canonical_form(g) in transitive_forms:
                 orbit, stack = {0}, [0]
                 while stack:
                     u = stack.pop()
@@ -340,6 +352,8 @@ class TestIsomorphism:
                 assert len(orbit) == g.n
 
     def test_are_isomorphic_agrees_with_vf2(self):
+        """Two graphs have equal canonical forms exactly when VF2 finds
+        an isomorphism."""
         rng = random.Random(23)
         for _ in range(300):
             n = rng.randint(1, 8)
@@ -352,7 +366,8 @@ class TestIsomorphism:
                 g2 = relabel(g1, perm)
             else:
                 g2 = gnp(rng, n, p)
-            assert are_isomorphic(g1, g2) == nx.is_isomorphic(to_nx(g1), to_nx(g2))
+            same = canonical_form(g1) == canonical_form(g2)
+            assert same == nx.is_isomorphic(to_nx(g1), to_nx(g2))
 
 
 class TestIsPivotMinor:
@@ -369,19 +384,19 @@ class TestIsPivotMinor:
         assert any(step[0] == "delete" for step in witness)
 
     def test_triangle_not_in_bipartite(self):
-        h = Graph.complete(3)
+        h = complete(3)
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
         found, _ = is_pivot_minor(h, g, 50000)
         assert not found
 
     def test_budget_exceeded_is_distinct(self):
-        h = Graph.complete(3)
+        h = complete(3)
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
         with pytest.raises(SearchBudgetExceeded):
             is_pivot_minor(h, g, 2)
 
     def test_budget_exceeded_reports_progress(self):
-        h = Graph.complete(3)
+        h = complete(3)
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
         with pytest.raises(SearchBudgetExceeded) as info:
             is_pivot_minor(h, g, 2)
@@ -396,6 +411,34 @@ class TestIsPivotMinor:
             is_pivot_minor(g, g, budget)
         with pytest.raises(ValueError):
             is_pivot_minor(Graph.path(5), g, budget)
+
+    def test_host_over_the_subset_cap(self, monkeypatch):
+        """A host of 24 vertices is searched; one of 25 raises before any
+        canonical form is computed, whatever the budget."""
+        assert is_pivot_minor(Graph(SUBSET_CAP), Graph(SUBSET_CAP), 1) == (True, [])
+        monkeypatch.setattr(sys.modules["pivotkit.pivot"], "canonical_form", None)
+        for h in (Graph.path(3), Graph.path(30)):
+            with pytest.raises(CapExceeded, match="25 vertices exceeds the cap 24"):
+                is_pivot_minor(h, Graph.path(SUBSET_CAP + 1), 10 ** 12)
+
+    def test_orbits_closed_only_for_expanded_states(self, monkeypatch):
+        """A queued state keeps its maps; its orbits are closed when it is
+        expanded, so a run stopped by its budget closes exactly as many
+        as it expanded."""
+        module = sys.modules["pivotkit.pivot"]
+        closures = []
+        firsts = module._orbit_firsts
+
+        def counting(g, autos, deletions):
+            closures.append(g.key())
+            return firsts(g, autos, deletions)
+
+        monkeypatch.setattr(module, "_orbit_firsts", counting)
+        for budget in (1, 5, 40):
+            closures.clear()
+            with pytest.raises(SearchBudgetExceeded) as info:
+                is_pivot_minor(Graph.cycle(5), Graph.cycle(8), budget)
+            assert len(closures) == info.value.expanded == budget
 
     def test_same_answers_as_the_ordering_search(self, monkeypatch):
         """The BFS keeps the first labelled graph of each class, so any
@@ -516,7 +559,7 @@ class TestIsPivotMinor:
                 cur = pivot(cur, step[1], step[2])
             else:
                 cur = cur.delete_vertex(step[1])
-        assert are_isomorphic(cur, h)
+        assert canonical_form(cur) == canonical_form(h)
 
     def test_larger_h_false(self):
         assert is_pivot_minor(Graph.path(5), Graph.path(4), 10) == (False, None)

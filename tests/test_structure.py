@@ -190,12 +190,12 @@ class TestConstantBlockPartition:
             assert block_partition_is_constant(m, bp)
 
     def test_zero_matrix(self):
-        bp = constant_block_partition(BitMatrix.zeros(3, 4))
+        bp = constant_block_partition(BitMatrix(3, 4))
         assert len(bp.row_classes) == 1 and len(bp.col_classes) == 1
         assert bp.tags == (("zero",),)
 
     def test_non_partitions_are_not_constant(self):
-        c = BitMatrix.zeros(3, 2)
+        c = BitMatrix(3, 2)
         assert block_partition_is_constant(c, constant_block_partition(c))
         for rows, cols, tags in [(((0,),), ((0,),), (("zero",),)),  # rows 1, 2 and column 1 unlisted
                                  (((0,), (0, 1, 2)), ((0, 1),), (("zero",), ("zero",))),
@@ -206,7 +206,7 @@ class TestConstantBlockPartition:
             assert not block_partition_is_constant(c, BlockPartition("matrix", rows, cols, tags))
 
     def test_format(self):
-        bp = constant_block_partition(BitMatrix.ones(2, 2))
+        bp = constant_block_partition(BitMatrix(2, 2, [0b11, 0b11]))
         text = format_block_partition(bp)
         assert text.splitlines()[0] == "blockpartition matrix 1 1"
         assert "block 0 0 one" in text
@@ -214,21 +214,20 @@ class TestConstantBlockPartition:
 
 class TestPerturbationPartition:
     def test_identical_graphs(self):
-        g = BiGraph(BitMatrix.from_rows([[1, 0], [0, 1]]))
+        g = BiGraph(BitMatrix(2, 2, [0b01, 0b10]))
         bp = perturbation_partition(g, g)
         assert len(bp.row_classes) == 1 and len(bp.col_classes) == 1
         assert bp.tags == (("equal",),)
 
     def test_full_complement(self):
-        g1 = BiGraph(BitMatrix.zeros(2, 3))
-        g2 = BiGraph(BitMatrix.ones(2, 3))
+        g1 = BiGraph(BitMatrix(2, 3))
+        g2 = BiGraph(BitMatrix(2, 3, [0b111, 0b111]))
         bp = perturbation_partition(g1, g2)
         assert bp.tags == (("complement",),)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            perturbation_partition(BiGraph(BitMatrix.zeros(2, 2)),
-                                   BiGraph(BitMatrix.zeros(2, 3)))
+            perturbation_partition(BiGraph(BitMatrix(2, 2)), BiGraph(BitMatrix(2, 3)))
 
     def test_reconstruction_round_trip(self):
         rng = random.Random(79)
@@ -244,7 +243,7 @@ class TestPerturbationPartition:
 
     def test_reconstruct_rejects_non_partitions(self):
         # Row 2 is in no class, so its value in g2 would be kept unchecked.
-        g2 = BiGraph(BitMatrix.zeros(3, 2))
+        g2 = BiGraph(BitMatrix(3, 2))
         for rows, tags in [(((0, 1),), (("complement",),)),
                            (((0, 1), (1, 2)), (("complement",), ("equal",))),
                            (((0, 1, 2),), (("complement",), ("equal",)))]:
@@ -252,24 +251,24 @@ class TestPerturbationPartition:
                 reconstruct_from_partition(g2, BlockPartition("graph-pair", rows, ((0, 1),), tags))
 
     def test_reconstruct_rejects_matrix_mode(self):
-        bp = constant_block_partition(BitMatrix.zeros(2, 2))
+        bp = constant_block_partition(BitMatrix(2, 2))
         with pytest.raises(ValueError):
-            reconstruct_from_partition(BiGraph(BitMatrix.zeros(2, 2)), bp)
+            reconstruct_from_partition(BiGraph(BitMatrix(2, 2)), bp)
 
 
 class TestCheckStructDensity:
     def test_trivial_partition_passes(self):
-        g = BiGraph.complete(4, 4)
+        g = BiGraph(BitMatrix(4, 4, [0b1111] * 4))
         assert check_struct_density(g, [[0, 1, 2, 3]], [[0, 1, 2, 3]], 1)
 
     def test_invalid_partition(self):
-        g = BiGraph.complete(2, 2)
+        g = BiGraph(BitMatrix(2, 2, [0b11, 0b11]))
         with pytest.raises(PartitionInvalid):
             check_struct_density(g, [[0]], [[0, 1]], 1)
         with pytest.raises(PartitionInvalid):
             check_struct_density(g, [[0, 0, 1]], [[0, 1]], 1)
 
     def test_bad_s(self):
-        g = BiGraph.complete(2, 2)
+        g = BiGraph(BitMatrix(2, 2, [0b11, 0b11]))
         with pytest.raises(ValueError):
             check_struct_density(g, [[0, 1]], [[0, 1]], 0)
