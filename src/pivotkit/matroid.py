@@ -318,6 +318,9 @@ def connectivity_kernel(m: BinaryMatroid) -> Callable[[int, int, Optional[int]],
     element positions, so a row of X_B masked with w is a row of
     D[X_B, W_C] and no submatrix is built; with w the complement of x it
     is lambda(X).  It is monotone in x and in w.
+    Both terms come from one elimination over the rows of X_B masked
+    with w and of W_B masked with x: the first lie in W_C and the second
+    in X_C, which are disjoint, so the rank of all of them is the sum.
     With a positive ``stop`` the result is min(that, stop) and
     elimination ends once it reaches ``stop``.
     """
@@ -326,12 +329,9 @@ def connectivity_kernel(m: BinaryMatroid) -> Callable[[int, int, Optional[int]],
             for row, b in zip(m.rep.rows, m.basis)]
 
     def lam(x: int, w: int, stop: Optional[int] = None) -> int:
-        xb_rows = [row & w for row, bit in rows if x & bit]
-        wb_rows = [row & x for row, bit in rows if w & bit]
-        r = rank_bits(xb_rows, stop)
-        if stop is None:
-            return r + rank_bits(wb_rows)
-        return r if r == stop else r + rank_bits(wb_rows, stop - r)
+        both = x | w
+        return rank_bits([row & w if x & bit else row & x
+                          for row, bit in rows if both & bit], stop)
 
     return lam
 
@@ -361,8 +361,10 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
     ``first_separation`` with value(P, W, lim) = ``connectivity_kernel``
     on P and the outside mask W, stopped at lim: rk(D[P_B, W_C]) +
     rk(D[W_B, P_C]) ranks submatrices of lambda(X)'s two terms for every
-    completion X of P, so a prefix reaching lim prunes its subtree.
-    Memory is O(n) and the witness is that of the full scan.
+    completion X of P, so a prefix reaching lim prunes its subtree.  Each
+    value is one elimination over both terms' rows, whose column sets
+    are disjoint.  Memory is O(n) and the witness is that of the full
+    scan.
     """
     elements = m.element_order()
     ne = len(elements)

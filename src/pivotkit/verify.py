@@ -13,8 +13,9 @@ Each campaign is one ``Campaign`` record in ``_CAMPAIGNS``: its parameters
 argument tuple per trial (or VACUOUS), the check those arguments go to, and
 a decoder that turns a parsed witness back into the check's arguments.
 ``run_campaign`` checks the merged parameters against the record once,
-before any trial; ``replay_witness`` is the record's decoder followed by
-its check; the CLI derives the ``check`` flags from the declared names.
+before any trial; ``replay_witness`` checks a witness's parameter fields
+against the same record, then runs the record's decoder and its check;
+the CLI derives the ``check`` flags from the declared names.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from itertools import combinations
 
 from ._text import content_lines
 from .cutrank import SUBSET_CAP, find_low_rank_separation
-from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid, TreeTooSmall,
-                     UnknownCampaign)
+from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid,
+                     SubsetCapExceeded, TreeTooSmall, UnknownCampaign)
 from .extremal import (Instance, _make_instance, format_instance, gen_c6_blowup_example,
                        gen_ktt_example, gen_random_instance)
 from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
@@ -46,6 +47,9 @@ from .structure import (block_partition_is_constant, check_struct_density,
 
 VACUOUS_WARN_FRACTION = 0.9
 VACUOUS = "vacuous"
+# The exhaustive subgraph search of _check_avg_exists visits all 2^n
+# vertex subsets, so it is bounded at this many vertices.
+_AVG_EXISTS_CAP = 12
 
 
 @dataclass
@@ -212,18 +216,36 @@ def _check_pivot_matroid(m: BinaryMatroid, x: str, y: str):
     return None
 
 
+def _subsets(lo: int, hi: int) -> list[tuple[int, list[int]]]:
+    """Every subset of the positions lo..hi-1 as (mask, ascending members),
+    masks ascending."""
+    table = [(0, [])]
+    for u in range(lo, hi):
+        table += [(mask | 1 << u, members + [u]) for mask, members in table]
+    return table
+
+
 def _check_conn_equiv(m: BinaryMatroid, k_max: int):
+    n = len(m.basis) + len(m.nonbasis)
+    if n > SUBSET_CAP:
+        raise SubsetCapExceeded(f"{n} elements exceeds the subset cap {SUBSET_CAP}")
     # lambda(X) = lambda(E-X) (swap the two rank terms) and cut-rank(X) =
     # cut-rank(V-X) (transpose the symmetric adjacency), so the masks
-    # without the top element cover every split once.
+    # without the top element cover every split once.  They are walked as
+    # (high half, low half) pairs, masks ascending, over two subset tables
+    # of 2^(half size) entries each rather than one of 2^(n-1).
     lam = connectivity_kernel(m)
     g = m.element_graph()
-    n, adj = g.n, g.adj
+    adj = g.adj
     full = (1 << n) - 1
-    for x in range(1 << max(n - 1, 0)):
-        comp = full ^ x
-        if lam(x, comp) != rank_bits([adj[u] & comp for u in range(n) if x >> u & 1]):
-            return {"k_max": k_max, "data": _embed(format_matroid(m))}
+    bits = max(n - 1, 0)
+    lows = _subsets(0, bits // 2)
+    for high, high_members in _subsets(bits // 2, bits):
+        for low, low_members in lows:
+            x = high | low
+            comp = full ^ x
+            if lam(x, comp) != rank_bits([adj[u] & comp for u in low_members + high_members]):
+                return {"k_max": k_max, "data": _embed(format_matroid(m))}
     # Both searches return a least-order witness, so one call each at
     # k_max answers every k in 1..k_max: a side is k-connected exactly
     # when k <= its order, taken as k_max when it has no witness.
@@ -237,6 +259,8 @@ def _check_conn_equiv(m: BinaryMatroid, k_max: int):
 
 
 def _check_avg_exists(g: Graph, k: int):
+    if g.n > _AVG_EXISTS_CAP:
+        raise CapExceeded(f"avg-exists caps a graph at {_AVG_EXISTS_CAP} vertices, got {g.n}")
     if not is_c4_free(g) or degree_stats(g).average_degree < 4 * k:
         return VACUOUS
     n = g.n
@@ -484,10 +508,10 @@ _CAMPAIGNS = {
         {"trials": Param(100, 1), "max_elements": Param(10, 2, SUBSET_CAP),
          "k_max": Param(4, 1)}, _gen_conn_equiv, _check_conn_equiv,
         lambda w: (parse_matroid(_data(w)), int(w["k_max"]))),
-    # k = 1 and at most 12 vertices keep the exhaustive subgraph search
-    # of _check_avg_exists bounded.
+    # k = 1 and at most _AVG_EXISTS_CAP vertices keep the exhaustive
+    # subgraph search of _check_avg_exists bounded.
     "avg-exists": Campaign(
-        {"trials": Param(25, 1), "n_max": Param(12, 5, 12), "k": Param(1, 1, 1)},
+        {"trials": Param(25, 1), "n_max": Param(12, 5, _AVG_EXISTS_CAP), "k": Param(1, 1, 1)},
         _gen_avg_exists, _check_avg_exists,
         lambda w: (parse_graph(_data(w)), int(w["k"]))),
 }
@@ -542,10 +566,18 @@ def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> Campai
 # --- replay ---
 
 def replay_witness(w: dict) -> bool:
-    """Re-run a serialized witness; True when the violation re-triggers."""
-    campaign = _CAMPAIGNS.get(w.get("name"))
+    """Re-run a serialized witness; True when the violation re-triggers.
+
+    The witness's fields that name a campaign parameter are checked
+    against that parameter's range first, as ``run_campaign`` checks
+    them: ValueError below it, CapExceeded above it.
+    """
+    name = w.get("name")
+    campaign = _CAMPAIGNS.get(name)
     if campaign is None:
-        raise UnknownCampaign(str(w.get("name")))
+        raise UnknownCampaign(str(name))
+    _merge_params(name, campaign.params,
+                  {key: int(value) for key, value in w.items() if key in campaign.params})
     return isinstance(campaign.check(*campaign.decode(w)), dict)
 
 

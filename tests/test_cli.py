@@ -31,6 +31,19 @@ def run(argv, stdin=""):
         sys.stdin, sys.stdout = old_in, old_out
 
 
+def _dense_matroid(count):
+    """A matroid on count elements whose D is all ones."""
+    labels = [f"e{i:02}" for i in range(count)]
+    rank = count // 2
+    return BinaryMatroid(labels[:rank], labels[rank:],
+                         BitMatrix(rank, count - rank, [(1 << (count - rank)) - 1] * rank))
+
+
+def _matching(edges):
+    """The graph of `edges` disjoint edges."""
+    return Graph(2 * edges, [(2 * i, 2 * i + 1) for i in range(edges)])
+
+
 class TestGen:
     def test_ktt(self):
         code, out = run(["gen", "ktt", "4"])
@@ -255,6 +268,27 @@ class TestExitCodes:
         code, _ = run(["check", "pivot-matroid", "--trials", "1", "--max-elements", "16"])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("name, fields, data, code", [
+        ("conn-equiv", "k_max=4", format_matroid(_dense_matroid(25)), EXIT_BUDGET),
+        ("conn-equiv", "k_max=4", format_matroid(_dense_matroid(26)), EXIT_BUDGET),
+        ("conn-equiv", "k_max=0", format_matroid(_dense_matroid(6)), EXIT_USAGE),
+        ("avg-exists", "k=0", format_graph(_matching(10)), EXIT_USAGE),
+        ("avg-exists", "k=1", format_graph(_matching(10)), EXIT_BUDGET),
+    ], ids=["conn-equiv-25", "conn-equiv-26", "conn-equiv-k0", "avg-exists-k0",
+            "avg-exists-20-vertices"])
+    def test_replay_enforces_the_campaign_limits(self, tmp_path, name, fields, data, code):
+        # A witness is held to the ranges and caps that `check` enforces,
+        # before its check runs: without them the two conn-equiv witnesses
+        # over the subset cap sweep 2^24 splits or more, and the k=0
+        # avg-exists witness walks 2^20 subgraphs.
+        blob = data.strip().replace("\n", ";")
+        report = tmp_path / "report.txt"
+        report.write_text(f"FAIL\nname={name}\nviolations=1\n"
+                          f"witness name={name} {fields} data={blob}\n")
+        start = time.perf_counter()
+        assert run(["replay", str(report)]) == (code, "")
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("argv", [
         ["conn-equiv", "--k-max", "0"],
         ["conn-equiv", "--k-max", "-3"],
@@ -405,14 +439,17 @@ class TestCheckAndReplay:
                 assert run(base + ["--" + key.replace("_", "-"), str(value)]) == expected, key
 
     def test_pinned_campaign_output(self):
-        # The first three seeds of the benchmark's pinned campaign units.
+        # The first three seeds of the benchmark's pinned campaign units,
+        # and every pinned seed of conn-equiv, whose sweep and kernel are
+        # the campaigns' largest share of work.
         pins = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pins.json")
                           .read_text())["campaigns"]
-        for name in campaign_names():
-            for seed in range(3):
-                code, out = run(["check", name, "--seed", str(seed)])
-                digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-                assert [code, digest] == pins[f"{name}/seed{seed}"], (name, seed)
+        units = [(name, seed) for name in campaign_names() for seed in range(3)]
+        units += [("conn-equiv", seed) for seed in range(3, 32)]
+        for name, seed in units:
+            code, out = run(["check", name, "--seed", str(seed)])
+            digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+            assert [code, digest] == pins[f"{name}/seed{seed}"], (name, seed)
 
     def test_smallest_legal_sizes_run(self):
         code, out = run(["check", "tree-lemma", "--max-edges", "5"])

@@ -455,7 +455,8 @@ class TestConnectivity:
                 want = (rank(submatrix(m.rep, rows["x"], cols["w"]))
                         + rank(submatrix(m.rep, rows["w"], cols["x"])))
                 assert lam(x, w) == want
-                assert lam(x, w, 2) == min(want, 2)
+                for stop in range(1, 6):
+                    assert lam(x, w, stop) == min(want, stop)
 
     def test_is_k_connected_matches_single_pass_oracle(self):
         # The parent single pass ranks every smaller side; the pruned walk

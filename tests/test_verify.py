@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from pivotkit import structure, verify
 from pivotkit.cutrank import find_low_rank_separation
 from pivotkit.errors import CapExceeded, FormatError, UnknownCampaign
+from pivotkit.gf2 import BitMatrix
 from pivotkit.graph import DegreeStats
-from pivotkit.matroid import connectivity_lambda, is_k_connected
+from pivotkit.matroid import BinaryMatroid, connectivity_lambda, is_k_connected
 from pivotkit.verify import (_random_graph, _random_matroid, campaign_names,
                              format_report, parse_report, replay_report,
                              replay_witness, run_campaign)
@@ -206,6 +208,71 @@ def test_one_search_at_k_max_answers_every_smaller_k():
         for k in range(1, k_max + 1):
             assert is_k_connected(m, k)[0] == (k <= m_order)
             assert (find_low_rank_separation(g, k) is None) == (k <= g_order)
+
+
+def _random_matroid_on(rng, n):
+    """A random binary matroid on exactly n elements, with basis and
+    non-basis labels interleaved in sorted order."""
+    nr = rng.randint(0, n)
+    labels = rng.sample([f"e{i:02}" for i in range(n)], n)
+    rep = BitMatrix(nr, n - nr, [rng.randrange(1 << (n - nr)) for _ in range(nr)])
+    return BinaryMatroid(labels[:nr], labels[nr:], rep)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_conn_equiv_sweep_ranks_every_split_once(n, monkeypatch):
+    """The sweep evaluates lambda on each of the 2^(n-1) element masks
+    without the top element, against its complement, exactly once."""
+    real = verify.connectivity_kernel
+    seen = []
+
+    def recording(m):
+        lam = real(m)
+
+        def record(x, w, stop=None):
+            seen.append((x, w))
+            return lam(x, w, stop)
+
+        return record
+
+    monkeypatch.setattr(verify, "connectivity_kernel", recording)
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    for m in [_random_matroid_on(rng, n) for _ in range(3)]:
+        seen.clear()
+        assert verify._check_conn_equiv(m, 4) is None
+        assert sorted(seen) == [(x, full ^ x) for x in range(1 << (n - 1))]
+
+
+def test_conn_equiv_sweep_catches_one_wrong_split(monkeypatch):
+    """A kernel off by one on a single split fails every trial, and each
+    witness replays under the same kernel."""
+    real = verify.connectivity_kernel
+
+    def off_by_one(m):
+        lam = real(m)
+        wrong = 0x555555 & ((1 << (len(m.ground()) - 1)) - 1)
+        return lambda x, w, stop=None: lam(x, w, stop) + (x == wrong)
+
+    monkeypatch.setattr(verify, "connectivity_kernel", off_by_one)
+    report = run_campaign("conn-equiv", {"trials": 5, "max_elements": 12}, seed=3)
+    assert not report.passed and len(report.violations) == report.trials_run == 5
+    assert all(replay_witness(w) for w in parse_report(format_report(report))["witnesses"])
+
+
+def test_conn_equiv_sweep_memory_is_bounded():
+    """The sweep keeps two half-size subset tables, not one list per split:
+    on 14 elements its peak is about 18 KB, against about 1.5 MB with one
+    table of all 2^13 member lists."""
+    m = _random_matroid_on(random.Random(14), 14)
+    verify._check_conn_equiv(m, 4)
+    tracemalloc.start()
+    try:
+        assert verify._check_conn_equiv(m, 4) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
 
 
 def _stats(min_degree, average_degree=0):
