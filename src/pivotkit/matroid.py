@@ -18,7 +18,7 @@ from .errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                      SubsetCapExceeded)
 from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank_bits
 from .graph import BiGraph, Graph
-from .cutrank import SUBSET_CAP, first_separation
+from .cutrank import SUBSET_CAP, find_low_rank_separation
 
 CIRCUIT_ENUM_CAP = 16
 
@@ -309,29 +309,26 @@ def minor(m: BinaryMatroid, deletions: Iterable[str], contractions: Iterable[str
     return cur
 
 
-def connectivity_kernel(m: BinaryMatroid) -> Callable[[int, int, Optional[int]], int]:
+def connectivity_kernel(m: BinaryMatroid) -> Callable[[int], int]:
     """The connectivity function of m on element masks.
 
     Bit i of a mask is element i of ``element_order()``.  The returned
-    ``lam(x, w, stop=None)`` is rk(D[X_B, W_C]) + rk(D[W_B, X_C]) for
-    disjoint masks x and w.  Each row of D is stored once as a mask over
+    ``lam(x)`` is lambda(X) = rk(D[X_B, W_C]) + rk(D[W_B, X_C]) with W
+    the complement of X.  Each row of D is stored once as a mask over
     element positions, so a row of X_B masked with w is a row of
-    D[X_B, W_C] and no submatrix is built; with w the complement of x it
-    is lambda(X).  It is monotone in x and in w.
-    Both terms come from one elimination over the rows of X_B masked
-    with w and of W_B masked with x: the first lie in W_C and the second
-    in X_C, which are disjoint, so the rank of all of them is the sum.
-    With a positive ``stop`` the result is min(that, stop) and
-    elimination ends once it reaches ``stop``.
+    D[X_B, W_C] and no submatrix is built.  Both terms come from one
+    elimination over the rows of X_B masked with w and of W_B masked
+    with x: the first lie in W_C and the second in X_C, which are
+    disjoint, so the rank of all of them is the sum.
     """
     pos = {e: i for i, e in enumerate(m.element_order())}
     rows = [(sum(1 << pos[c] for j, c in enumerate(m.nonbasis) if row >> j & 1), 1 << pos[b])
             for row, b in zip(m.rep.rows, m.basis)]
+    full = (1 << len(pos)) - 1
 
-    def lam(x: int, w: int, stop: Optional[int] = None) -> int:
-        both = x | w
-        return rank_bits([row & w if x & bit else row & x
-                          for row, bit in rows if both & bit], stop)
+    def lam(x: int) -> int:
+        w = full ^ x
+        return rank_bits([row & w if x & bit else row & x for row, bit in rows])
 
     return lam
 
@@ -348,40 +345,26 @@ def connectivity_lambda(m: BinaryMatroid, x_set: Iterable[str]) -> int:
         if e not in pos:
             raise ElementNotFound(e)
         x |= 1 << pos[e]
-    return connectivity_kernel(m)(x, ((1 << len(pos)) - 1) ^ x)
+    return connectivity_kernel(m)(x)
 
 
 def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[str]]]:
     """Whether lambda(X) >= l for every X with |X|, |E-X| >= l, l < k.
 
-    Returns (True, None) or (False, witness X).  The witness is the
-    first failure in the deterministic enumeration shared with
-    find_low_rank_separation: l ascending, then |X| ascending over the
-    smaller side, then elements in sorted label order.  The search is
-    ``first_separation`` with value(P, W, lim) = ``connectivity_kernel``
-    on P and the outside mask W, stopped at lim: rk(D[P_B, W_C]) +
-    rk(D[W_B, P_C]) ranks submatrices of lambda(X)'s two terms for every
-    completion X of P, so a prefix reaching lim prunes its subtree.  Each
-    value is one elimination over both terms' rows, whose column sets
-    are disjoint.  Memory is O(n) and the witness is that of the full
-    scan.
+    Returns (True, None) or (False, witness X).  lambda(X) is the
+    cut-rank of X in the fundamental graph (Oum, JCTB 95, 2005), so this
+    is ``find_low_rank_separation`` on ``element_graph()`` with the
+    witness in labels: l ascending, then |X| ascending over the smaller
+    side, then elements in sorted label order.  Raises
+    SubsetCapExceeded over the element cap.
     """
     elements = m.element_order()
-    ne = len(elements)
-    if ne > SUBSET_CAP:
-        raise SubsetCapExceeded(f"{ne} elements exceeds the subset cap {SUBSET_CAP}")
-    lam = connectivity_kernel(m)
-
-    def capped_lambda(members: list[int], out: int, lim: int) -> int:
-        x = 0
-        for i in members:
-            x |= 1 << i
-        return lam(x, out, lim)
-
-    found = first_separation(ne, k, capped_lambda)
-    if found is None:
+    if len(elements) > SUBSET_CAP:
+        raise SubsetCapExceeded(f"{len(elements)} elements exceeds the subset cap {SUBSET_CAP}")
+    sep = find_low_rank_separation(m.element_graph(), k)
+    if sep is None:
         return True, None
-    return False, frozenset(elements[i] for i in found[0])
+    return False, frozenset(elements[i] for i in sep.side_x)
 
 
 def format_multigraph(g: MultiGraph, t: SpanningTree, provenance: str | None = None) -> str:

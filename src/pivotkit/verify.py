@@ -14,8 +14,9 @@ argument tuple per trial (or VACUOUS), the check those arguments go to, and
 a decoder that turns a parsed witness back into the check's arguments.
 ``run_campaign`` checks the merged parameters against the record once,
 before any trial; ``replay_witness`` checks a witness's parameter fields
-against the same record, then runs the record's decoder and its check;
-the CLI derives the ``check`` flags from the declared names.
+against the same record, then runs the record's decoder and its check
+(a missing or malformed field is a FormatError naming the witness and
+the field); the CLI derives the ``check`` flags from the declared names.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .graph import (BiGraph, Graph, bipartite_complement, degree_stats,
                     find_complete_bipartite, format_bigraph, format_graph,
                     is_c4_free, parse_bigraph, parse_graph, vertex_connectivity)
 from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
-                      connectivity_kernel, connectivity_lambda, format_matroid,
-                      is_k_connected, parse_matroid, parse_multigraph)
+                      connectivity_kernel, format_matroid, parse_matroid,
+                      parse_multigraph)
 from .pivot import pivot
 from .structure import (block_partition_is_constant, check_struct_density,
                         constant_block_partition, perturbation_partition,
@@ -240,20 +241,23 @@ def _check_conn_equiv(m: BinaryMatroid, k_max: int):
     full = (1 << n) - 1
     bits = max(n - 1, 0)
     lows = _subsets(0, bits // 2)
+    # The least order of a separation, lambda(X) + 1 over the splits with
+    # lambda(X) < |X|, |E-X|, taken as k_max when none is lower: the
+    # object is k-connected exactly for k <= order.
+    order = k_max
     for high, high_members in _subsets(bits // 2, bits):
         for low, low_members in lows:
             x = high | low
             comp = full ^ x
-            if lam(x, comp) != rank_bits([adj[u] & comp for u in low_members + high_members]):
+            members = low_members + high_members
+            value = lam(x)
+            if value != rank_bits([adj[u] & comp for u in members]):
                 return {"k_max": k_max, "data": _embed(format_matroid(m))}
-    # Both searches return a least-order witness, so one call each at
-    # k_max answers every k in 1..k_max: a side is k-connected exactly
-    # when k <= its order, taken as k_max when it has no witness.
-    _, witness = is_k_connected(m, k_max)
-    m_order = k_max if witness is None else connectivity_lambda(m, witness) + 1
+            if value < order - 1 and value < len(members) and value < n - len(members):
+                order = value + 1
+    # The pruned separation walk against the exhaustive sweep's answer.
     sep = find_low_rank_separation(g, k_max)
-    g_order = k_max if sep is None else sep.order
-    if m_order != g_order:
+    if order != (k_max if sep is None else sep.order):
         return {"k_max": k_max, "data": _embed(format_matroid(m))}
     return None
 
@@ -424,6 +428,15 @@ def _gen_avg_exists(p: dict, rng: random.Random):
 
 # --- witness decoders: a parsed witness back to its check's arguments ---
 
+def _int(w: dict, key: str) -> int:
+    if key not in w:
+        raise FormatError(f"missing field {key}")
+    try:
+        return int(w[key])
+    except ValueError:
+        raise FormatError(f"{key}={w[key]!r} is not an integer") from None
+
+
 def _data(w: dict) -> str:
     return _unembed(w["data"])
 
@@ -481,19 +494,19 @@ _INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2),
 _CAMPAIGNS = {
     "fun-lemma": Campaign(
         {"s": Param(2, 1), "t": Param(3, 1), **_INSTANCE_PARAMS}, _gen_fun, _check_fun,
-        lambda w: (_instance_from_witness(w), int(w["s"]), int(w["t"]),
-                   int(w["bound_offset"]))),
+        lambda w: (_instance_from_witness(w), _int(w, "s"), _int(w, "t"),
+                   _int(w, "bound_offset"))),
     "cofun-lemma": Campaign(
         {"s": Param(2, 1), **_INSTANCE_PARAMS}, _gen_cofun, _check_cofun,
-        lambda w: (_instance_from_witness(w), int(w["s"]), int(w["bound_offset"]))),
+        lambda w: (_instance_from_witness(w), _int(w, "s"), _int(w, "bound_offset"))),
     "tree-lemma": Campaign(
         {"max_edges": Param(11, 5, 12)}, _gen_tree, _check_tree,
-        lambda w: (parse_graph(_data(w)), int(w["s"]))),
+        lambda w: (parse_graph(_data(w)), _int(w, "s"))),
     "struct-density": Campaign(
         {"s": Param(2, 1), "classes": Param(2, 1), "trials": Param(200, 1)},
         _gen_struct_density, _check_struct_density,
         lambda w: (parse_bigraph(_data(w)), _classes(w["rows"]), _classes(w["cols"]),
-                   int(w["s"]))),
+                   _int(w, "s"))),
     "rankconn-lemma": Campaign(
         {"trials": Param(1000, 1), "n_max": Param(8, 4, 10)}, _gen_rankconn, _check_rankconn,
         lambda w: (parse_graph(_data(w)),)),
@@ -507,13 +520,13 @@ _CAMPAIGNS = {
     "conn-equiv": Campaign(
         {"trials": Param(100, 1), "max_elements": Param(10, 2, SUBSET_CAP),
          "k_max": Param(4, 1)}, _gen_conn_equiv, _check_conn_equiv,
-        lambda w: (parse_matroid(_data(w)), int(w["k_max"]))),
+        lambda w: (parse_matroid(_data(w)), _int(w, "k_max"))),
     # k = 1 and at most _AVG_EXISTS_CAP vertices keep the exhaustive
     # subgraph search of _check_avg_exists bounded.
     "avg-exists": Campaign(
         {"trials": Param(25, 1), "n_max": Param(12, 5, _AVG_EXISTS_CAP), "k": Param(1, 1, 1)},
         _gen_avg_exists, _check_avg_exists,
-        lambda w: (parse_graph(_data(w)), int(w["k"]))),
+        lambda w: (parse_graph(_data(w)), _int(w, "k"))),
 }
 
 
@@ -565,22 +578,34 @@ def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> Campai
 
 # --- replay ---
 
+def _replay(w: dict, index: int) -> bool:
+    name = w.get("name")
+    campaign = _CAMPAIGNS.get(name)
+    if campaign is None:
+        raise UnknownCampaign(str(name))
+    try:
+        params = {key: _int(w, key) for key in w if key in campaign.params}
+    except FormatError as exc:
+        raise FormatError(f"witness {index} ({name}): {exc}") from None
+    _merge_params(name, campaign.params, params)
+    try:
+        args = campaign.decode(w)
+    except ValueError as exc:
+        raise FormatError(f"witness {index} ({name}): {exc}") from None
+    return isinstance(campaign.check(*args), dict)
+
+
 def replay_witness(w: dict) -> bool:
     """Re-run a serialized witness; True when the violation re-triggers.
 
     The witness's fields that name a campaign parameter are checked
     against that parameter's range first, as ``run_campaign`` checks
-    them: ValueError below it, CapExceeded above it.
+    them: ValueError below it, CapExceeded above it.  A field that is
+    missing or does not parse is a FormatError naming the witness (by
+    its position in a report) and the field; the check is not wrapped.
     """
-    name = w.get("name")
-    campaign = _CAMPAIGNS.get(name)
-    if campaign is None:
-        raise UnknownCampaign(str(name))
-    _merge_params(name, campaign.params,
-                  {key: int(value) for key, value in w.items() if key in campaign.params})
-    return isinstance(campaign.check(*campaign.decode(w)), dict)
+    return _replay(w, 0)
 
 
 def replay_report(text: str) -> list[tuple[dict, bool]]:
-    parsed = parse_report(text)
-    return [(w, replay_witness(w)) for w in parsed["witnesses"]]
+    return [(w, _replay(w, i)) for i, w in enumerate(parse_report(text)["witnesses"])]

@@ -289,6 +289,21 @@ class TestExitCodes:
         assert run(["replay", str(report)]) == (code, "")
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("fields, message", [
+        ("s=two t=3", "witness 1 (fun-lemma): s='two' is not an integer"),
+        ("t=3", "witness 1 (fun-lemma): missing field s"),
+    ], ids=["s-not-an-integer", "s-missing"])
+    def test_replay_names_a_malformed_witness_field(self, tmp_path, capsys, fields, message):
+        # The first witness is a real one; the second carries the bad field.
+        good = run_campaign("fun-lemma", {"trials": 30, "bound_offset": -3}).violations[0]
+        blob = good["data"]
+        report = tmp_path / "report.txt"
+        report.write_text("FAIL\nname=fun-lemma\nviolations=2\n"
+                          f"witness name=fun-lemma s=2 t=3 bound_offset=-3 data={blob}\n"
+                          f"witness name=fun-lemma {fields} bound_offset=-3 data={blob}\n")
+        assert run(["replay", str(report)]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["conn-equiv", "--k-max", "0"],
         ["conn-equiv", "--k-max", "-3"],
@@ -439,13 +454,12 @@ class TestCheckAndReplay:
                 assert run(base + ["--" + key.replace("_", "-"), str(value)]) == expected, key
 
     def test_pinned_campaign_output(self):
-        # The first three seeds of the benchmark's pinned campaign units,
-        # and every pinned seed of conn-equiv, whose sweep and kernel are
-        # the campaigns' largest share of work.
+        # Every pinned campaign unit of the benchmark, read-only: each
+        # campaign at its defaults on seeds 0-31.
         pins = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pins.json")
                           .read_text())["campaigns"]
-        units = [(name, seed) for name in campaign_names() for seed in range(3)]
-        units += [("conn-equiv", seed) for seed in range(3, 32)]
+        units = [(name, seed) for name in campaign_names() for seed in range(32)]
+        assert sorted(f"{name}/seed{seed}" for name, seed in units) == sorted(pins)
         for name, seed in units:
             code, out = run(["check", name, "--seed", str(seed)])
             digest = hashlib.sha256(out.encode("ascii")).hexdigest()

@@ -9,7 +9,7 @@ from pivotkit.errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                              NotASpanningTree, NotConnected, PivotOnZero,
                              SubsetCapExceeded)
 from pivotkit.extremal import gen_c6_blowup_example, gen_ktt_example
-from pivotkit.gf2 import BitMatrix, rank
+from pivotkit.gf2 import BitMatrix
 from pivotkit.matroid import (BinaryMatroid, MultiGraph, SpanningTree,
                               change_basis, circuits, cographic_matroid,
                               connectivity_kernel, connectivity_lambda,
@@ -26,7 +26,6 @@ from oracles import (fundamental_matrix_by_solving, multigraph_cycles,
                      multigraph_minor)
 from oracles import first_separation as first_separation_single_pass
 from oracles import is_k_connected as is_k_connected_multi_pass
-from oracles import submatrix
 
 
 def triangle():
@@ -344,18 +343,14 @@ class TestConnectivity:
 
     @staticmethod
     def assert_kernel_matches_oracle(m):
-        """On every element subset: the kernel equals the submatrix-based
-        lambda, and with a stop it equals min(lambda, stop)."""
+        """On every element subset the kernel equals the submatrix-based
+        lambda."""
         order = m.element_order()
         lam = connectivity_kernel(m)
         masks = range(1 << len(order))
         want = [connectivity_lambda_oracle(m, [e for i, e in enumerate(order) if x >> i & 1])
                 for x in masks]
-        full = (1 << len(order)) - 1
-        assert [lam(x, full ^ x) for x in masks] == want
-        stops = [x % 5 + 1 for x in masks]
-        assert [lam(x, full ^ x, stop) for x, stop in zip(masks, stops)] \
-            == list(map(min, want, stops))
+        assert [lam(x) for x in masks] == want
 
     def test_kernel_matches_oracle_on_random_matroids(self):
         rng = random.Random(83)
@@ -435,29 +430,6 @@ class TestConnectivity:
                 for k in range(6):
                     assert is_k_connected(m, k) == is_k_connected_multi_pass(m, k)
 
-    def test_kernel_on_disjoint_masks_ranks_the_submatrices(self):
-        # The search's prefix bound: lam(x, w) on any disjoint pair of masks
-        # is rk(D[X_B, W_C]) + rk(D[W_B, X_C]).
-        rng = random.Random(97)
-        for _ in range(200):
-            m = _random_matroid(rng, 12)
-            order = m.element_order()
-            pos = {e: i for i, e in enumerate(order)}
-            lam = connectivity_kernel(m)
-            for _ in range(10):
-                sides = [rng.randrange(3) for _ in order]
-                x = sum(1 << i for i, s in enumerate(sides) if s == 0)
-                w = sum(1 << i for i, s in enumerate(sides) if s == 1)
-                rows = {name: [i for i, b in enumerate(m.basis) if mask >> pos[b] & 1]
-                        for name, mask in (("x", x), ("w", w))}
-                cols = {name: [j for j, c in enumerate(m.nonbasis) if mask >> pos[c] & 1]
-                        for name, mask in (("x", x), ("w", w))}
-                want = (rank(submatrix(m.rep, rows["x"], cols["w"]))
-                        + rank(submatrix(m.rep, rows["w"], cols["x"])))
-                assert lam(x, w) == want
-                for stop in range(1, 6):
-                    assert lam(x, w, stop) == min(want, stop)
-
     def test_is_k_connected_matches_single_pass_oracle(self):
         # The parent single pass ranks every smaller side; the pruned walk
         # must return its witness.
@@ -466,11 +438,9 @@ class TestConnectivity:
             m = _random_matroid(rng, 14)
             elements = m.element_order()
             lam = connectivity_kernel(m)
-            full = (1 << len(elements)) - 1
 
             def value(subset, lim):
-                x = sum(1 << i for i in subset)
-                return lam(x, full ^ x, lim)
+                return lam(sum(1 << i for i in subset))
 
             for k in range(7):
                 found = first_separation_single_pass(len(elements), k, value)

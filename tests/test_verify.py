@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from pivotkit import structure, verify
+from pivotkit import cutrank, matroid, structure, verify
 from pivotkit.cutrank import find_low_rank_separation
 from pivotkit.errors import CapExceeded, FormatError, UnknownCampaign
-from pivotkit.gf2 import BitMatrix
+from pivotkit.gf2 import BitMatrix, rank_bits
 from pivotkit.graph import DegreeStats
-from pivotkit.matroid import BinaryMatroid, connectivity_lambda, is_k_connected
+from pivotkit.matroid import (BinaryMatroid, connectivity_lambda, format_matroid,
+                              is_k_connected)
 from pivotkit.verify import (_random_graph, _random_matroid, campaign_names,
                              format_report, parse_report, replay_report,
                              replay_witness, run_campaign)
@@ -184,6 +185,18 @@ class TestReportFormat:
         with pytest.raises(UnknownCampaign):
             replay_witness({"name": "bogus", "data": ""})
 
+    def test_replay_does_not_relabel_an_error_inside_the_check(self, monkeypatch):
+        def failing(*args):
+            raise ValueError("internal")
+
+        campaign = dataclasses.replace(verify._CAMPAIGNS["conn-equiv"], check=failing)
+        monkeypatch.setitem(verify._CAMPAIGNS, "conn-equiv", campaign)
+        data = verify._embed(format_matroid(BinaryMatroid(["a"], ["b"], BitMatrix(1, 1, [1]))))
+        w = {"name": "conn-equiv", "k_max": "4", "data": data}
+        with pytest.raises(ValueError) as info:
+            replay_witness(w)
+        assert type(info.value) is ValueError and str(info.value) == "internal"
+
     def test_different_seeds_differ_somewhere(self):
         texts = {format_report(run_campaign("struct-density",
                                             {"trials": 10}, seed=s))
@@ -222,26 +235,25 @@ def _random_matroid_on(rng, n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_conn_equiv_sweep_ranks_every_split_once(n, monkeypatch):
     """The sweep evaluates lambda on each of the 2^(n-1) element masks
-    without the top element, against its complement, exactly once."""
+    without the top element exactly once."""
     real = verify.connectivity_kernel
     seen = []
 
     def recording(m):
         lam = real(m)
 
-        def record(x, w, stop=None):
-            seen.append((x, w))
-            return lam(x, w, stop)
+        def record(x):
+            seen.append(x)
+            return lam(x)
 
         return record
 
     monkeypatch.setattr(verify, "connectivity_kernel", recording)
     rng = random.Random(n)
-    full = (1 << n) - 1
     for m in [_random_matroid_on(rng, n) for _ in range(3)]:
         seen.clear()
         assert verify._check_conn_equiv(m, 4) is None
-        assert sorted(seen) == [(x, full ^ x) for x in range(1 << (n - 1))]
+        assert sorted(seen) == list(range(1 << (n - 1)))
 
 
 def test_conn_equiv_sweep_catches_one_wrong_split(monkeypatch):
@@ -252,11 +264,27 @@ def test_conn_equiv_sweep_catches_one_wrong_split(monkeypatch):
     def off_by_one(m):
         lam = real(m)
         wrong = 0x555555 & ((1 << (len(m.ground()) - 1)) - 1)
-        return lambda x, w, stop=None: lam(x, w, stop) + (x == wrong)
+        return lambda x: lam(x) + (x == wrong)
 
     monkeypatch.setattr(verify, "connectivity_kernel", off_by_one)
     report = run_campaign("conn-equiv", {"trials": 5, "max_elements": 12}, seed=3)
     assert not report.passed and len(report.violations) == report.trials_run == 5
+    assert all(replay_witness(w) for w in parse_report(format_report(report))["witnesses"])
+
+
+def test_conn_equiv_checks_the_separation_walk_against_the_sweep(monkeypatch):
+    """A walk whose every stopped rank reaches its stop finds no separation.
+    The sweep's exhaustive order disagrees on every trial that has one (97
+    of the 100 at seed 0), and each witness replays under the same walk.
+    The fault goes into every module that ranks with a stop, so a second
+    search driven by the same walk would fail alike and hide it."""
+    def stopped(rows, stop=None):
+        return rank_bits(rows) if stop is None else stop
+
+    for module in (cutrank, matroid):
+        monkeypatch.setattr(module, "rank_bits", stopped)
+    report = run_campaign("conn-equiv", None, 0)
+    assert len(report.violations) == 97 and report.trials_run == 100
     assert all(replay_witness(w) for w in parse_report(format_report(report))["witnesses"])
 
 
