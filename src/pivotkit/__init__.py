@@ -3,7 +3,7 @@ brute-force verification campaigns for the small-scale facts that tie
 them together."""
 
 from .gf2 import BitMatrix, matrix_pivot, rank
-from .graph import (BiGraph, DegreeStats, Graph, bipartite_complement, degree_stats,
+from .graph import (DegreeStats, Graph, bipartite_complement, degree_stats,
                     find_complete_bipartite, is_c4_free, vertex_connectivity)
 from .pivot import is_pivot_minor, pivot, pivot_orbit
 from .cutrank import Separation, cut_rank, find_low_rank_separation
@@ -19,7 +19,7 @@ from .verify import CampaignReport, run_campaign
 
 __all__ = [
     "BitMatrix", "matrix_pivot", "rank",
-    "BiGraph", "DegreeStats", "Graph", "bipartite_complement",
+    "DegreeStats", "Graph", "bipartite_complement",
     "degree_stats", "find_complete_bipartite", "is_c4_free", "vertex_connectivity",
     "is_pivot_minor", "pivot", "pivot_orbit",
     "Separation", "cut_rank", "find_low_rank_separation",

@@ -13,8 +13,7 @@ import functools
 import sys
 
 from .cutrank import cut_rank, find_low_rank_separation
-from .errors import (CapExceeded, FormatError, OrbitBudgetExceeded,
-                     SearchBudgetExceeded, UnknownCampaign)
+from .errors import CapExceeded
 from .extremal import format_instance, gen_c6_blowup_example, gen_ktt_example, gen_random_instance
 from .gf2 import parse_matrix
 from .graph import format_bigraph, format_graph, parse_bigraph, parse_graph
@@ -155,8 +154,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fundgraph(args) -> int:
     mg, tree = parse_multigraph(_read(args.file))
-    m = graphic_matroid(mg, tree)
-    sys.stdout.write(format_bigraph(m.fundamental_graph()))
+    sys.stdout.write(format_bigraph(graphic_matroid(mg, tree).rep))
     return EXIT_OK
 
 
@@ -288,10 +286,10 @@ def run_cli(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except (OrbitBudgetExceeded, SearchBudgetExceeded, CapExceeded) as exc:
+    except CapExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, UnknownCampaign, OSError, ValueError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

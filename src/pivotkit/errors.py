@@ -17,7 +17,11 @@ class NotAnEdge(ValueError):
     """Graph pivot requested on a non-edge."""
 
 
-class OrbitBudgetExceeded(RuntimeError):
+class CapExceeded(RuntimeError):
+    """Requested parameters exceed a documented size cap."""
+
+
+class OrbitBudgetExceeded(CapExceeded):
     """Pivot orbit grew past the caller's size budget.
 
     Says how far the closure got: ``found`` labelled graphs found, the one
@@ -31,7 +35,7 @@ class OrbitBudgetExceeded(RuntimeError):
         self.depth = depth
 
 
-class SearchBudgetExceeded(RuntimeError):
+class SearchBudgetExceeded(CapExceeded):
     """Containment search ran out of node budget; result is unknown.
 
     Says how far the search got: ``expanded`` nodes expanded, ``classes``
@@ -55,8 +59,12 @@ class NotASpanningTree(ValueError):
     """The designated edge set is not a spanning tree."""
 
 
-class ElementNotFound(KeyError):
-    """Matroid element label not present where required."""
+class ElementNotFound(KeyError, ValueError):
+    """Matroid element label not present where required.
+
+    A ValueError like every other bad input; the KeyError base is kept
+    for callers that catch a missing key.
+    """
 
 
 class TreeTooSmall(ValueError):
@@ -73,10 +81,6 @@ class PartitionInvalid(ValueError):
 
 class UnknownCampaign(ValueError):
     """No campaign registered under the given name."""
-
-
-class CapExceeded(RuntimeError):
-    """Requested parameters exceed a documented size cap."""
 
 
 class GroundSetTooLarge(CapExceeded):

@@ -12,22 +12,23 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from .graph import BiGraph
+from .gf2 import BitMatrix
 from .matroid import MultiGraph, SpanningTree, format_multigraph, fundamental_matrix
 
 
 @dataclass(frozen=True)
 class Instance:
-    """A multigraph with spanning tree and its fundamental graph."""
+    """A multigraph with spanning tree and its fundamental graph, whose
+    biadjacency rows are the tree edges."""
 
     multigraph: MultiGraph
     tree: SpanningTree
-    fundamental: BiGraph
+    fundamental: BitMatrix
     provenance: str
 
 
 def _make_instance(mg: MultiGraph, tree: SpanningTree, provenance: str) -> Instance:
-    return Instance(mg, tree, BiGraph(fundamental_matrix(mg, tree)[0]), provenance)
+    return Instance(mg, tree, fundamental_matrix(mg, tree)[0], provenance)
 
 
 def format_instance(inst: Instance) -> str:

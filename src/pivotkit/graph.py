@@ -1,7 +1,9 @@
 """Simple graphs, bipartite graphs, and small-scale subgraph predicates.
 
 Vertices are 0..n-1.  Adjacency is kept as one bitmask per vertex, which
-keeps the exhaustive searches in this package fast without numpy.
+keeps the exhaustive searches in this package fast without numpy.  A
+bipartite graph is its biadjacency BitMatrix: the rows are side A and
+the columns side B.
 """
 
 from __future__ import annotations
@@ -117,49 +119,6 @@ class Graph:
         return cls(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-class BiGraph:
-    """A bipartite graph given by its biadjacency matrix.
-
-    Side A carries the rows (indices 0..na-1) and side B the columns.
-    """
-
-    __slots__ = ("biadj",)
-
-    def __init__(self, biadj: BitMatrix):
-        self.biadj = biadj
-
-    @property
-    def na(self) -> int:
-        return self.biadj.nrows
-
-    @property
-    def nb(self) -> int:
-        return self.biadj.ncols
-
-    def degree_a(self, i: int) -> int:
-        return self.biadj.rows[i].bit_count()
-
-    def degree_b(self, j: int) -> int:
-        return self.biadj.column_bits(j).bit_count()
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.na) for j in _bits(self.biadj.rows[i])]
-
-    def num_edges(self) -> int:
-        return sum(r.bit_count() for r in self.biadj.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiGraph):
-            return NotImplemented
-        return self.biadj == other.biadj
-
-    def __hash__(self) -> int:
-        return hash(self.biadj)
-
-    def __repr__(self) -> str:
-        return f"BiGraph({self.na}+{self.nb}, m={self.num_edges()})"
-
-
 @dataclass(frozen=True)
 class DegreeStats:
     min_degree: int
@@ -175,10 +134,10 @@ class BicliqueWitness(NamedTuple):
     t_set: tuple[int, ...]
 
 
-def bipartite_complement(g: BiGraph) -> BiGraph:
+def bipartite_complement(g: BitMatrix) -> BitMatrix:
     """Flip every cross pair; an involution on bipartite graphs."""
-    full = (1 << g.nb) - 1
-    return BiGraph(BitMatrix(g.na, g.nb, [r ^ full for r in g.biadj.rows]))
+    full = (1 << g.ncols) - 1
+    return BitMatrix(g.nrows, g.ncols, [r ^ full for r in g.rows])
 
 
 def _search_biclique(masks: list[int], s: int, t: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -202,7 +161,7 @@ def _search_biclique(masks: list[int], s: int, t: int) -> Optional[tuple[tuple[i
     return None
 
 
-def find_complete_bipartite(g: BiGraph, s: int, t: int) -> Optional[BicliqueWitness]:
+def find_complete_bipartite(g: BitMatrix, s: int, t: int) -> Optional[BicliqueWitness]:
     """Search for a K_{s,t} subgraph, trying both side orientations.
 
     Returns None when no such subgraph exists.  s and t are symmetric
@@ -212,10 +171,10 @@ def find_complete_bipartite(g: BiGraph, s: int, t: int) -> Optional[BicliqueWitn
         raise ValueError("biclique sides must be positive")
     if s > t:
         s, t = t, s
-    hit = _search_biclique(g.biadj.rows, s, t)
+    hit = _search_biclique(g.rows, s, t)
     if hit:
         return BicliqueWitness("A", hit[0], hit[1])
-    cols = [g.biadj.column_bits(j) for j in range(g.nb)]
+    cols = [g.column_bits(j) for j in range(g.ncols)]
     hit = _search_biclique(cols, s, t)
     if hit:
         return BicliqueWitness("B", hit[0], hit[1])
@@ -292,9 +251,10 @@ def vertex_connectivity(g: Graph) -> int:
 
 
 def degree_stats(g) -> DegreeStats:
-    """Exact min/max/average degree of a Graph or BiGraph."""
-    if isinstance(g, BiGraph):
-        degs = [g.degree_a(i) for i in range(g.na)] + [g.degree_b(j) for j in range(g.nb)]
+    """Exact min/max/average degree of a Graph or a bipartite BitMatrix."""
+    if isinstance(g, BitMatrix):
+        degs = ([r.bit_count() for r in g.rows]
+                + [g.column_bits(j).bit_count() for j in range(g.ncols)])
     else:
         degs = [g.degree(v) for v in range(g.n)]
     if not degs:
@@ -318,7 +278,7 @@ def parse_graph(text: str) -> Graph:
         raise FormatError(f"bad graph header: {lines[0]!r}")
     try:
         g = Graph(int(head[1]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FormatError("bad vertex count") from exc
     for line in lines[1:]:
         parts = line.split()
@@ -331,14 +291,14 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
-def format_bigraph(g: BiGraph) -> str:
-    lines = [f"bigraph {g.na} {g.nb}"]
-    for i, j in g.edges():
-        lines.append(f"{i} {j}")
+def format_bigraph(g: BitMatrix) -> str:
+    lines = [f"bigraph {g.nrows} {g.ncols}"]
+    for i, row in enumerate(g.rows):
+        lines += [f"{i} {j}" for j in _bits(row)]
     return "\n".join(lines) + "\n"
 
 
-def parse_bigraph(text: str) -> BiGraph:
+def parse_bigraph(text: str) -> BitMatrix:
     lines = content_lines(text)
     if not lines:
         raise FormatError("empty bigraph document")
@@ -347,7 +307,7 @@ def parse_bigraph(text: str) -> BiGraph:
         raise FormatError(f"bad bigraph header: {lines[0]!r}")
     try:
         m = BitMatrix(int(head[1]), int(head[2]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FormatError("bad side sizes") from exc
     for line in lines[1:]:
         parts = line.split()
@@ -357,4 +317,4 @@ def parse_bigraph(text: str) -> BiGraph:
             m.set(int(parts[0]), int(parts[1]), 1)
         except (ValueError, IndexError) as exc:
             raise FormatError(f"bad edge line: {line!r}") from exc
-    return BiGraph(m)
+    return m

@@ -17,7 +17,7 @@ from .errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                      NotASpanningTree, NotConnected, PivotOnZero,
                      SubsetCapExceeded)
 from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank_bits
-from .graph import BiGraph, Graph
+from .graph import Graph
 from .cutrank import SUBSET_CAP, find_low_rank_separation
 
 CIRCUIT_ENUM_CAP = 16
@@ -46,7 +46,9 @@ class MultiGraph:
         return {label: (u, v) for label, u, v in self.edges}
 
     def is_connected(self) -> bool:
-        return -1 not in _walk(self.n, self.edges)[1]
+        # Fewer than n - 1 edges cannot connect n vertices; counting first
+        # keeps a huge vertex count from reaching the per-vertex walk.
+        return self.n <= len(self.edges) + 1 and -1 not in _walk(self.n, self.edges)[1]
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={len(self.edges)})"
@@ -122,10 +124,6 @@ class BinaryMatroid:
         except ValueError:
             raise ElementNotFound(y) from None
 
-    def fundamental_graph(self) -> BiGraph:
-        """Bipartite graph between basis (side A) and nonbasis (side B)."""
-        return BiGraph(self.rep.copy())
-
     def element_order(self) -> list[str]:
         return sorted(self.ground())
 
@@ -166,9 +164,10 @@ def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[
     """
     tree = [e for e in g.edges if e[0] in t.tree_edges]
     cotree = [e for e in g.edges if e[0] not in t.tree_edges]
-    parent, depth, row_of = _walk(g.n, tree)
-    # n - 1 known edges that reach every vertex hold no loop.
-    if not (len(tree) == len(t.tree_edges) == max(g.n - 1, 0) and -1 not in depth):
+    # n - 1 known edges that reach every vertex hold no loop.  They are
+    # counted before the walk, which takes a list per vertex.
+    if not (len(tree) == len(t.tree_edges) == max(g.n - 1, 0)
+            and -1 not in (walk := _walk(g.n, tree))[1]):
         if not g.is_connected():
             raise NotConnected("multigraph is not connected")
         by_label = g.edge_by_label()
@@ -182,6 +181,7 @@ def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[
             raise NotASpanningTree(
                 f"tree has {len(t.tree_edges)} edges, expected {g.n - 1}")
         raise NotASpanningTree("tree edges do not span every vertex")
+    parent, depth, row_of = walk
     rows = [0] * len(tree)
     for j, (_, u, v) in enumerate(cotree):
         bit = 1 << j

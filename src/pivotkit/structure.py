@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import (DimensionMismatch, NotATree, PartitionInvalid,
-                     TreeTooSmall)
+from .errors import NotATree, PartitionInvalid, TreeTooSmall
 from .gf2 import BitMatrix
-from .graph import BiGraph, Graph, _bfs, _bits, degree_stats
+from .graph import Graph, _bfs, _bits, degree_stats
 
 Edge = tuple[int, int]
 
@@ -301,16 +300,15 @@ def constant_block_partition(c: BitMatrix) -> BlockPartition:
         tags)
 
 
-def perturbation_partition(g1: BiGraph, g2: BiGraph) -> BlockPartition:
+def perturbation_partition(g1: BitMatrix, g2: BitMatrix) -> BlockPartition:
     """Partition both sides so each block of g1 equals the matching
     block of g2 or its bipartite complement.
 
     The class counts are at most 2^p where p is the rank of the
-    biadjacency difference.
+    biadjacency difference g1 ^ g2, which raises DimensionMismatch when
+    the shapes differ.
     """
-    if g1.na != g2.na or g1.nb != g2.nb:
-        raise DimensionMismatch(f"{g1.na}x{g1.nb} vs {g2.na}x{g2.nb}")
-    bp = constant_block_partition(g1.biadj ^ g2.biadj)
+    bp = constant_block_partition(g1 ^ g2)
     tags = tuple(
         tuple("complement" if tag == "one" else "equal" for tag in row)
         for row in bp.tags)
@@ -337,7 +335,7 @@ def block_partition_is_constant(c: BitMatrix, bp: BlockPartition) -> bool:
     return True
 
 
-def reconstruct_from_partition(g2: BiGraph, bp: BlockPartition) -> BiGraph:
+def reconstruct_from_partition(g2: BitMatrix, bp: BlockPartition) -> BitMatrix:
     """Rebuild g1 from g2 plus a graph-pair BlockPartition's tags.
 
     Raises PartitionInvalid when bp's classes do not partition g2's sides
@@ -345,15 +343,15 @@ def reconstruct_from_partition(g2: BiGraph, bp: BlockPartition) -> BiGraph:
     """
     if bp.mode != "graph-pair":
         raise ValueError("expected a graph-pair partition")
-    _validate_block_partition(bp, g2.na, g2.nb)
-    out = g2.biadj.copy()
+    _validate_block_partition(bp, g2.nrows, g2.ncols)
+    out = g2.copy()
     for ri, rc in enumerate(bp.row_classes):
         for ci, cc in enumerate(bp.col_classes):
             if bp.tags[ri][ci] == "complement":
                 for i in rc:
                     for j in cc:
                         out.set(i, j, 1 - out.get(i, j))
-    return BiGraph(out)
+    return out
 
 
 def _validate_partition(classes, size: int, what: str) -> None:
@@ -377,7 +375,7 @@ def _validate_block_partition(bp: BlockPartition, nrows: int, ncols: int) -> Non
         raise PartitionInvalid("expected one tag per block")
 
 
-def check_struct_density(g: BiGraph, row_classes, col_classes, s: int) -> bool:
+def check_struct_density(g: BitMatrix, row_classes, col_classes, s: int) -> bool:
     """Whether average degree of g is at most 10 * n^2 * s, where n is
     the larger class count.  Exact rational arithmetic throughout.
 
@@ -387,8 +385,8 @@ def check_struct_density(g: BiGraph, row_classes, col_classes, s: int) -> bool:
     """
     if s < 1:
         raise ValueError("s must be positive")
-    _validate_partition(row_classes, g.na, "row")
-    _validate_partition(col_classes, g.nb, "column")
+    _validate_partition(row_classes, g.nrows, "row")
+    _validate_partition(col_classes, g.ncols, "column")
     n = max(len(row_classes), len(col_classes))
     bound = Fraction(10 * n * n * s)
     return degree_stats(g).average_degree <= bound

@@ -5,8 +5,7 @@ evaluates a hypothesis, and asserts the matching conclusion.  Trials
 whose hypothesis fails are counted as vacuous rather than as passes.
 Every violation is recorded with a fully serialized witness that can be
 replayed independently of the original run.  Reports are bit-identical
-across runs with the same (name, params, seed); elapsed time is kept on
-the report object but deliberately excluded from the serialization.
+across runs with the same (name, params, seed).
 
 Each campaign is one ``Campaign`` record in ``_CAMPAIGNS``: its parameters
 (``Param``: default, least legal value, cap), a generator that yields one
@@ -22,7 +21,6 @@ the field); the CLI derives the ``check`` flags from the declared names.
 from __future__ import annotations
 
 import random
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -34,7 +32,7 @@ from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid,
 from .extremal import (Instance, _make_instance, format_instance, gen_c6_blowup_example,
                        gen_ktt_example, gen_random_instance)
 from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
-from .graph import (BiGraph, Graph, bipartite_complement, degree_stats,
+from .graph import (Graph, bipartite_complement, degree_stats,
                     find_complete_bipartite, format_bigraph, format_graph,
                     is_c4_free, parse_bigraph, parse_graph, vertex_connectivity)
 from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
@@ -61,7 +59,6 @@ class CampaignReport:
     trials_run: int = 0
     vacuous: int = 0
     violations: list = field(default_factory=list)  # list of witness dicts
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -165,7 +162,7 @@ def _check_tree(tree: Graph, s: int):
     return None
 
 
-def _check_struct_density(h: BiGraph, row_classes, col_classes, s: int):
+def _check_struct_density(h: BitMatrix, row_classes, col_classes, s: int):
     if find_complete_bipartite(h, s, s) is not None:
         return VACUOUS
     if not check_struct_density(h, row_classes, col_classes, s):
@@ -193,12 +190,12 @@ def _check_pert(c: BitMatrix, d1: BitMatrix):
           and len(bp.col_classes) <= 2 ** p
           and block_partition_is_constant(c, bp))
     if ok:
-        g1, g2 = BiGraph(d1), BiGraph(d1 ^ c)
-        bp2 = perturbation_partition(g1, g2)
+        d2 = d1 ^ c
+        bp2 = perturbation_partition(d1, d2)
         try:
             ok = (len(bp2.row_classes) <= 2 ** p
                   and len(bp2.col_classes) <= 2 ** p
-                  and reconstruct_from_partition(g2, bp2) == g1)
+                  and reconstruct_from_partition(d2, bp2) == d1)
         except PartitionInvalid:  # a partition that drops or repeats a class
             ok = False
     if not ok:
@@ -351,11 +348,11 @@ def _gen_struct_density(p: dict, rng: random.Random):
         h = inst.fundamental
         if rng.random() < 0.5:
             h = bipartite_complement(h)
-        if h.na == 0 or h.nb == 0:
+        if h.nrows == 0 or h.ncols == 0:
             yield VACUOUS
             continue
-        row_classes = _random_partition(rng, h.na, p["classes"])
-        col_classes = _random_partition(rng, h.nb, p["classes"])
+        row_classes = _random_partition(rng, h.nrows, p["classes"])
+        col_classes = _random_partition(rng, h.ncols, p["classes"])
         yield h, row_classes, col_classes, p["s"]
 
 
@@ -428,17 +425,22 @@ def _gen_avg_exists(p: dict, rng: random.Random):
 
 # --- witness decoders: a parsed witness back to its check's arguments ---
 
-def _int(w: dict, key: str) -> int:
+def _field(w: dict, key: str) -> str:
     if key not in w:
         raise FormatError(f"missing field {key}")
+    return w[key]
+
+
+def _int(w: dict, key: str) -> int:
+    value = _field(w, key)
     try:
-        return int(w[key])
+        return int(value)
     except ValueError:
-        raise FormatError(f"{key}={w[key]!r} is not an integer") from None
+        raise FormatError(f"{key}={value!r} is not an integer") from None
 
 
 def _data(w: dict) -> str:
-    return _unembed(w["data"])
+    return _unembed(_field(w, "data"))
 
 
 def _instance_from_witness(w: dict) -> Instance:
@@ -451,7 +453,7 @@ def _classes(field: str):
 
 
 def _decode_pert(w: dict):
-    blob_c, blob_d = w["data"].split("&")
+    blob_c, blob_d = _field(w, "data").split("&")
     return parse_matrix(_unembed(blob_c)), parse_matrix(_unembed(blob_d))
 
 
@@ -505,8 +507,8 @@ _CAMPAIGNS = {
     "struct-density": Campaign(
         {"s": Param(2, 1), "classes": Param(2, 1), "trials": Param(200, 1)},
         _gen_struct_density, _check_struct_density,
-        lambda w: (parse_bigraph(_data(w)), _classes(w["rows"]), _classes(w["cols"]),
-                   _int(w, "s"))),
+        lambda w: (parse_bigraph(_data(w)), _classes(_field(w, "rows")),
+                   _classes(_field(w, "cols")), _int(w, "s"))),
     "rankconn-lemma": Campaign(
         {"trials": Param(1000, 1), "n_max": Param(8, 4, 10)}, _gen_rankconn, _check_rankconn,
         lambda w: (parse_graph(_data(w)),)),
@@ -516,7 +518,7 @@ _CAMPAIGNS = {
     "pivot-matroid": Campaign(
         {"trials": Param(200, 1), "max_elements": Param(10, 2, CIRCUIT_ENUM_CAP)},
         _gen_pivot_matroid, _check_pivot_matroid,
-        lambda w: (parse_matroid(_data(w)), w["x"], w["y"])),
+        lambda w: (parse_matroid(_data(w)), _field(w, "x"), _field(w, "y"))),
     "conn-equiv": Campaign(
         {"trials": Param(100, 1), "max_elements": Param(10, 2, SUBSET_CAP),
          "k_max": Param(4, 1)}, _gen_conn_equiv, _check_conn_equiv,
@@ -563,7 +565,6 @@ def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> Campai
     campaign = _CAMPAIGNS[name]
     report = CampaignReport(name=name, params=_merge_params(name, campaign.params, params),
                             seed=seed)
-    start = time.monotonic()
     for args in campaign.generate(report.params, random.Random(seed)):
         outcome = VACUOUS if args == VACUOUS else campaign.check(*args)
         report.trials_run += 1
@@ -572,7 +573,6 @@ def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> Campai
         elif outcome is not None:
             outcome["name"] = name
             report.violations.append(outcome)
-    report.elapsed = time.monotonic() - start
     return report
 
 

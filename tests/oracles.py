@@ -32,7 +32,7 @@ from pivotkit.cutrank import SUBSET_CAP, Separation
 from pivotkit.errors import (ElementNotFound, GroundSetTooLarge, NotAnEdge, NotATree,
                              SearchBudgetExceeded, SubsetCapExceeded, TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
-from pivotkit.graph import BiGraph, Graph, _bfs, _bits, is_connected
+from pivotkit.graph import Graph, _bfs, _bits, is_connected
 from pivotkit.matroid import CIRCUIT_ENUM_CAP, BinaryMatroid, MultiGraph, SpanningTree
 from pivotkit.structure import Edge, SplitEdge, SplitVertex, TreeSplit
 
@@ -46,14 +46,15 @@ def rank_by_span(m: BitMatrix) -> int:
     return size.bit_length() - 1
 
 
-def biclique_by_enumeration(g: BiGraph, s: int, t: int) -> bool:
-    """Exhaustive subset-pair search for K_{s,t} in either orientation."""
+def biclique_by_enumeration(g: BitMatrix, s: int, t: int) -> bool:
+    """Exhaustive subset-pair search for K_{s,t} in either orientation
+    of the bipartite graph with biadjacency matrix g."""
     for (p, q) in ((s, t), (t, s)):
-        if p > g.na or q > g.nb:
+        if p > g.nrows or q > g.ncols:
             continue
-        for rows in combinations(range(g.na), p):
-            for cols in combinations(range(g.nb), q):
-                if all(g.biadj.get(i, j) for i in rows for j in cols):
+        for rows in combinations(range(g.nrows), p):
+            for cols in combinations(range(g.ncols), q):
+                if all(g.get(i, j) for i in rows for j in cols):
                     return True
     return False
 

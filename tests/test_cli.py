@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pivotkit
+import pivotkit.cli
 from pivotkit.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                           run_cli)
 from pivotkit.extremal import format_instance, gen_ktt_example
@@ -65,8 +67,7 @@ class TestPipelines:
         _, doc = run(["gen", "ktt", "3"])
         code, out = run(["fundgraph", "-"], stdin=doc)
         assert code == EXIT_OK
-        g = parse_bigraph(out)
-        assert (g.na, g.nb) == (2, 2) and g.num_edges() == 4
+        assert parse_bigraph(out) == BitMatrix(2, 2, [0b11, 0b11])
 
     def test_gen_matroid_circuits(self):
         _, doc = run(["gen", "ktt", "3"])
@@ -289,20 +290,67 @@ class TestExitCodes:
         assert run(["replay", str(report)]) == (code, "")
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("fields, message", [
-        ("s=two t=3", "witness 1 (fun-lemma): s='two' is not an integer"),
-        ("t=3", "witness 1 (fun-lemma): missing field s"),
-    ], ids=["s-not-an-integer", "s-missing"])
-    def test_replay_names_a_malformed_witness_field(self, tmp_path, capsys, fields, message):
+    @pytest.mark.parametrize("name, fields, data, message", [
+        ("fun-lemma", "s=two t=3 bound_offset=-3", None, "s='two' is not an integer"),
+        ("fun-lemma", "t=3 bound_offset=-3", None, "missing field s"),
+        ("pivot-matroid", "y=b", "basis a;nonbasis b;matrix 1 1;1", "missing field x"),
+        ("pivot-matroid", "x=a", "basis a;nonbasis b;matrix 1 1;1", "missing field y"),
+        ("struct-density", "s=1 cols=0", "bigraph 1 1;0 0", "missing field rows"),
+        ("struct-density", "s=1 rows=0", "bigraph 1 1;0 0", "missing field cols"),
+    ], ids=["s-not-an-integer", "s-missing", "x-missing", "y-missing", "rows-missing",
+            "cols-missing"])
+    def test_replay_names_a_malformed_witness_field(self, tmp_path, capsys, name, fields,
+                                                    data, message):
         # The first witness is a real one; the second carries the bad field.
         good = run_campaign("fun-lemma", {"trials": 30, "bound_offset": -3}).violations[0]
         blob = good["data"]
         report = tmp_path / "report.txt"
         report.write_text("FAIL\nname=fun-lemma\nviolations=2\n"
                           f"witness name=fun-lemma s=2 t=3 bound_offset=-3 data={blob}\n"
-                          f"witness name=fun-lemma {fields} bound_offset=-3 data={blob}\n")
+                          f"witness name={name} {fields} data={data or blob}\n")
         assert run(["replay", str(report)]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: witness 1 ({name}): {message}\n"
+
+    @pytest.mark.parametrize("argv", [["minor", "-", "--delete", "zz"],
+                                      ["lambda", "-", "--set", "zz"]])
+    def test_unknown_element_label_is_usage(self, argv, capsys):
+        _, doc = run(["gen", "ktt", "3"])
+        _, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
+        assert run(["matroid", *argv], stdin=mat) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == "error: 'zz'\n"
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(g, vertices):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(pivotkit.cli, "cut_rank", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run(["cutrank", "-", "--set", "0"], stdin=format_graph(Graph.cycle(4)))
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["pivot", "-", "0", "1"], "graph 100000000000000000000\n", "bad vertex count"),
+        (["partition", "--pair", "-", "-"], "bigraph 100000000000000000000 2\n",
+         "bad side sizes"),
+    ], ids=["graph", "bigraph"])
+    def test_header_too_large_to_allocate_is_usage(self, argv, doc, message, capsys):
+        assert run(argv, stdin=doc) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_edgeless_multigraph_with_a_huge_header_is_not_connected(self):
+        # Fewer edges than n - 1 answer NotConnected before any per-vertex
+        # list.  Run in a child with a memory limit and a timeout, since a
+        # walk over 10^20 vertices grows until it is stopped.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        src = Path(pivotkit.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", "fundgraph", "-"],
+                              input="multigraph 100000000000000000000\n",
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr == "error: multigraph is not connected\n"
 
     @pytest.mark.parametrize("argv", [
         ["conn-equiv", "--k-max", "0"],

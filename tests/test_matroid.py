@@ -463,9 +463,9 @@ class TestCographic:
         rng = random.Random(59)
         for _ in range(10):
             mg, t = random_connected_multigraph(rng, n_max=5, extra_max=3)
-            g1 = graphic_matroid(mg, t).fundamental_graph()
-            g2 = cographic_matroid(mg, t).fundamental_graph()
-            assert g1.biadj.transpose() == g2.biadj
+            g1 = graphic_matroid(mg, t).rep
+            g2 = cographic_matroid(mg, t).rep
+            assert g1.transpose() == g2
 
 
 class TestFormats:

@@ -170,11 +170,6 @@ class TestReportFormat:
         assert w["s"] == "2" and w["t"] == "5"
         assert "multigraph" in w["data"]
 
-    def test_elapsed_not_serialized(self):
-        report = run_campaign("pivot-matroid", {"trials": 5}, seed=5)
-        report.elapsed = 123.456
-        assert "123" not in format_report(report)
-
     def test_parse_rejects_garbage(self):
         with pytest.raises(FormatError):
             parse_report("hello\n")
