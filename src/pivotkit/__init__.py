@@ -7,9 +7,9 @@ from .graph import (DegreeStats, Graph, bipartite_complement, degree_stats,
                     find_complete_bipartite, is_c4_free, vertex_connectivity)
 from .pivot import is_pivot_minor, pivot, pivot_orbit
 from .cutrank import Separation, cut_rank, find_low_rank_separation
-from .matroid import (BinaryMatroid, MultiGraph, SpanningTree, change_basis,
-                      circuits, cographic_matroid, connectivity_lambda,
-                      graphic_matroid, is_k_connected, minor)
+from .matroid import (BinaryMatroid, MultiGraph, change_basis, circuits,
+                      cographic_matroid, connectivity_lambda, graphic_matroid,
+                      is_k_connected, minor)
 from .structure import (BlockPartition, SplitEdge, SplitVertex, TreeSplit,
                         check_struct_density, constant_block_partition,
                         perturbation_partition, split_tree)
@@ -23,7 +23,7 @@ __all__ = [
     "degree_stats", "find_complete_bipartite", "is_c4_free", "vertex_connectivity",
     "is_pivot_minor", "pivot", "pivot_orbit",
     "Separation", "cut_rank", "find_low_rank_separation",
-    "BinaryMatroid", "MultiGraph", "SpanningTree", "change_basis", "circuits",
+    "BinaryMatroid", "MultiGraph", "change_basis", "circuits",
     "cographic_matroid", "connectivity_lambda", "graphic_matroid",
     "is_k_connected", "minor",
     "BlockPartition", "SplitEdge", "SplitVertex", "TreeSplit",

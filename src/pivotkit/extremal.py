@@ -12,22 +12,32 @@ import heapq
 import random
 from dataclasses import dataclass
 
+from .errors import CapExceeded
 from .gf2 import BitMatrix
-from .matroid import MultiGraph, SpanningTree, format_multigraph, fundamental_matrix
+from .matroid import MultiGraph, format_multigraph, fundamental_matrix
+
+# The most vertices, and the most extra edges, a generated instance has;
+# checked before any list is built, so a larger size costs nothing.
+INSTANCE_CAP = 1000
+
+
+def _check_cap(what: str, size: int) -> None:
+    if size > INSTANCE_CAP:
+        raise CapExceeded(f"{size} {what} exceeds the instance cap {INSTANCE_CAP}")
 
 
 @dataclass(frozen=True)
 class Instance:
-    """A multigraph with spanning tree and its fundamental graph, whose
-    biadjacency rows are the tree edges."""
+    """A multigraph with a spanning tree, the set of its edge labels, and
+    its fundamental graph, whose biadjacency rows are the tree edges."""
 
     multigraph: MultiGraph
-    tree: SpanningTree
+    tree: frozenset[str]
     fundamental: BitMatrix
     provenance: str
 
 
-def _make_instance(mg: MultiGraph, tree: SpanningTree, provenance: str) -> Instance:
+def _make_instance(mg: MultiGraph, tree: frozenset[str], provenance: str) -> Instance:
     return Instance(mg, tree, fundamental_matrix(mg, tree)[0], provenance)
 
 
@@ -43,11 +53,11 @@ def gen_ktt_example(t: int) -> Instance:
     """
     if t < 2:
         raise ValueError("t must be at least 2")
+    _check_cap("vertices", t)
     edges = [(f"t{i}", i, i + 1) for i in range(t - 1)]
     edges += [(f"f{i}", 0, t - 1) for i in range(t - 1)]
     mg = MultiGraph(t, edges)
-    tree = SpanningTree(frozenset(f"t{i}" for i in range(t - 1)))
-    return _make_instance(mg, tree, f"ktt t={t}")
+    return _make_instance(mg, frozenset(f"t{i}" for i in range(t - 1)), f"ktt t={t}")
 
 
 def gen_c6_blowup_example(s: int) -> Instance:
@@ -62,6 +72,7 @@ def gen_c6_blowup_example(s: int) -> Instance:
         raise ValueError("s must be at least 2")
     leg = s - 1
     n = 1 + 3 * leg
+    _check_cap("vertices", n)
     edges = []
     tree_labels = []
     tips = []
@@ -79,9 +90,7 @@ def gen_c6_blowup_example(s: int) -> Instance:
         for _ in range(leg):
             edges.append((f"f{idx}", tips[a], tips[b]))
             idx += 1
-    mg = MultiGraph(n, edges)
-    tree = SpanningTree(frozenset(tree_labels))
-    return _make_instance(mg, tree, f"c6blowup s={s}")
+    return _make_instance(MultiGraph(n, edges), frozenset(tree_labels), f"c6blowup s={s}")
 
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -117,6 +126,8 @@ def gen_random_instance(n: int, extra_edges: int, seed: int,
         raise ValueError("n must be at least 2")
     if extra_edges < 0:
         raise ValueError("extra_edges must be non-negative")
+    _check_cap("vertices", n)
+    _check_cap("extra edges", extra_edges)
     rng = random.Random(seed)
     edges = [(f"t{i}", u, v) for i, (u, v) in enumerate(_random_tree_edges(n, rng))]
     for i in range(extra_edges):
@@ -125,6 +136,5 @@ def gen_random_instance(n: int, extra_edges: int, seed: int,
         while v == u and not allow_loops:
             v = rng.randrange(n)
         edges.append((f"f{i}", u, v))
-    mg = MultiGraph(n, edges)
-    tree = SpanningTree(frozenset(f"t{i}" for i in range(n - 1)))
-    return _make_instance(mg, tree, f"random n={n} extra={extra_edges} seed={seed}")
+    return _make_instance(MultiGraph(n, edges), frozenset(f"t{i}" for i in range(n - 1)),
+                          f"random n={n} extra={extra_edges} seed={seed}")

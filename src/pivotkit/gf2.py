@@ -65,8 +65,13 @@ class BitMatrix:
         return bits
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.ncols, self.nrows,
-                         [self.column_bits(j) for j in range(self.ncols)])
+        cols = [0] * self.ncols
+        for i, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        return BitMatrix(self.ncols, self.nrows, cols)
 
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:

@@ -9,7 +9,6 @@ label swap, and leaves the circuits unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._text import content_lines
@@ -86,13 +85,6 @@ def _walk(n: int, edges: list[tuple[str, int, int]]):
     return parent, depth, parent_edge
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """The labels of a distinguished spanning tree's edges."""
-
-    tree_edges: frozenset[str]
-
-
 class BinaryMatroid:
     """Ground set = basis + nonbasis labels; rep is the D of [I|D]."""
 
@@ -148,8 +140,9 @@ class BinaryMatroid:
         return f"BinaryMatroid(|B|={len(self.basis)}, |E-B|={len(self.nonbasis)})"
 
 
-def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[str], list[str]]:
-    """The tree-edge x non-tree-edge cycle membership matrix.
+def fundamental_matrix(g: MultiGraph, t: frozenset[str]) -> tuple[BitMatrix, list[str], list[str]]:
+    """The tree-edge x non-tree-edge cycle membership matrix of g, whose
+    spanning tree t is given as the set of its edge labels.
 
     Built by tree-path traversal: the cycle closed by a non-tree edge
     consists of the tree edges on the path between its endpoints.  A
@@ -162,24 +155,24 @@ def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[
     labels are then checked in sorted order, so the problem reported
     does not depend on the hash seed.
     """
-    tree = [e for e in g.edges if e[0] in t.tree_edges]
-    cotree = [e for e in g.edges if e[0] not in t.tree_edges]
+    tree = [e for e in g.edges if e[0] in t]
+    cotree = [e for e in g.edges if e[0] not in t]
     # n - 1 known edges that reach every vertex hold no loop.  They are
     # counted before the walk, which takes a list per vertex.
-    if not (len(tree) == len(t.tree_edges) == max(g.n - 1, 0)
+    if not (len(tree) == len(t) == max(g.n - 1, 0)
             and -1 not in (walk := _walk(g.n, tree))[1]):
         if not g.is_connected():
             raise NotConnected("multigraph is not connected")
         by_label = g.edge_by_label()
-        for label in sorted(t.tree_edges):
+        for label in sorted(t):
             if label not in by_label:
                 raise NotASpanningTree(f"unknown tree edge label: {label}")
             u, v = by_label[label]
             if u == v:
                 raise NotASpanningTree(f"tree edge {label} is a loop")
-        if len(t.tree_edges) != max(g.n - 1, 0):
+        if len(t) != max(g.n - 1, 0):
             raise NotASpanningTree(
-                f"tree has {len(t.tree_edges)} edges, expected {g.n - 1}")
+                f"tree has {len(t)} edges, expected {g.n - 1}")
         raise NotASpanningTree("tree edges do not span every vertex")
     parent, depth, row_of = walk
     rows = [0] * len(tree)
@@ -194,16 +187,20 @@ def fundamental_matrix(g: MultiGraph, t: SpanningTree) -> tuple[BitMatrix, list[
             [e[0] for e in tree], [e[0] for e in cotree])
 
 
-def graphic_matroid(g: MultiGraph, t: SpanningTree) -> BinaryMatroid:
+def graphic_matroid(g: MultiGraph, t: frozenset[str]) -> BinaryMatroid:
     """The matroid on E(g) whose basis is the spanning tree."""
     d, tree_labels, cotree_labels = fundamental_matrix(g, t)
     return BinaryMatroid(tree_labels, cotree_labels, d)
 
 
-def cographic_matroid(g: MultiGraph, t: SpanningTree) -> BinaryMatroid:
-    """The dual construction: basis = non-tree edges, rep = D transposed."""
-    d, tree_labels, cotree_labels = fundamental_matrix(g, t)
-    return BinaryMatroid(cotree_labels, tree_labels, d.transpose())
+def _dual(m: BinaryMatroid) -> BinaryMatroid:
+    """M*: the same fundamental graph with its sides swapped."""
+    return BinaryMatroid(m.nonbasis, m.basis, m.rep.transpose())
+
+
+def cographic_matroid(g: MultiGraph, t: frozenset[str]) -> BinaryMatroid:
+    """The dual of the graphic matroid: basis = non-tree edges."""
+    return _dual(graphic_matroid(g, t))
 
 
 def change_basis(m: BinaryMatroid, x: str, y: str) -> BinaryMatroid:
@@ -250,63 +247,44 @@ def circuits(m: BinaryMatroid) -> frozenset[frozenset[str]]:
     return frozenset(out)
 
 
-def _drop_row(m: BinaryMatroid, x: str) -> BinaryMatroid:
-    i = m.row_of(x)
-    rows = [r for k, r in enumerate(m.rep.rows) if k != i]
-    basis = tuple(b for b in m.basis if b != x)
-    return BinaryMatroid(basis, m.nonbasis, BitMatrix(len(rows), m.rep.ncols, rows))
-
-
-def _drop_col(m: BinaryMatroid, y: str) -> BinaryMatroid:
-    j = m.col_of(y)
-    low = (1 << j) - 1
-    rows = [(r & low) | ((r >> (j + 1)) << j) for r in m.rep.rows]
-    nonbasis = tuple(c for c in m.nonbasis if c != y)
-    return BinaryMatroid(m.basis, nonbasis, BitMatrix(m.rep.nrows, len(nonbasis), rows))
+def _contract(m: BinaryMatroid, e: str) -> BinaryMatroid:
+    """Drop e's row once e is in the basis, which a non-basis element
+    enters with its least-labeled partner.  A loop (zero column) has no
+    partner; it is a coloop of the dual, contracted there."""
+    if e in m.nonbasis:
+        col = m.rep.column_bits(m.col_of(e))
+        if col == 0:
+            return _dual(_contract(_dual(m), e))
+        m = change_basis(m, min(b for i, b in enumerate(m.basis) if (col >> i) & 1), e)
+    i = m.row_of(e)
+    rows = m.rep.rows[:i] + m.rep.rows[i + 1:]
+    return BinaryMatroid(m.basis[:i] + m.basis[i + 1:], m.nonbasis,
+                         BitMatrix(len(rows), m.rep.ncols, rows))
 
 
 def minor(m: BinaryMatroid, deletions: Iterable[str], contractions: Iterable[str]) -> BinaryMatroid:
     """Delete and contract elements; circuits match the matroid minor.
 
-    A loop (zero column) is contracted by deletion; a coloop (zero row)
-    is deleted by contraction — the basis-exchange route cannot move
-    them.  When a basis change is needed, the least-labeled partner with
-    a unit entry is used, so minors are deterministic.
+    Contractions run first, in sorted label order.  Deleting e from M is
+    contracting e in the dual M*, so the deletions are then contracted,
+    in sorted label order, in the dual, which is dualized back.
     """
     dels = set(deletions)
     cons = set(contractions)
     if dels & cons:
         raise ValueError("deletions and contractions must be disjoint")
     ground = m.ground()
-    for e in dels | cons:
+    for e in sorted(dels | cons):
         if e not in ground:
             raise ElementNotFound(e)
-    cur = m
     for e in sorted(cons):
-        if e in cur.basis:
-            cur = _drop_row(cur, e)
-        else:
-            j = cur.col_of(e)
-            col = cur.rep.column_bits(j)
-            if col == 0:
-                cur = _drop_col(cur, e)  # loop: contraction acts as deletion
-            else:
-                partners = [cur.basis[i] for i in range(len(cur.basis)) if (col >> i) & 1]
-                cur = change_basis(cur, min(partners), e)
-                cur = _drop_row(cur, e)
-    for e in sorted(dels):
-        if e in cur.nonbasis:
-            cur = _drop_col(cur, e)
-        else:
-            i = cur.row_of(e)
-            row = cur.rep.rows[i]
-            if row == 0:
-                cur = _drop_row(cur, e)  # coloop: deletion acts as contraction
-            else:
-                partners = [cur.nonbasis[j] for j in range(len(cur.nonbasis)) if (row >> j) & 1]
-                cur = change_basis(cur, e, min(partners))
-                cur = _drop_col(cur, e)
-    return cur
+        m = _contract(m, e)
+    if dels:
+        m = _dual(m)
+        for e in sorted(dels):
+            m = _contract(m, e)
+        m = _dual(m)
+    return m
 
 
 def connectivity_kernel(m: BinaryMatroid) -> Callable[[int], int]:
@@ -367,18 +345,18 @@ def is_k_connected(m: BinaryMatroid, k: int) -> tuple[bool, Optional[frozenset[s
     return False, frozenset(elements[i] for i in sep.side_x)
 
 
-def format_multigraph(g: MultiGraph, t: SpanningTree, provenance: str | None = None) -> str:
+def format_multigraph(g: MultiGraph, t: frozenset[str], provenance: str | None = None) -> str:
     lines = []
     if provenance:
         lines.append(f"# {provenance}")
     lines.append(f"multigraph {g.n}")
     for label, u, v in g.edges:
-        kind = "tree" if label in t.tree_edges else "cotree"
+        kind = "tree" if label in t else "cotree"
         lines.append(f"{u} {v} {kind} {label}")
     return "\n".join(lines) + "\n"
 
 
-def parse_multigraph(text: str) -> tuple[MultiGraph, SpanningTree]:
+def parse_multigraph(text: str) -> tuple[MultiGraph, frozenset[str]]:
     lines = content_lines(text)
     if not lines:
         raise FormatError("empty multigraph document")
@@ -406,7 +384,7 @@ def parse_multigraph(text: str) -> tuple[MultiGraph, SpanningTree]:
         mg = MultiGraph(n, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return mg, SpanningTree(frozenset(tree_labels))
+    return mg, frozenset(tree_labels)
 
 
 def format_matroid(m: BinaryMatroid) -> str:

@@ -29,8 +29,8 @@ from ._text import content_lines
 from .cutrank import SUBSET_CAP, find_low_rank_separation
 from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid,
                      SubsetCapExceeded, TreeTooSmall, UnknownCampaign)
-from .extremal import (Instance, _make_instance, format_instance, gen_c6_blowup_example,
-                       gen_ktt_example, gen_random_instance)
+from .extremal import (INSTANCE_CAP, Instance, _make_instance, format_instance,
+                       gen_c6_blowup_example, gen_ktt_example, gen_random_instance)
 from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
 from .graph import (Graph, bipartite_complement, degree_stats,
                     find_complete_bipartite, format_bigraph, format_graph,
@@ -488,8 +488,8 @@ class Campaign:
     decode: Callable
 
 
-_INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2),
-                    "max_extra": Param(6, 0), "bound_offset": Param(0),
+_INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2, INSTANCE_CAP),
+                    "max_extra": Param(6, 0, INSTANCE_CAP), "bound_offset": Param(0),
                     "instances": Param(None)}
 
 
@@ -579,10 +579,13 @@ def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> Campai
 # --- replay ---
 
 def _replay(w: dict, index: int) -> bool:
-    name = w.get("name")
+    try:
+        name = _field(w, "name")
+    except FormatError as exc:
+        raise FormatError(f"witness {index}: {exc}") from None
     campaign = _CAMPAIGNS.get(name)
     if campaign is None:
-        raise UnknownCampaign(str(name))
+        raise UnknownCampaign(name)
     try:
         params = {key: _int(w, key) for key in w if key in campaign.params}
     except FormatError as exc:

@@ -33,7 +33,7 @@ from pivotkit.errors import (ElementNotFound, GroundSetTooLarge, NotAnEdge, NotA
                              SearchBudgetExceeded, SubsetCapExceeded, TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
 from pivotkit.graph import Graph, _bfs, _bits, is_connected
-from pivotkit.matroid import CIRCUIT_ENUM_CAP, BinaryMatroid, MultiGraph, SpanningTree
+from pivotkit.matroid import CIRCUIT_ENUM_CAP, BinaryMatroid, MultiGraph
 from pivotkit.structure import Edge, SplitEdge, SplitVertex, TreeSplit
 
 
@@ -104,7 +104,7 @@ def multigraph_cycles(mg: MultiGraph) -> frozenset[frozenset[str]]:
     return frozenset(out)
 
 
-def fundamental_matrix_by_solving(mg: MultiGraph, tree: SpanningTree):
+def fundamental_matrix_by_solving(mg: MultiGraph, tree: frozenset[str]):
     """Fundamental matrix via GF(2) incidence-matrix solving.
 
     Each non-tree edge's column equals a unique XOR combination of the
@@ -112,8 +112,8 @@ def fundamental_matrix_by_solving(mg: MultiGraph, tree: SpanningTree):
     Returns (BitMatrix, tree labels, cotree labels) matching the order
     convention of pivotkit.matroid.fundamental_matrix.
     """
-    tree_labels = [lab for lab, _, _ in mg.edges if lab in tree.tree_edges]
-    cotree_labels = [lab for lab, _, _ in mg.edges if lab not in tree.tree_edges]
+    tree_labels = [lab for lab, _, _ in mg.edges if lab in tree]
+    cotree_labels = [lab for lab, _, _ in mg.edges if lab not in tree]
     by_label = mg.edge_by_label()
 
     def incidence(label: str) -> int:

@@ -194,9 +194,9 @@ def test_criterion_11_graphic_matroid_oracle():
             edges.append((f"f{i}", u, v))
         if len(edges) > 9:
             continue
-        from pivotkit.matroid import MultiGraph, SpanningTree
+        from pivotkit.matroid import MultiGraph
         mg = MultiGraph(n, edges)
-        m = graphic_matroid(mg, SpanningTree(tree))
+        m = graphic_matroid(mg, tree)
         assert circuits(m) == multigraph_cycles(mg)
         labels = [lab for lab, _, _ in edges]
         rng.shuffle(labels)

@@ -17,8 +17,15 @@ from pivotkit.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
 from pivotkit.extremal import format_instance, gen_ktt_example
 from pivotkit.gf2 import BitMatrix, parse_matrix
 from pivotkit.graph import Graph, format_graph, parse_bigraph, parse_graph
-from pivotkit.matroid import BinaryMatroid, format_matroid, parse_matroid, parse_multigraph
+from pivotkit.matroid import BinaryMatroid, format_matroid, parse_multigraph
 from pivotkit.verify import _CAMPAIGNS, _merge_params, campaign_names, run_campaign
+
+
+_BIG = str(10 ** 20)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
 
 def run(argv, stdin=""):
@@ -83,11 +90,20 @@ class TestPipelines:
         _, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
         code, out = run(["matroid", "minor", "-", "--delete", "f1",
                          "--contract", "t0"], stdin=mat)
-        assert code == EXIT_OK
-        m = parse_matroid(out)
-        assert m.ground() == frozenset({"t1", "f0"})
+        assert (code, out) == (EXIT_OK, "basis t1\nnonbasis f0\nmatrix 1 1\n1\n")
         code, out = run(["matroid", "lambda", "-", "--set", "t0,t1"], stdin=mat)
         assert code == EXIT_OK and out.strip() == "1"
+
+    # The matroid has a coloop c (zero row) and a loop f (zero column).
+    @pytest.mark.parametrize("argv, expected", [
+        (["--delete", "a"], "basis d b c\nnonbasis e f\nmatrix 3 2\n10\n10\n00\n"),
+        (["--contract", "f"], "basis a b c\nnonbasis d e\nmatrix 3 2\n11\n10\n00\n"),
+        (["--delete", "c"], "basis a b\nnonbasis d e f\nmatrix 2 3\n110\n100\n"),
+        (["--delete", "a,c", "--contract", "f,d"], "basis b\nnonbasis e\nmatrix 1 1\n1\n"),
+    ], ids=["delete-by-exchange", "contract-loop", "delete-coloop", "mixed"])
+    def test_matroid_minor_bytes(self, argv, expected):
+        mat = "basis a b c\nnonbasis d e f\nmatrix 3 3\n110\n100\n000\n"
+        assert run(["matroid", "minor", "-", *argv], stdin=mat) == (EXIT_OK, expected)
 
     def test_pivot_round_trip(self):
         doc = format_graph(Graph.path(3))
@@ -297,19 +313,22 @@ class TestExitCodes:
         ("pivot-matroid", "x=a", "basis a;nonbasis b;matrix 1 1;1", "missing field y"),
         ("struct-density", "s=1 cols=0", "bigraph 1 1;0 0", "missing field rows"),
         ("struct-density", "s=1 rows=0", "bigraph 1 1;0 0", "missing field cols"),
+        (None, "s=1", "x", "missing field name"),
     ], ids=["s-not-an-integer", "s-missing", "x-missing", "y-missing", "rows-missing",
-            "cols-missing"])
+            "cols-missing", "name-missing"])
     def test_replay_names_a_malformed_witness_field(self, tmp_path, capsys, name, fields,
                                                     data, message):
         # The first witness is a real one; the second carries the bad field.
         good = run_campaign("fun-lemma", {"trials": 30, "bound_offset": -3}).violations[0]
         blob = good["data"]
         report = tmp_path / "report.txt"
+        head = f"name={name} {fields}" if name else fields
         report.write_text("FAIL\nname=fun-lemma\nviolations=2\n"
                           f"witness name=fun-lemma s=2 t=3 bound_offset=-3 data={blob}\n"
-                          f"witness name={name} {fields} data={data or blob}\n")
+                          f"witness {head} data={data or blob}\n")
         assert run(["replay", str(report)]) == (EXIT_USAGE, "")
-        assert capsys.readouterr().err == f"error: witness 1 ({name}): {message}\n"
+        where = f"witness 1 ({name})" if name else "witness 1"
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
     @pytest.mark.parametrize("argv", [["minor", "-", "--delete", "zz"],
                                       ["lambda", "-", "--set", "zz"]])
@@ -340,17 +359,38 @@ class TestExitCodes:
         # Fewer edges than n - 1 answer NotConnected before any per-vertex
         # list.  Run in a child with a memory limit and a timeout, since a
         # walk over 10^20 vertices grows until it is stopped.
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-
         src = Path(pivotkit.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", "fundgraph", "-"],
                               input="multigraph 100000000000000000000\n",
                               capture_output=True, text=True, env=env, timeout=60,
-                              preexec_fn=limit_memory)
+                              preexec_fn=_limit_memory)
         assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
         assert proc.stderr == "error: multigraph is not connected\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "ktt", _BIG], f"{_BIG} vertices exceeds the instance cap 1000"),
+        (["gen", "random", "2", _BIG], f"{_BIG} extra edges exceeds the instance cap 1000"),
+        (["gen", "c6blowup", _BIG], "299999999999999999998 vertices exceeds the instance cap 1000"),
+        (["check", "fun-lemma", "--instance", f"ktt:{_BIG}"],
+         f"{_BIG} vertices exceeds the instance cap 1000"),
+        (["check", "fun-lemma", "--max-tree-vertices", _BIG],
+         f"fun-lemma caps max_tree_vertices at 1000, got {_BIG}"),
+        (["check", "cofun-lemma", "--max-extra", _BIG],
+         f"cofun-lemma caps max_extra at 1000, got {_BIG}"),
+    ], ids=["gen-ktt", "gen-random", "gen-c6blowup", "instance", "max-tree-vertices",
+            "max-extra"])
+    def test_instance_size_past_the_cap_exits_3_before_allocation(self, argv, message):
+        # Such sizes once built lists until memory ran out and ended in a
+        # MemoryError traceback (exit 1), so each runs in a child with a
+        # memory limit.
+        src = Path(pivotkit.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=_limit_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_BUDGET, "", f"budget exceeded: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["conn-equiv", "--k-max", "0"],
@@ -578,3 +618,17 @@ def test_tree_problem_message_is_independent_of_the_hash_seed():
         assert proc.returncode == EXIT_USAGE
         lines.add(proc.stderr)
     assert lines == {"error: tree edge l is a loop\n"}
+
+
+def test_unknown_label_message_is_independent_of_the_hash_seed():
+    src = Path(pivotkit.__file__).resolve().parents[1]
+    doc = "basis a\nnonbasis b\nmatrix 1 1\n1\n"
+    lines = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", "matroid", "minor", "-",
+                               "--delete", "zz,yy,b", "--contract", "xx,ww"],
+                              input=doc, capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_USAGE
+        lines.add(proc.stderr)
+    assert lines == {"error: 'ww'\n"}

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from pivotkit.extremal import (Instance, format_instance,
+from pivotkit.errors import CapExceeded
+from pivotkit.extremal import (INSTANCE_CAP, Instance, _random_tree_edges, format_instance,
                                gen_c6_blowup_example, gen_ktt_example,
                                gen_random_instance)
 from pivotkit.graph import Graph, degree_stats, find_complete_bipartite
-from pivotkit.matroid import graphic_matroid, parse_multigraph
+from pivotkit.matroid import MultiGraph, fundamental_matrix, graphic_matroid, parse_multigraph
 from pivotkit.pivot import canonical_form
 
 from oracles import blow_up, fundamental_matrix_by_solving
@@ -89,12 +90,16 @@ class TestRandomInstance:
 
     def test_large_instance_memory(self):
         # MultiGraph has no vertex cap, so its walk keeps edge lists: a
-        # 20,000-vertex instance peaks near 13 MB.  One adjacency bitmask
-        # per vertex would take it near 50 MB.
+        # 20,000-vertex random tree with 5 extra edges peaks near 13 MB.
+        # One adjacency bitmask per vertex would take it near 50 MB.  The
+        # generators stop at INSTANCE_CAP, so the multigraph is built here.
         import tracemalloc
         tracemalloc.start()
         try:
-            gen_random_instance(20000, 5, 1)
+            rng = random.Random(1)
+            edges = [(f"t{i}", u, v) for i, (u, v) in enumerate(_random_tree_edges(20000, rng))]
+            edges += [(f"f{i}", rng.randrange(20000), rng.randrange(20000)) for i in range(5)]
+            fundamental_matrix(MultiGraph(20000, edges), frozenset(e[0] for e in edges[:19999]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -118,6 +123,31 @@ class TestRandomInstance:
             gen_random_instance(1, 0, 0)
         with pytest.raises(ValueError):
             gen_random_instance(4, -1, 0)
+
+
+class TestInstanceCap:
+    # Each generator builds an instance at the cap and refuses one past it
+    # before building any list.
+    def test_at_the_cap(self):
+        assert INSTANCE_CAP == 1000
+        assert gen_ktt_example(1000).multigraph.n == 1000
+        assert gen_c6_blowup_example(334).multigraph.n == 1000
+        inst = gen_random_instance(1000, 1000, 0)
+        assert (inst.multigraph.n, len(inst.multigraph.edges)) == (1000, 1999)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: gen_ktt_example(1001), "1001 vertices"),
+        (lambda: gen_c6_blowup_example(335), "1003 vertices"),
+        (lambda: gen_random_instance(1001, 0, 0), "1001 vertices"),
+        (lambda: gen_random_instance(2, 1001, 0), "1001 extra edges"),
+    ], ids=["ktt", "c6blowup", "random-n", "random-extra"])
+    def test_past_the_cap(self, make, message):
+        with pytest.raises(CapExceeded, match=f"^{message} exceeds the instance cap 1000$"):
+            make()
+
+    def test_usage_errors_come_before_the_cap(self):
+        with pytest.raises(ValueError):
+            gen_random_instance(10 ** 20, -1, 0)
 
 
 class TestFormatInstance:

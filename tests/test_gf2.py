@@ -43,7 +43,10 @@ class TestRank:
 
     @given(bitmatrices())
     def test_transpose_invariant(self, m):
-        assert rank(m) == rank(m.transpose())
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+        assert t.rows == [m.column_bits(j) for j in range(m.ncols)]
+        assert rank(m) == rank(t)
 
     @given(bitmatrices(), st.integers(1, 6))
     def test_stop_caps_the_rank(self, m, stop):

@@ -58,6 +58,11 @@ class TestRunCampaign:
         with pytest.raises(CapExceeded):
             run_campaign("avg-exists", {"trials": 1, "n_max": 13})
 
+    def test_instance_params_run_at_the_instance_cap(self):
+        report = run_campaign("fun-lemma", {"trials": 2, "max_tree_vertices": 1000,
+                                            "max_extra": 1000}, seed=1)
+        assert report.trials_run == 2
+
     @pytest.mark.parametrize("name, params, error", [
         ("avg-exists", {"n_max": 4}, ValueError),
         ("avg-exists", {"k": 0}, ValueError),
@@ -72,6 +77,8 @@ class TestRunCampaign:
         ("cofun-lemma", {"s": 0}, ValueError),
         ("conn-equiv", {"k_max": 0, "max_elements": 40}, ValueError),
         ("conn-equiv", {"max_elements": 40}, CapExceeded),
+        ("fun-lemma", {"max_tree_vertices": 1001}, CapExceeded),
+        ("cofun-lemma", {"max_extra": 1001}, CapExceeded),
     ])
     def test_ranges_are_checked_before_any_trial(self, name, params, error, monkeypatch):
         def no_trials(p, rng):
