@@ -49,12 +49,20 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
     order still open), and ranks are computed only up to lim.  Every
     vertex below P's last one and outside P is outside each completion
     of P, so P's rows on those columns are a submatrix of every
-    completion's cut matrix: once their rank reaches lim, the whole
-    subtree is pruned (a prefix shorter than lim, whose rank is below
-    it, is not ranked).  lim only falls, so pruning never hides the
-    first witness, which is that of the full scan.  Memory is O(n): the
-    current prefix, nothing per subset.  Raises SubsetCapExceeded when
-    the vertex count is over the enumeration cap.
+    completion's cut matrix, and two bounds follow.  Before sibling v
+    joins the members M, M's rows on the columns below v and outside M
+    are ranked: every completion of M + v' with v' >= v keeps those
+    columns on its other side, so once their rank reaches lim the
+    sibling loop ends, leaves included.  That elimination is then
+    continued with v's row, which gives the rank of M + v on the same
+    columns, and once it reaches lim the subtree below M + v is pruned
+    (a prefix shorter than lim, whose rank is below it, is not ranked).
+    lim only falls, so neither bound hides the first witness, which is
+    that of the full scan.  Memory is the current prefix and one
+    elimination state of at most lim rows per frame of the walk, which
+    is at most n/2 frames deep, so O(n k) rows in all; nothing is kept per
+    subset.  Raises SubsetCapExceeded when the vertex count is over the
+    enumeration cap.
     """
     n = g.n
     if n > SUBSET_CAP:
@@ -73,8 +81,12 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
         depth = len(members) + 1
         for v in range(lo, 1 if depth == 1 and 2 * size == n else n - size + depth):
             bit = 1 << v
-            members.append(v)
+            cols = (bit - 1) ^ mask  # outside every completion of members + v', v' >= v
             lim = min(size, top)
+            lead: dict[int, int] = {}
+            if depth > lim and rank_bits([adj[u] & cols for u in members], lim, lead) == lim:
+                break
+            members.append(v)
             if depth == size:
                 out = full ^ mask ^ bit
                 r = rank_bits([adj[u] & out for u in members], lim)
@@ -82,11 +94,11 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
                     best, top = Separation(tuple(members), r + 1, r), r
                     if r == 0:
                         return True
-            else:
-                skipped = (bit - 1) ^ mask  # outside every completion of members
-                if (depth < lim or rank_bits([adj[u] & skipped for u in members], lim) < lim) \
-                        and extend(mask | bit, v + 1, size):
-                    return True
+            elif (depth < lim  # lead holds the members' rows only when depth > lim
+                  or rank_bits([adj[u] & cols for u in members] if depth == lim
+                               else [adj[v] & cols], lim, lead) < lim) \
+                    and extend(mask | bit, v + 1, size):
+                return True
             members.pop()
         return False
 

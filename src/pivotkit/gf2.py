@@ -92,13 +92,20 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-def rank_bits(rows: Iterable[int], stop: int | None = None) -> int:
+def rank_bits(rows: Iterable[int], stop: int | None = None,
+              lead: dict[int, int] | None = None) -> int:
     """Rank over GF(2) of rows given as bit-packed ints.
 
     With a positive ``stop``, elimination ends as soon as the rank
-    reaches it, so the result is min(rank, stop).
+    reaches it, so the result is min(rank, stop).  A ``lead`` dict holds
+    the elimination across calls: the rows already reduced into it (one
+    per leading bit) count toward the rank, and each new independent row
+    is added to it, so ranking a matrix and then the matrix plus one row
+    costs one row's reduction, not a second elimination.  It must hold
+    fewer than ``stop`` rows when the call starts.
     """
-    lead: dict[int, int] = {}
+    if lead is None:
+        lead = {}
     for row in rows:
         while row:
             hb = row.bit_length() - 1

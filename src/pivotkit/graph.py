@@ -14,8 +14,20 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from ._text import content_lines
-from .errors import FormatError
+from .errors import CapExceeded, FormatError
 from .gf2 import BitMatrix
+
+
+# The most vertices a graph or multigraph file, or one side of a bigraph
+# file, may declare in its header; checked before anything is allocated.
+# It equals extremal.INSTANCE_CAP, so every file that gen, fundgraph and
+# matroid fromgraph write from a generated instance parses.
+HEADER_CAP = 1000
+
+
+def _check_header_cap(size: int, what: str) -> None:
+    if size > HEADER_CAP:
+        raise CapExceeded(f"{size} {what} exceeds the header cap {HEADER_CAP}")
 
 
 def _bits(mask: int):
@@ -277,8 +289,13 @@ def parse_graph(text: str) -> Graph:
     if len(head) != 2 or head[0] != "graph":
         raise FormatError(f"bad graph header: {lines[0]!r}")
     try:
-        g = Graph(int(head[1]))
-    except (ValueError, OverflowError) as exc:
+        n = int(head[1])
+    except ValueError as exc:
+        raise FormatError("bad vertex count") from exc
+    _check_header_cap(n, "vertices")
+    try:
+        g = Graph(n)
+    except ValueError as exc:
         raise FormatError("bad vertex count") from exc
     for line in lines[1:]:
         parts = line.split()
@@ -306,8 +323,14 @@ def parse_bigraph(text: str) -> BitMatrix:
     if len(head) != 3 or head[0] != "bigraph":
         raise FormatError(f"bad bigraph header: {lines[0]!r}")
     try:
-        m = BitMatrix(int(head[1]), int(head[2]))
-    except (ValueError, OverflowError) as exc:
+        sizes = int(head[1]), int(head[2])
+    except ValueError as exc:
+        raise FormatError("bad side sizes") from exc
+    for size in sizes:
+        _check_header_cap(size, "vertices on one side")
+    try:
+        m = BitMatrix(*sizes)
+    except ValueError as exc:
         raise FormatError("bad side sizes") from exc
     for line in lines[1:]:
         parts = line.split()

@@ -16,7 +16,7 @@ from .errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                      NotASpanningTree, NotConnected, PivotOnZero,
                      SubsetCapExceeded)
 from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank_bits
-from .graph import Graph
+from .graph import Graph, _check_header_cap
 from .cutrank import SUBSET_CAP, find_low_rank_separation
 
 CIRCUIT_ENUM_CAP = 16
@@ -367,6 +367,7 @@ def parse_multigraph(text: str) -> tuple[MultiGraph, frozenset[str]]:
         n = int(head[1])
     except ValueError as exc:
         raise FormatError("bad vertex count") from exc
+    _check_header_cap(n, "vertices")
     edges = []
     tree_labels = set()
     for line in lines[1:]:

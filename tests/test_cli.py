@@ -17,7 +17,7 @@ from pivotkit.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
 from pivotkit.extremal import format_instance, gen_ktt_example
 from pivotkit.gf2 import BitMatrix, parse_matrix
 from pivotkit.graph import Graph, format_graph, parse_bigraph, parse_graph
-from pivotkit.matroid import BinaryMatroid, format_matroid, parse_multigraph
+from pivotkit.matroid import BinaryMatroid, format_matroid, parse_matroid, parse_multigraph
 from pivotkit.verify import _CAMPAIGNS, _merge_params, campaign_names, run_campaign
 
 
@@ -347,26 +347,40 @@ class TestExitCodes:
             run(["cutrank", "-", "--set", "0"], stdin=format_graph(Graph.cycle(4)))
 
     @pytest.mark.parametrize("argv, doc, message", [
-        (["pivot", "-", "0", "1"], "graph 100000000000000000000\n", "bad vertex count"),
-        (["partition", "--pair", "-", "-"], "bigraph 100000000000000000000 2\n",
-         "bad side sizes"),
-    ], ids=["graph", "bigraph"])
-    def test_header_too_large_to_allocate_is_usage(self, argv, doc, message, capsys):
-        assert run(argv, stdin=doc) == (EXIT_USAGE, "")
-        assert capsys.readouterr().err == f"error: {message}\n"
+        (["pivot", "-", "0", "1"], "graph 1001\n", "1001 vertices"),
+        (["partition", "--pair", "-", "-"], "bigraph 1001 2\n", "1001 vertices on one side"),
+        (["partition", "--pair", "-", "-"], "bigraph 2 1001\n", "1001 vertices on one side"),
+        (["fundgraph", "-"], "multigraph 1001\n", "1001 vertices"),
+    ], ids=["graph", "bigraph", "bigraph-columns", "multigraph"])
+    def test_header_over_the_cap_exits_3(self, argv, doc, message, capsys):
+        assert run(argv, stdin=doc) == (EXIT_BUDGET, "")
+        assert capsys.readouterr().err == f"budget exceeded: {message} exceeds the header cap 1000\n"
 
     def test_edgeless_multigraph_with_a_huge_header_is_not_connected(self):
-        # Fewer edges than n - 1 answer NotConnected before any per-vertex
-        # list.  Run in a child with a memory limit and a timeout, since a
-        # walk over 10^20 vertices grows until it is stopped.
+        # A file header over the cap exits 3, but the library takes any
+        # vertex count: fewer edges than n - 1 answer NotConnected before
+        # any per-vertex list.  Run in a child with a memory limit and a
+        # timeout, since a walk over 10^20 vertices grows until it is stopped.
         src = Path(pivotkit.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", "fundgraph", "-"],
-                              input="multigraph 100000000000000000000\n",
-                              capture_output=True, text=True, env=env, timeout=60,
-                              preexec_fn=_limit_memory)
-        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
-        assert proc.stderr == "error: multigraph is not connected\n"
+        code = ("from pivotkit.matroid import MultiGraph, fundamental_matrix\n"
+                "fundamental_matrix(MultiGraph(10 ** 20), frozenset())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, preexec_fn=_limit_memory)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith("NotConnected: multigraph is not connected\n")
+
+    def test_files_written_at_the_instance_cap_parse(self):
+        """gen writes at most 1,000 vertices; fundgraph of gen random 1000
+        1000 is the widest bigraph, 999 by 1,000."""
+        for gen in (["ktt", "1000"], ["c6blowup", "334"], ["random", "1000", "1000"]):
+            code, doc = run(["gen", *gen])
+            assert code == EXIT_OK and parse_multigraph(doc)[0].n == 1000
+        code, fund = run(["fundgraph", "-"], stdin=doc)
+        m = parse_bigraph(fund)
+        assert code == EXIT_OK and (m.nrows, m.ncols) == (999, 1000)
+        code, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
+        assert code == EXIT_OK and len(parse_matroid(mat).element_order()) == 1999
 
     @pytest.mark.parametrize("argv, message", [
         (["gen", "ktt", _BIG], f"{_BIG} vertices exceeds the instance cap 1000"),

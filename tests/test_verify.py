@@ -280,8 +280,8 @@ def test_conn_equiv_checks_the_separation_walk_against_the_sweep(monkeypatch):
     of the 100 at seed 0), and each witness replays under the same walk.
     The fault goes into every module that ranks with a stop, so a second
     search driven by the same walk would fail alike and hide it."""
-    def stopped(rows, stop=None):
-        return rank_bits(rows) if stop is None else stop
+    def stopped(rows, stop=None, lead=None):
+        return rank_bits(rows, None, lead) if stop is None else stop
 
     for module in (cutrank, matroid):
         monkeypatch.setattr(module, "rank_bits", stopped)
