@@ -154,6 +154,13 @@ def _twin_swaps(adj: list[int]) -> list[tuple[list[int], int]]:
     return swaps
 
 
+def _fixing(autos: list[tuple[list[int], int]], path: int) -> list[list[int]]:
+    """The maps among (vertex map, its fixed points) that fix every vertex
+    of the mask path, the individualized vertices: only those map one
+    child's subtree onto another's."""
+    return [a for a, fixed in autos if path & ~fixed == 0]
+
+
 def canonical_form(g: Graph, automorphisms: Optional[list[list[int]]] = None) -> tuple:
     """A canonical key, (n, least leaf code), by individualization-refinement.
 
@@ -209,7 +216,7 @@ def canonical_form(g: Graph, automorphisms: Optional[list[list[int]]] = None) ->
             seen |= b
             if todo & ~seen:
                 # Automorphisms fixing the path map b's subtree onto its images'.
-                fixing = [a for a, fixed in autos if path & ~fixed == 0]
+                fixing = _fixing(autos, path)
                 stack = [b.bit_length() - 1]
                 while stack:
                     u = stack.pop()
@@ -266,6 +273,27 @@ def _orbit_firsts(g: Graph, autos: list[list[int]], deletions: bool) -> int:
     return keep
 
 
+# A frontier state: its graph, its path and the maps canonical_form found.
+_State = tuple[Graph, list[tuple], list[list[int]]]
+# A queued successor: its graph, its parent's path, its step, and its form
+# and maps once canonical_form has run on it (form None until then).
+_Queued = tuple[Graph, list[tuple], tuple, Optional[tuple], list[list[int]]]
+
+
+def _new_classes(queued: list[_Queued], seen: set) -> list[_State]:
+    """Canonicalise the queued successors not yet labelled, in order, add
+    each new class to seen, and return its first successor as a frontier
+    state: graph, path, maps."""
+    kept = []
+    for g, path, step, k, autos in queued:
+        if k is None:
+            k = canonical_form(g, autos)
+        if k not in seen:
+            seen.add(k)
+            kept.append((g, path + [step], autos))
+    return kept
+
+
 def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list[tuple]]]:
     """Decide whether h is reachable from g by pivots and vertex deletions.
 
@@ -286,9 +314,22 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     graph is canonicalised at most once: a repeat (pivoting an edge back
     gives the parent) was matched or seen already.  A frontier state keeps
     its graph, its path and the maps canonical_form found for it; its
-    orbits are closed only when it is expanded.  At most
-    1 + budget * (n + n(n-1)/2) labelled keys are kept for an n-vertex g,
-    so the budget caps memory as well as time.
+    orbits are closed only when it is expanded.
+
+    A level takes two passes.  The first expands the frontier and
+    canonicalises only the new successors with as many vertices as h,
+    returning at the first whose form is h's; the others are queued in
+    search order with their step.  The second, run only when the level
+    held no copy of h (or, before SearchBudgetExceeded, to count its
+    classes), canonicalises the rest of the queue in the same order and
+    keeps each new class as the next frontier.  h's class is never in
+    seen before the search returns, so the first successor in it is the
+    one a search that canonicalises each successor as it meets it would
+    return; and the classes a level adds matter only to later levels, so
+    frontier, witness and budget figures are unchanged.  A queued successor's key is already
+    kept, so at most 1 + budget * (n + n(n-1)/2) labelled keys and
+    queued graphs are held for an n-vertex g, and the budget caps memory
+    as well as time.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -302,13 +343,14 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         return True, []
     seen = {start_key}
     met = {g.key()}
-    frontier = [(g, [], autos)]
+    frontier: list[_State] = [(g, [], autos)]
     expanded = depth = 0
     while frontier:
-        nxt: list[tuple[Graph, list[tuple], list[list[int]]]] = []
+        queued: list[_Queued] = []
         for cur, path, cur_autos in frontier:
             expanded += 1
             if expanded > budget:
+                _new_classes(queued, seen)
                 raise SearchBudgetExceeded(budget, expanded - 1, len(seen), depth)
             keep = _orbit_firsts(cur, cur_autos, cur.n > h.n)
             for i, (u, v) in enumerate(_pairs(cur, cur.n > h.n)):
@@ -318,15 +360,13 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
                 if (labelled := nxt_g.key()) in met:
                     continue
                 met.add(labelled)
-                autos = []
-                k = canonical_form(nxt_g, autos)
-                if k in seen:
-                    continue
-                seen.add(k)
-                new_path = path + [("pivot", u, v) if u != v else ("delete", v)]
-                if nxt_g.n == h.n and k == target:
-                    return True, new_path
-                nxt.append((nxt_g, new_path, autos))
-        frontier = nxt
+                step = ("pivot", u, v) if u != v else ("delete", v)
+                k, autos = None, []
+                if nxt_g.n == h.n:
+                    k = canonical_form(nxt_g, autos)
+                    if k == target:
+                        return True, path + [step]
+                queued.append((nxt_g, path, step, k, autos))
+        frontier = _new_classes(queued, seen)
         depth += 1
     return False, None

@@ -2,7 +2,7 @@ import importlib.util
 import json
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 import networkx as nx
@@ -13,7 +13,7 @@ from pivotkit.cutrank import SUBSET_CAP, cut_rank
 from pivotkit.errors import (CapExceeded, NotAnEdge, OrbitBudgetExceeded,
                              SearchBudgetExceeded)
 from pivotkit.graph import Graph
-from pivotkit.pivot import canonical_form, is_pivot_minor, pivot, pivot_orbit
+from pivotkit.pivot import _fixing, canonical_form, is_pivot_minor, pivot, pivot_orbit
 
 from oracles import blow_up
 
@@ -351,6 +351,17 @@ class TestIsomorphism:
                             stack.append(a[u])
                 assert len(orbit) == g.n
 
+    def test_only_maps_fixing_the_path_prune(self):
+        """A child's subtree is mapped onto another's only by maps that fix
+        every individualized vertex: with 0 and 1 individualized, the
+        identity and the swap of 2 and 3 are kept, and the swap of 1 and 2
+        is dropped.  With nothing individualized every map is kept."""
+        identity, swap23, swap12 = [0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]
+        autos = [(identity, 0b1111), (swap12, 0b1001), (swap23, 0b0011)]
+        assert _fixing(autos, 0b0011) == [identity, swap23]
+        assert _fixing(autos, 0b0010) == [identity, swap23]
+        assert _fixing(autos, 0) == [identity, swap12, swap23]
+
     def test_are_isomorphic_agrees_with_vf2(self):
         """Two graphs have equal canonical forms exactly when VF2 finds
         an isomorphism."""
@@ -494,6 +505,51 @@ class TestIsPivotMinor:
         monkeypatch.setattr(module, "canonical_form", recording)
         assert is_pivot_minor(Graph.cycle(5), Graph.cycle(8), 20000) == (False, None)
         assert len(keys) == len(set(keys)) == 217
+
+    @pytest.mark.parametrize("h, found, calls", [
+        (Graph.path(5), True, 21), (Graph.cycle(6), True, 21),
+        (Graph.path(4), True, 84), (Graph.cycle(5), False, 217)], ids=["P5", "C6", "P4", "C5"])
+    def test_a_level_is_canonicalised_once_it_holds_no_copy_of_h(self, monkeypatch,
+                                                                  h, found, calls):
+        """Only the successors with as many vertices as H are canonicalised
+        before a level is known to hold no copy of H.  In C8, P5, C6 and P4
+        are found with 21, 21 and 84 calls, where canonicalising each
+        successor as it is met takes 74, 46 and 169; the "no" query C5 still
+        takes 217.  After H's own form, each labelled graph is counted once."""
+        module = sys.modules["pivotkit.pivot"]
+        form, keys = module.canonical_form, []
+
+        def recording(g, automorphisms=None):
+            keys.append(g.key())
+            return form(g, automorphisms)
+
+        monkeypatch.setattr(module, "canonical_form", recording)
+        assert is_pivot_minor(h, Graph.cycle(8), 20000)[0] == found
+        assert len(keys) == calls and len(set(keys[1:])) == calls - 1
+
+    def test_budget_stops_mid_level_as_the_oracle(self, monkeypatch):
+        """A budget that runs out partway through a level counts the classes
+        of every successor met on it so far.  At each budget from 1 to the
+        full search's expansion count, the figures are those of the BFS that
+        canonicalises each successor as it meets it."""
+        def outcome(search, h, g, budget):
+            try:
+                return search(h, g, budget)
+            except SearchBudgetExceeded as exc:
+                return ("budget", exc.expanded, exc.classes, exc.depth)
+
+        monkeypatch.setattr(oracles, "canonical_form", canonical_form)
+        queries = [(Graph.cycle(5), Graph.cycle(8)), (Graph.path(5), k_nn(4)),
+                   (Graph.path(5), gnp(random.Random(59), 8, 0.5))]
+        answers = []
+        for h, g in queries:
+            for budget in count(1):
+                got = outcome(is_pivot_minor, h, g, budget)
+                assert got == outcome(oracles.is_pivot_minor, h, g, budget), budget
+                if got[0] != "budget":
+                    answers.append(got[0])
+                    break
+        assert answers == [False, False, True]
 
     def test_orbit_rule_keeps_the_oracle_outcomes(self, monkeypatch):
         """On symmetric hosts, where one successor per orbit prunes the
