@@ -52,9 +52,6 @@ class BitMatrix:
         else:
             self.rows[i] &= ~(1 << j)
 
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.nrows, self.ncols, self.rows)
-
     def column_bits(self, j: int) -> int:
         """The j-th column as an int, bit i being row i."""
         if not (0 <= j < self.ncols):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Optional
 
 from ._text import content_lines
@@ -153,24 +153,27 @@ def bipartite_complement(g: BitMatrix) -> BitMatrix:
 
 
 def _search_biclique(masks: list[int], s: int, t: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Find s rows whose common neighbourhood has at least t columns."""
+    """The lexicographically first s rows sharing at least t columns, and
+    the first t of those.  Rows are picked depth first; a prefix that
+    already shares fewer than t columns is not extended."""
     candidates = [i for i, m in enumerate(masks) if m.bit_count() >= t]
     if len(candidates) < s:
         return None
-    for subset in combinations(candidates, s):
-        inter = -1
-        for i in subset:
-            inter &= masks[i]
-            if inter.bit_count() < t:
-                break
-        else:
-            cols = []
-            for j in _bits(inter):
-                cols.append(j)
-                if len(cols) == t:
-                    break
-            return subset, tuple(cols)
-    return None
+    # Positions in candidates, and common[d]: the columns the first d share.
+    picked, common, k = [], [-1], 0
+    while len(picked) < s:
+        if k > len(candidates) - s + len(picked):  # too few candidates left
+            if not picked:
+                return None
+            k = picked.pop() + 1
+            common.pop()
+            continue
+        both = common[-1] & masks[candidates[k]]
+        if both.bit_count() >= t:
+            picked.append(k)
+            common.append(both)
+        k += 1
+    return tuple(candidates[k] for k in picked), tuple(islice(_bits(common[-1]), t))
 
 
 def find_complete_bipartite(g: BitMatrix, s: int, t: int) -> Optional[BicliqueWitness]:

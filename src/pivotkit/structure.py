@@ -11,7 +11,7 @@ enumerates the trees of one order up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -52,14 +52,16 @@ TreeSplit = Union[SplitEdge, SplitVertex]
 class BlockPartition:
     """Row/column classes under which every block is constant.
 
-    mode "matrix": tags are "zero"/"one".
-    mode "graph-pair": tags are "equal"/"complement".
+    ``blocks`` has one row per row class and one column per column
+    class; bit j of row i is the value of block (i, j).  In mode
+    "matrix" that is the block's entry; in mode "graph-pair" it is the
+    block's entry of g1 ^ g2.
     """
 
     mode: str
     row_classes: tuple[tuple[int, ...], ...]
     col_classes: tuple[tuple[int, ...], ...]
-    tags: tuple[tuple[str, ...], ...]
+    blocks: BitMatrix
 
 
 def _rooted_tree(t: Graph):
@@ -274,12 +276,12 @@ def _next_free_tree(layout: list[int]):
     return out
 
 
-def _group_indices(keys: Iterable[int]) -> list[list[int]]:
+def _group_indices(keys: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Indices with equal keys, one class each, in order of first appearance."""
     classes: dict[int, list[int]] = {}
     for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
-    return list(classes.values())
+    return tuple(map(tuple, classes.values()))
 
 
 def constant_block_partition(c: BitMatrix) -> BlockPartition:
@@ -288,16 +290,9 @@ def constant_block_partition(c: BitMatrix) -> BlockPartition:
     The number of classes on each side is at most 2^rank(c), since all
     rows (columns) lie in the row (column) space.
     """
-    row_classes = _group_indices(c.rows)
-    col_classes = _group_indices(c.column_bits(j) for j in range(c.ncols))
-    tags = tuple(
-        tuple("one" if c.get(rc[0], cc[0]) else "zero" for cc in col_classes)
-        for rc in row_classes)
-    return BlockPartition(
-        "matrix",
-        tuple(tuple(rc) for rc in row_classes),
-        tuple(tuple(cc) for cc in col_classes),
-        tags)
+    rows, cols = _group_indices(c.rows), _group_indices(c.transpose().rows)
+    blocks = [sum((c.rows[rc[0]] >> cc[0] & 1) << j for j, cc in enumerate(cols)) for rc in rows]
+    return BlockPartition("matrix", rows, cols, BitMatrix(len(rows), len(cols), blocks))
 
 
 def perturbation_partition(g1: BitMatrix, g2: BitMatrix) -> BlockPartition:
@@ -308,50 +303,42 @@ def perturbation_partition(g1: BitMatrix, g2: BitMatrix) -> BlockPartition:
     biadjacency difference g1 ^ g2, which raises DimensionMismatch when
     the shapes differ.
     """
-    bp = constant_block_partition(g1 ^ g2)
-    tags = tuple(
-        tuple("complement" if tag == "one" else "equal" for tag in row)
-        for row in bp.tags)
-    return BlockPartition("graph-pair", bp.row_classes, bp.col_classes, tags)
+    return replace(constant_block_partition(g1 ^ g2), mode="graph-pair")
+
+
+def _expand(bp: BlockPartition, nrows: int, ncols: int) -> BitMatrix:
+    """The nrows x ncols matrix whose every block holds its value in bp;
+    PartitionInvalid when bp's classes or its blocks' shape do not fit."""
+    _validate_partition(bp.row_classes, nrows, "row")
+    _validate_partition(bp.col_classes, ncols, "column")
+    if (bp.blocks.nrows, bp.blocks.ncols) != (len(bp.row_classes), len(bp.col_classes)):
+        raise PartitionInvalid("expected one value per block")
+    col_masks = [sum(1 << j for j in cc) for cc in bp.col_classes]
+    rows = [0] * nrows
+    for rc, values in zip(bp.row_classes, bp.blocks.rows):
+        mask = 0
+        for j in _bits(values):
+            mask |= col_masks[j]
+        for i in rc:
+            rows[i] = mask
+    return BitMatrix(nrows, ncols, rows)
 
 
 def block_partition_is_constant(c: BitMatrix, bp: BlockPartition) -> bool:
-    """Independent scan: every block constant and matching its tag.
-
-    False when bp's classes do not partition c's rows and columns, or
-    its tags are not one per block.
-    """
+    """Whether every block of c holds its value in bp; False when bp's
+    classes or its blocks' shape do not fit c."""
     try:
-        _validate_block_partition(bp, c.nrows, c.ncols)
+        return _expand(bp, c.nrows, c.ncols) == c
     except PartitionInvalid:
         return False
-    for ri, rc in enumerate(bp.row_classes):
-        for ci, cc in enumerate(bp.col_classes):
-            want = 1 if bp.tags[ri][ci] in ("one", "complement") else 0
-            for i in rc:
-                for j in cc:
-                    if c.get(i, j) != want:
-                        return False
-    return True
 
 
 def reconstruct_from_partition(g2: BitMatrix, bp: BlockPartition) -> BitMatrix:
-    """Rebuild g1 from g2 plus a graph-pair BlockPartition's tags.
-
-    Raises PartitionInvalid when bp's classes do not partition g2's sides
-    or its tags are not one per block.
-    """
+    """Rebuild g1 from g2 plus a graph-pair BlockPartition's blocks;
+    PartitionInvalid when bp's classes or its blocks' shape do not fit g2."""
     if bp.mode != "graph-pair":
         raise ValueError("expected a graph-pair partition")
-    _validate_block_partition(bp, g2.nrows, g2.ncols)
-    out = g2.copy()
-    for ri, rc in enumerate(bp.row_classes):
-        for ci, cc in enumerate(bp.col_classes):
-            if bp.tags[ri][ci] == "complement":
-                for i in rc:
-                    for j in cc:
-                        out.set(i, j, 1 - out.get(i, j))
-    return out
+    return g2 ^ _expand(bp, g2.nrows, g2.ncols)
 
 
 def _validate_partition(classes, size: int, what: str) -> None:
@@ -365,14 +352,6 @@ def _validate_partition(classes, size: int, what: str) -> None:
             seen.add(i)
     if len(seen) != size:
         raise PartitionInvalid(f"{what} classes do not cover 0..{size - 1}")
-
-
-def _validate_block_partition(bp: BlockPartition, nrows: int, ncols: int) -> None:
-    _validate_partition(bp.row_classes, nrows, "row")
-    _validate_partition(bp.col_classes, ncols, "column")
-    if len(bp.tags) != len(bp.row_classes) or \
-            any(len(row) != len(bp.col_classes) for row in bp.tags):
-        raise PartitionInvalid("expected one tag per block")
 
 
 def check_struct_density(g: BitMatrix, row_classes, col_classes, s: int) -> bool:
@@ -409,12 +388,14 @@ def format_tree_split(split: TreeSplit) -> str:
 
 
 def format_block_partition(bp: BlockPartition) -> str:
+    """Text form; the mode names a block's values 0 and 1."""
+    words = {"matrix": ("zero", "one"), "graph-pair": ("equal", "complement")}[bp.mode]
     lines = [f"blockpartition {bp.mode} {len(bp.row_classes)} {len(bp.col_classes)}"]
     for i, rc in enumerate(bp.row_classes):
         lines.append(f"rowclass {i} " + " ".join(str(x) for x in rc))
     for j, cc in enumerate(bp.col_classes):
         lines.append(f"colclass {j} " + " ".join(str(x) for x in cc))
-    for i, row in enumerate(bp.tags):
-        for j, tag in enumerate(row):
-            lines.append(f"block {i} {j} {tag}")
+    for i, row in enumerate(bp.blocks.rows):
+        for j in range(bp.blocks.ncols):
+            lines.append(f"block {i} {j} {words[row >> j & 1]}")
     return "\n".join(lines) + "\n"

@@ -32,14 +32,14 @@ from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid,
 from .extremal import (INSTANCE_CAP, Instance, _make_instance, format_instance,
                        gen_c6_blowup_example, gen_ktt_example, gen_random_instance)
 from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
-from .graph import (Graph, bipartite_complement, degree_stats,
+from .graph import (Graph, _bits, bipartite_complement, degree_stats,
                     find_complete_bipartite, format_bigraph, format_graph,
                     is_c4_free, parse_bigraph, parse_graph, vertex_connectivity)
 from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
                       connectivity_kernel, format_matroid, parse_matroid,
                       parse_multigraph)
 from .pivot import pivot
-from .structure import (block_partition_is_constant, check_struct_density,
+from .structure import (_group_indices, block_partition_is_constant, check_struct_density,
                         constant_block_partition, perturbation_partition,
                         free_trees, reconstruct_from_partition,
                         split_tree)
@@ -49,6 +49,12 @@ VACUOUS = "vacuous"
 # The exhaustive subgraph search of _check_avg_exists visits all 2^n
 # vertex subsets, so it is bounded at this many vertices.
 _AVG_EXISTS_CAP = 12
+# Measured on 2 vCPUs with CPython 3.11 (README gives the figures): one
+# pert-partition trial at size = max_rank = 1000 takes about 1.7 s, and a
+# K_{s,t} search with s <= t <= 12 on an instance at the instance cap at
+# most 0.05 s.
+_PERT_CAP = 1000
+_BICLIQUE_CAP = 12
 
 
 @dataclass
@@ -357,13 +363,9 @@ def _gen_struct_density(p: dict, rng: random.Random):
 
 
 def _random_partition(rng: random.Random, size: int, classes: int):
-    assignment = [rng.randrange(classes) for _ in range(size)]
-    out = []
-    for c in range(classes):
-        members = tuple(i for i, a in enumerate(assignment) if a == c)
-        if members:
-            out.append(members)
-    return tuple(out)
+    """Draw a class id for each of 0..size-1; the classes drawn, by id."""
+    drawn = [rng.randrange(classes) for _ in range(size)]
+    return tuple(sorted(_group_indices(drawn), key=lambda members: drawn[members[0]]))
 
 
 def _gen_rankconn(p: dict, rng: random.Random):
@@ -383,17 +385,14 @@ def _gen_pert(p: dict, rng: random.Random):
     size = p["size"]
     for _ in range(p["trials"]):
         target_rank = rng.randint(0, p["max_rank"])
-        left = BitMatrix(size, target_rank,
-                         [rng.randrange(1 << target_rank) if target_rank else 0
-                          for _ in range(size)])
-        right = BitMatrix(target_rank, size,
-                          [rng.randrange(1 << size) for _ in range(target_rank)])
+        # c = left . right: each row of c XORs the rows of right its left row picks.
+        left = [rng.randrange(1 << target_rank) if target_rank else 0 for _ in range(size)]
+        right = [rng.randrange(1 << size) for _ in range(target_rank)]
         rows = []
-        for i in range(size):
+        for picks in left:
             acc = 0
-            for k in range(target_rank):
-                if left.get(i, k):
-                    acc ^= right.rows[k]
+            for k in _bits(picks):
+                acc ^= right[k]
             rows.append(acc)
         c = BitMatrix(size, size, rows)
         d1 = BitMatrix(size, size, [rng.randrange(1 << size) for _ in range(size)])
@@ -495,11 +494,12 @@ _INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2, I
 
 _CAMPAIGNS = {
     "fun-lemma": Campaign(
-        {"s": Param(2, 1), "t": Param(3, 1), **_INSTANCE_PARAMS}, _gen_fun, _check_fun,
+        {"s": Param(2, 1, _BICLIQUE_CAP), "t": Param(3, 1, _BICLIQUE_CAP), **_INSTANCE_PARAMS},
+        _gen_fun, _check_fun,
         lambda w: (_instance_from_witness(w), _int(w, "s"), _int(w, "t"),
                    _int(w, "bound_offset"))),
     "cofun-lemma": Campaign(
-        {"s": Param(2, 1), **_INSTANCE_PARAMS}, _gen_cofun, _check_cofun,
+        {"s": Param(2, 1, _BICLIQUE_CAP), **_INSTANCE_PARAMS}, _gen_cofun, _check_cofun,
         lambda w: (_instance_from_witness(w), _int(w, "s"), _int(w, "bound_offset"))),
     "tree-lemma": Campaign(
         {"max_edges": Param(11, 5, 12)}, _gen_tree, _check_tree,
@@ -513,7 +513,8 @@ _CAMPAIGNS = {
         {"trials": Param(1000, 1), "n_max": Param(8, 4, 10)}, _gen_rankconn, _check_rankconn,
         lambda w: (parse_graph(_data(w)),)),
     "pert-partition": Campaign(
-        {"trials": Param(200, 1), "size": Param(8, 1), "max_rank": Param(4, 0)},
+        {"trials": Param(200, 1), "size": Param(8, 1, _PERT_CAP),
+         "max_rank": Param(4, 0, _PERT_CAP)},
         _gen_pert, _check_pert, _decode_pert),
     "pivot-matroid": Campaign(
         {"trials": Param(200, 1), "max_elements": Param(10, 2, CIRCUIT_ENUM_CAP)},

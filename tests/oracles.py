@@ -3,6 +3,8 @@
 These deliberately avoid the code paths they validate: rank by row-space
 enumeration, biclique search by subset-pair enumeration, cycles by edge
 subset scanning, and fundamental matrices by GF(2) incidence solving.
+``first_biclique`` is the earlier K_{s,t} search, which tries every
+s-subset of rows in combinations order.
 ``blow_up`` builds the blown-up graphs that ``gen_c6_blowup_example``'s
 fundamental graphs are compared with.
 The separation searches are the earlier multi-pass versions: one pass
@@ -57,6 +59,25 @@ def biclique_by_enumeration(g: BitMatrix, s: int, t: int) -> bool:
                 if all(g.get(i, j) for i in rows for j in cols):
                     return True
     return False
+
+
+def first_biclique(g: BitMatrix, s: int, t: int):
+    """The earlier K_{s,t} search: the first s-subset of rows, in
+    combinations order, whose common neighbourhood has at least t
+    columns, then the same over the columns; (side, s-set, first t of
+    the other side) or None."""
+    if s > t:
+        s, t = t, s
+    for side, masks in (("A", g.rows), ("B", g.transpose().rows)):
+        candidates = [i for i, m in enumerate(masks) if m.bit_count() >= t]
+        for subset in combinations(candidates, s):
+            inter = -1
+            for i in subset:
+                inter &= masks[i]
+            if inter.bit_count() >= t:
+                cols = [j for j in range(inter.bit_length()) if inter >> j & 1]
+                return side, subset, tuple(cols[:t])
+    return None
 
 
 def blow_up(g: Graph, k: int) -> Graph:

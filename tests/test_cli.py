@@ -253,6 +253,11 @@ class TestExitCodes:
         ["rankconn-lemma", "--n-max", "11"],
         ["avg-exists", "--n-max", "13"],
         ["avg-exists", "--k", "2"],
+        ["fun-lemma", "--s", "13"],
+        ["fun-lemma", "--t", "13"],
+        ["cofun-lemma", "--s", "13"],
+        ["pert-partition", "--size", "1001"],
+        ["pert-partition", "--max-rank", "1001"],
     ])
     def test_campaign_parameter_above_cap_is_budget(self, argv):
         code, out = run(["check"] + argv)
@@ -291,8 +296,14 @@ class TestExitCodes:
         ("conn-equiv", "k_max=0", format_matroid(_dense_matroid(6)), EXIT_USAGE),
         ("avg-exists", "k=0", format_graph(_matching(10)), EXIT_USAGE),
         ("avg-exists", "k=1", format_graph(_matching(10)), EXIT_BUDGET),
+        ("fun-lemma", "s=13 t=13 bound_offset=0", format_instance(gen_ktt_example(14)),
+         EXIT_BUDGET),
+        ("fun-lemma", "s=2 t=13 bound_offset=0", format_instance(gen_ktt_example(14)),
+         EXIT_BUDGET),
+        ("cofun-lemma", "s=13 bound_offset=0", format_instance(gen_ktt_example(14)),
+         EXIT_BUDGET),
     ], ids=["conn-equiv-25", "conn-equiv-26", "conn-equiv-k0", "avg-exists-k0",
-            "avg-exists-20-vertices"])
+            "avg-exists-20-vertices", "fun-lemma-s13", "fun-lemma-t13", "cofun-lemma-s13"])
     def test_replay_enforces_the_campaign_limits(self, tmp_path, name, fields, data, code):
         # A witness is held to the ranges and caps that `check` enforces,
         # before its check runs: without them the two conn-equiv witnesses

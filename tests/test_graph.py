@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from pivotkit.graph import (DegreeStats, Graph, bipartite_complement, degree_sta
                             is_c4_free, is_connected, parse_bigraph, parse_graph,
                             vertex_connectivity)
 
+import oracles
 from oracles import biclique_by_enumeration, blow_up
 from oracles import vertex_connectivity as vertex_connectivity_all_pairs
 
@@ -71,6 +73,19 @@ class TestFindCompleteBipartite:
             m = BitMatrix(na, nb, [rng.randrange(1 << nb) for _ in range(na)])
             found = find_complete_bipartite(m, s, t) is not None
             assert found == biclique_by_enumeration(m, s, t)
+
+    def test_first_witness_matches_the_combinations_search(self):
+        # The depth-first walk skips only prefixes that no row can complete,
+        # so it returns the witness the full combinations search returns.
+        rng = random.Random(11)
+        for _ in range(400):
+            na, nb = rng.randint(0, 9), rng.randint(0, 9)
+            p = rng.choice((0.3, 0.6, 0.9))
+            m = BitMatrix(na, nb, [sum(1 << j for j in range(nb) if rng.random() < p)
+                                   for _ in range(na)])
+            s, t = rng.randint(1, 5), rng.randint(1, 5)
+            w = find_complete_bipartite(m, s, t)
+            assert (w and tuple(w)) == oracles.first_biclique(m, s, t)
 
     def test_witness_is_a_real_biclique(self):
         g = c6_bigraph()

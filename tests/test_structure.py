@@ -192,24 +192,52 @@ class TestConstantBlockPartition:
     def test_zero_matrix(self):
         bp = constant_block_partition(BitMatrix(3, 4))
         assert len(bp.row_classes) == 1 and len(bp.col_classes) == 1
-        assert bp.tags == (("zero",),)
+        assert bp.blocks == BitMatrix(1, 1)
 
     def test_non_partitions_are_not_constant(self):
         c = BitMatrix(3, 2)
         assert block_partition_is_constant(c, constant_block_partition(c))
-        for rows, cols, tags in [(((0,),), ((0,),), (("zero",),)),  # rows 1, 2 and column 1 unlisted
-                                 (((0,), (0, 1, 2)), ((0, 1),), (("zero",), ("zero",))),
-                                 (((0, 0, 1, 2),), ((0, 1),), (("zero",),)),
-                                 (((0, 1, 2),), ((0, 1), ()), (("zero", "zero"),)),
-                                 (((0, 1, 2),), ((0, 1, 2),), (("zero",),)),
-                                 (((0, 1, 2),), ((0, 1),), ())]:
-            assert not block_partition_is_constant(c, BlockPartition("matrix", rows, cols, tags))
+        for rows, cols, blocks in [(((0,),), ((0,),), BitMatrix(1, 1)),  # rows 1, 2 and column 1 unlisted
+                                   (((0,), (0, 1, 2)), ((0, 1),), BitMatrix(2, 1)),
+                                   (((0, 0, 1, 2),), ((0, 1),), BitMatrix(1, 1)),
+                                   (((0, 1, 2),), ((0, 1), ()), BitMatrix(1, 2)),
+                                   (((0, 1, 2),), ((0, 1, 2),), BitMatrix(1, 1)),
+                                   (((0, 1, 2),), ((0, 1),), BitMatrix(0, 1)),
+                                   (((0, 1, 2),), ((0, 1),), BitMatrix(1, 2))]:
+            assert not block_partition_is_constant(c, BlockPartition("matrix", rows, cols, blocks))
+
+    def test_one_flipped_entry_is_not_constant(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            c = BitMatrix(nr, nc, [rng.randrange(1 << nc) for _ in range(nr)])
+            bp = constant_block_partition(c)
+            for i in range(nr):
+                for j in range(nc):
+                    rows = list(c.rows)
+                    rows[i] ^= 1 << j
+                    assert not block_partition_is_constant(BitMatrix(nr, nc, rows), bp)
 
     def test_format(self):
-        bp = constant_block_partition(BitMatrix(2, 2, [0b11, 0b11]))
-        text = format_block_partition(bp)
-        assert text.splitlines()[0] == "blockpartition matrix 1 1"
-        assert "block 0 0 one" in text
+        bp = constant_block_partition(BitMatrix(2, 3, [0b011, 0b011]))
+        assert format_block_partition(bp) == (
+            "blockpartition matrix 1 2\n"
+            "rowclass 0 0 1\n"
+            "colclass 0 0 1\n"
+            "colclass 1 2\n"
+            "block 0 0 one\n"
+            "block 0 1 zero\n")
+        bp = perturbation_partition(BitMatrix(2, 2, [0b01, 0]), BitMatrix(2, 2, [0b01, 0b10]))
+        assert format_block_partition(bp) == (
+            "blockpartition graph-pair 2 2\n"
+            "rowclass 0 0\n"
+            "rowclass 1 1\n"
+            "colclass 0 0\n"
+            "colclass 1 1\n"
+            "block 0 0 equal\n"
+            "block 0 1 equal\n"
+            "block 1 0 equal\n"
+            "block 1 1 complement\n")
 
 
 class TestPerturbationPartition:
@@ -217,13 +245,14 @@ class TestPerturbationPartition:
         g = BitMatrix(2, 2, [0b01, 0b10])
         bp = perturbation_partition(g, g)
         assert len(bp.row_classes) == 1 and len(bp.col_classes) == 1
-        assert bp.tags == (("equal",),)
+        assert bp.mode == "graph-pair"
+        assert bp.blocks == BitMatrix(1, 1)
 
     def test_full_complement(self):
         g1 = BitMatrix(2, 3)
         g2 = BitMatrix(2, 3, [0b111, 0b111])
         bp = perturbation_partition(g1, g2)
-        assert bp.tags == (("complement",),)
+        assert bp.blocks == BitMatrix(1, 1, [1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match="^2x2 vs 2x3$"):
@@ -244,11 +273,11 @@ class TestPerturbationPartition:
     def test_reconstruct_rejects_non_partitions(self):
         # Row 2 is in no class, so its value in g2 would be kept unchecked.
         g2 = BitMatrix(3, 2)
-        for rows, tags in [(((0, 1),), (("complement",),)),
-                           (((0, 1), (1, 2)), (("complement",), ("equal",))),
-                           (((0, 1, 2),), (("complement",), ("equal",)))]:
+        for rows, blocks in [(((0, 1),), BitMatrix(1, 1, [1])),
+                             (((0, 1), (1, 2)), BitMatrix(2, 1, [1, 0])),
+                             (((0, 1, 2),), BitMatrix(2, 1, [1, 0]))]:
             with pytest.raises(PartitionInvalid):
-                reconstruct_from_partition(g2, BlockPartition("graph-pair", rows, ((0, 1),), tags))
+                reconstruct_from_partition(g2, BlockPartition("graph-pair", rows, ((0, 1),), blocks))
 
     def test_reconstruct_rejects_matrix_mode(self):
         bp = constant_block_partition(BitMatrix(2, 2))

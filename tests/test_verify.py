@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -79,6 +80,12 @@ class TestRunCampaign:
         ("conn-equiv", {"max_elements": 40}, CapExceeded),
         ("fun-lemma", {"max_tree_vertices": 1001}, CapExceeded),
         ("cofun-lemma", {"max_extra": 1001}, CapExceeded),
+        ("pert-partition", {"size": 1001}, CapExceeded),
+        ("pert-partition", {"max_rank": 1001}, CapExceeded),
+        ("pert-partition", {"size": 0, "max_rank": 1001}, ValueError),
+        ("fun-lemma", {"s": 13}, CapExceeded),
+        ("fun-lemma", {"t": 13}, CapExceeded),
+        ("cofun-lemma", {"s": 13}, CapExceeded),
     ])
     def test_ranges_are_checked_before_any_trial(self, name, params, error, monkeypatch):
         def no_trials(p, rng):
@@ -87,6 +94,39 @@ class TestRunCampaign:
         monkeypatch.setitem(verify._CAMPAIGNS, name, campaign)
         with pytest.raises(error, match="must be at least" if error is ValueError else "caps"):
             run_campaign(name, params)
+
+    @pytest.mark.parametrize("params", [{"size": 1000}, {"size": 1, "max_rank": 1000},
+                                        {"size": 1000, "max_rank": 20}])
+    def test_pert_partition_runs_at_its_caps(self, params):
+        start = time.perf_counter()
+        report = run_campaign("pert-partition", {"trials": 1, **params}, seed=1)
+        assert report.passed and report.trials_run == 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("name, params", [
+        ("fun-lemma", {"s": 12, "t": 12}), ("fun-lemma", {"s": 1, "t": 12}),
+        ("cofun-lemma", {"s": 12})])
+    def test_biclique_sides_run_at_their_cap(self, name, params):
+        start = time.perf_counter()
+        report = run_campaign(name, {"instances": ["random:1000:1000:4"], **params})
+        assert report.trials_run == 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_struct_density_classes_cost_only_the_classes_drawn(self):
+        start = time.perf_counter()
+        report = run_campaign("struct-density", {"classes": 10 ** 8, "trials": 1}, seed=0)
+        assert report.trials_run == 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_random_partition_groups_by_ascending_class_id(self):
+        for classes in (1, 2, 3, 5, 40):
+            for seed in range(20):
+                rng, again = random.Random(seed), random.Random(seed)
+                got = verify._random_partition(rng, 9, classes)
+                drawn = [again.randrange(classes) for _ in range(9)]
+                assert got == tuple(tuple(i for i, a in enumerate(drawn) if a == c)
+                                    for c in range(classes) if c in drawn)
+                assert rng.random() == again.random()
 
     def test_tree_lemma_reports_every_invalid_split(self, monkeypatch):
         # split_tree's one validation pass is the campaign's only check.
@@ -370,7 +410,8 @@ def test_pert_partition_that_drops_a_class_is_a_violation(partition, monkeypatch
 
     def dropping(*args):
         bp = made(*args)
-        return dataclasses.replace(bp, row_classes=bp.row_classes[:-1], tags=bp.tags[:-1])
+        blocks = BitMatrix(bp.blocks.nrows - 1, bp.blocks.ncols, bp.blocks.rows[:-1])
+        return dataclasses.replace(bp, row_classes=bp.row_classes[:-1], blocks=blocks)
 
     monkeypatch.setattr(verify, partition, dropping)
     report = run_campaign("pert-partition", {"trials": 5, "size": 4}, seed=2)
