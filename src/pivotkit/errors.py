@@ -39,8 +39,8 @@ class SearchBudgetExceeded(CapExceeded):
     """Containment search ran out of node budget; result is unknown.
 
     Says how far the search got: ``expanded`` nodes expanded, ``classes``
-    distinct isomorphism classes seen, and ``depth`` the BFS level that
-    was being expanded (0 is the host graph).
+    distinct isomorphism classes seen, and ``depth`` the path length of
+    the state that would have been expanded next (0 is the host graph).
     """
 
     def __init__(self, budget: int, expanded: int, classes: int, depth: int):

@@ -157,6 +157,8 @@ def parse_matrix(text: str) -> BitMatrix:
         nrows, ncols = int(head[1]), int(head[2])
     except ValueError as exc:
         raise FormatError("matrix dimensions must be integers") from exc
+    if ncols == 0 and len(lines) == 1 and nrows > 0:
+        lines += [""] * nrows  # the empty rows that content_lines dropped
     if len(lines) != 1 + nrows:
         raise FormatError(f"expected {nrows} matrix rows, got {len(lines) - 1}")
     rows = []

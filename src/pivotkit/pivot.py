@@ -9,6 +9,7 @@ canonical form, so they are exact at small scale.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from .cutrank import SUBSET_CAP
@@ -273,27 +274,6 @@ def _orbit_firsts(g: Graph, autos: list[list[int]], deletions: bool) -> int:
     return keep
 
 
-# A frontier state: its graph, its path and the maps canonical_form found.
-_State = tuple[Graph, list[tuple], list[list[int]]]
-# A queued successor: its graph, its parent's path, its step, and its form
-# and maps once canonical_form has run on it (form None until then).
-_Queued = tuple[Graph, list[tuple], tuple, Optional[tuple], list[list[int]]]
-
-
-def _new_classes(queued: list[_Queued], seen: set) -> list[_State]:
-    """Canonicalise the queued successors not yet labelled, in order, add
-    each new class to seen, and return its first successor as a frontier
-    state: graph, path, maps."""
-    kept = []
-    for g, path, step, k, autos in queued:
-        if k is None:
-            k = canonical_form(g, autos)
-        if k not in seen:
-            seen.add(k)
-            kept.append((g, path + [step], autos))
-    return kept
-
-
 def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list[tuple]]]:
     """Decide whether h is reachable from g by pivots and vertex deletions.
 
@@ -309,27 +289,22 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     canonical_form found while labelling it: the edge first in
     edge_list() order and the least vertex of each orbit.  A later member
     of an orbit has the first member's form, which is seen by then, so
-    the frontier, the answer, the witness and the budget figures are
-    those of the search that expands every successor.  Each labelled
-    graph is canonicalised at most once: a repeat (pivoting an edge back
-    gives the parent) was matched or seen already.  A frontier state keeps
-    its graph, its path and the maps canonical_form found for it; its
-    orbits are closed only when it is expanded.
+    the answer, the witness and the budget figures are those of the
+    search that expands every successor.  Each labelled graph is
+    canonicalised at most once: a repeat (pivoting an edge back gives the
+    parent) was matched or seen already.
 
-    A level takes two passes.  The first expands the frontier and
-    canonicalises only the new successors with as many vertices as h,
-    returning at the first whose form is h's; the others are queued in
-    search order with their step.  The second, run only when the level
-    held no copy of h (or, before SearchBudgetExceeded, to count its
-    classes), canonicalises the rest of the queue in the same order and
-    keeps each new class as the next frontier.  h's class is never in
-    seen before the search returns, so the first successor in it is the
-    one a search that canonicalises each successor as it meets it would
-    return; and the classes a level adds matter only to later levels, so
-    frontier, witness and budget figures are unchanged.  A queued successor's key is already
-    kept, so at most 1 + budget * (n + n(n-1)/2) labelled keys and
-    queued graphs are held for an n-vertex g, and the budget caps memory
-    as well as time.
+    Successors wait in one FIFO queue with their graph, their parent's
+    path, their step, their maps and their form once known.  One with as
+    many vertices as h is canonicalised when it is met, and the search
+    returns at the first whose form is h's; any other is canonicalised
+    when it is dequeued.  A dequeued state whose class is seen is
+    dropped; otherwise its class is added and it is expanded, so seen
+    counts the expansions.  When they pass the budget, the classes of the
+    states still queued are added before the search stops.  Every queued
+    state comes from one of at most budget expansions, so at most
+    1 + budget * (n + n(n-1)/2) labelled keys and queued graphs are held
+    for an n-vertex g, and the budget caps memory as well as time.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -341,32 +316,34 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     start_key = canonical_form(g, autos)
     if g.n == h.n and start_key == target:
         return True, []
-    seen = {start_key}
+    seen: set = set()
     met = {g.key()}
-    frontier: list[_State] = [(g, [], autos)]
-    expanded = depth = 0
-    while frontier:
-        queued: list[_Queued] = []
-        for cur, path, cur_autos in frontier:
-            expanded += 1
-            if expanded > budget:
-                _new_classes(queued, seen)
-                raise SearchBudgetExceeded(budget, expanded - 1, len(seen), depth)
-            keep = _orbit_firsts(cur, cur_autos, cur.n > h.n)
-            for i, (u, v) in enumerate(_pairs(cur, cur.n > h.n)):
-                if not keep >> i & 1:
-                    continue
-                nxt_g = pivot(cur, u, v) if u != v else cur.delete_vertex(v)
-                if (labelled := nxt_g.key()) in met:
-                    continue
-                met.add(labelled)
-                step = ("pivot", u, v) if u != v else ("delete", v)
-                k, autos = None, []
-                if nxt_g.n == h.n:
-                    k = canonical_form(nxt_g, autos)
-                    if k == target:
-                        return True, path + [step]
-                queued.append((nxt_g, path, step, k, autos))
-        frontier = _new_classes(queued, seen)
-        depth += 1
+    queue = deque([(g, [], None, start_key, autos)])
+    while queue:
+        cur, path, step, k, autos = queue.popleft()
+        if k is None:
+            k = canonical_form(cur, autos)
+        if k in seen:
+            continue
+        seen.add(k)
+        path = path + [step] if step else path
+        if len(seen) > budget:
+            seen.update(canonical_form(q) if q_k is None else q_k for q, _, _, q_k, _ in queue)
+            raise SearchBudgetExceeded(budget, budget, len(seen), len(path))
+        deletions = cur.n > h.n
+        keep = _orbit_firsts(cur, autos, deletions)
+        for i, (u, v) in enumerate(_pairs(cur, deletions)):
+            if not keep >> i & 1:
+                continue
+            nxt = pivot(cur, u, v) if u != v else cur.delete_vertex(v)
+            if (labelled := nxt.key()) in met:
+                continue
+            met.add(labelled)
+            step = ("pivot", u, v) if u != v else ("delete", v)
+            nxt_k, nxt_autos = None, []
+            if nxt.n == h.n:
+                nxt_k = canonical_form(nxt, nxt_autos)
+                if nxt_k == target:
+                    return True, path + [step]
+            queue.append((nxt, path, step, nxt_k, nxt_autos))
     return False, None

@@ -123,3 +123,7 @@ class TestFormat:
     def test_empty_matrix_round_trip(self):
         m = BitMatrix(0, 0)
         assert parse_matrix(format_matrix(m)) == m
+
+    @given(bitmatrices())
+    def test_every_shape_round_trips(self, m):
+        assert parse_matrix(format_matrix(m)) == m

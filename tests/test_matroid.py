@@ -505,6 +505,11 @@ class TestFormats:
         m = graphic_matroid(mg, t)
         assert parse_matroid(format_matroid(m)) == m
 
+    def test_matroid_with_empty_nonbasis_round_trips(self):
+        m = BinaryMatroid(["a", "b"], [], BitMatrix(2, 0))
+        assert format_matroid(m) == "basis a b\nnonbasis\nmatrix 2 0\n\n\n"
+        assert parse_matroid(format_matroid(m)) == m
+
     def test_bad_documents(self):
         with pytest.raises(FormatError):
             parse_multigraph("graph 3\n0 1\n")

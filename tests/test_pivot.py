@@ -507,13 +507,13 @@ class TestIsPivotMinor:
         assert len(keys) == len(set(keys)) == 217
 
     @pytest.mark.parametrize("h, found, calls", [
-        (Graph.path(5), True, 21), (Graph.cycle(6), True, 21),
-        (Graph.path(4), True, 84), (Graph.cycle(5), False, 217)], ids=["P5", "C6", "P4", "C5"])
-    def test_a_level_is_canonicalised_once_it_holds_no_copy_of_h(self, monkeypatch,
+        (Graph.path(5), True, 18), (Graph.cycle(6), True, 15),
+        (Graph.path(4), True, 75), (Graph.cycle(5), False, 217)], ids=["P5", "C6", "P4", "C5"])
+    def test_successors_are_canonicalised_as_they_leave_the_queue(self, monkeypatch,
                                                                   h, found, calls):
-        """Only the successors with as many vertices as H are canonicalised
-        before a level is known to hold no copy of H.  In C8, P5, C6 and P4
-        are found with 21, 21 and 84 calls, where canonicalising each
+        """A successor with as many vertices as H is canonicalised when it
+        is met, any other only when it leaves the queue.  In C8, P5, C6 and
+        P4 are found with 18, 15 and 75 calls, where canonicalising each
         successor as it is met takes 74, 46 and 169; the "no" query C5 still
         takes 217.  After H's own form, each labelled graph is counted once."""
         module = sys.modules["pivotkit.pivot"]
@@ -581,10 +581,19 @@ class TestIsPivotMinor:
             kinds.add(got[0])
         assert kinds == {True, False, "budget"}
 
-    def test_pinned_bench_queries(self):
+    def test_pinned_bench_queries(self, monkeypatch):
         """Every pooled pivot-search unit of the benchmark keeps its
         pinned answer and witness, and each witness replays to a copy of
-        H."""
+        H.  The pool takes 28,495 canonical forms, 15,585 of them on the
+        "no" queries."""
+        module = sys.modules["pivotkit.pivot"]
+        form, calls = module.canonical_form, [0]
+
+        def counting(g, automorphisms=None):
+            calls[0] += 1
+            return form(g, automorphisms)
+
+        monkeypatch.setattr(module, "canonical_form", counting)
         bench = Path(__file__).resolve().parents[1] / "bench"
         spec = importlib.util.spec_from_file_location("bench_workloads",
                                                       bench / "workloads.py")
@@ -594,15 +603,19 @@ class TestIsPivotMinor:
         search = workloads.PivotSearch()
         pool = search.pool()
         assert len(pool) == len(pins) == 78
+        no_calls = 0
         for unit in pool:
             h, g = search.prepare(unit)
+            before = calls[0]
             found, steps = search.run((h, g))
+            no_calls += 0 if found else calls[0] - before
             assert search.record((found, steps)) == pins[search.key(unit)], unit
             if found:
                 for step in steps:
                     g = oracles.pivot(g, *step[1:]) if step[0] == "pivot" \
                         else g.delete_vertex(step[1])
                 assert nx.is_isomorphic(to_nx(g), to_nx(h)), unit
+        assert (calls[0], no_calls) == (28495, 15585)
 
     def test_witness_replays(self):
         h = Graph(3, [(0, 1), (0, 2)])
