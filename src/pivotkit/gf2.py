@@ -10,7 +10,20 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ._text import content_lines
-from .errors import DimensionMismatch, FormatError, PivotOnZero
+from .errors import CapExceeded, DimensionMismatch, FormatError, PivotOnZero
+
+
+# The most vertices a graph or multigraph file, or one side of a bigraph
+# file, may declare in its header, and the most rows an n x 0 matrix file
+# may declare; checked before anything is allocated.  It equals
+# extremal.INSTANCE_CAP, so every file that gen, fundgraph and matroid
+# fromgraph write from a generated instance parses.
+HEADER_CAP = 1000
+
+
+def _check_header_cap(size: int, what: str) -> None:
+    if size > HEADER_CAP:
+        raise CapExceeded(f"{size} {what} exceeds the header cap {HEADER_CAP}")
 
 
 class BitMatrix:
@@ -158,7 +171,10 @@ def parse_matrix(text: str) -> BitMatrix:
     except ValueError as exc:
         raise FormatError("matrix dimensions must be integers") from exc
     if ncols == 0 and len(lines) == 1 and nrows > 0:
-        lines += [""] * nrows  # the empty rows that content_lines dropped
+        # Its rows are the blank lines that content_lines dropped, so only
+        # the header cap bounds what is allocated.
+        _check_header_cap(nrows, "matrix rows")
+        return BitMatrix(nrows, 0)
     if len(lines) != 1 + nrows:
         raise FormatError(f"expected {nrows} matrix rows, got {len(lines) - 1}")
     rows = []

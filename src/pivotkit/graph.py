@@ -14,20 +14,8 @@ from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Optional
 
 from ._text import content_lines
-from .errors import CapExceeded, FormatError
-from .gf2 import BitMatrix
-
-
-# The most vertices a graph or multigraph file, or one side of a bigraph
-# file, may declare in its header; checked before anything is allocated.
-# It equals extremal.INSTANCE_CAP, so every file that gen, fundgraph and
-# matroid fromgraph write from a generated instance parses.
-HEADER_CAP = 1000
-
-
-def _check_header_cap(size: int, what: str) -> None:
-    if size > HEADER_CAP:
-        raise CapExceeded(f"{size} {what} exceeds the header cap {HEADER_CAP}")
+from .errors import FormatError
+from .gf2 import HEADER_CAP, BitMatrix, _check_header_cap
 
 
 def _bits(mask: int):

@@ -302,8 +302,15 @@ class TestExitCodes:
          EXIT_BUDGET),
         ("cofun-lemma", "s=13 bound_offset=0", format_instance(gen_ktt_example(14)),
          EXIT_BUDGET),
+        ("pert-partition", "", "matrix 1000000000 0&matrix 1 1\n0", EXIT_BUDGET),
+        ("pert-partition", "", "matrix 1 1\n0&matrix 100000000000000000000 0", EXIT_BUDGET),
+        ("pivot-matroid", "x=a y=b", "basis a\nnonbasis\nmatrix 1000000000 0", EXIT_BUDGET),
+        ("conn-equiv", "k_max=4", "basis a\nnonbasis\nmatrix 100000000000000000000 0",
+         EXIT_BUDGET),
     ], ids=["conn-equiv-25", "conn-equiv-26", "conn-equiv-k0", "avg-exists-k0",
-            "avg-exists-20-vertices", "fun-lemma-s13", "fun-lemma-t13", "cofun-lemma-s13"])
+            "avg-exists-20-vertices", "fun-lemma-s13", "fun-lemma-t13", "cofun-lemma-s13",
+            "pert-partition-1e9-rows", "pert-partition-1e20-rows", "pivot-matroid-1e9-rows",
+            "conn-equiv-1e20-rows"])
     def test_replay_enforces_the_campaign_limits(self, tmp_path, name, fields, data, code):
         # A witness is held to the ranges and caps that `check` enforces,
         # before its check runs: without them the two conn-equiv witnesses
@@ -362,7 +369,12 @@ class TestExitCodes:
         (["partition", "--pair", "-", "-"], "bigraph 1001 2\n", "1001 vertices on one side"),
         (["partition", "--pair", "-", "-"], "bigraph 2 1001\n", "1001 vertices on one side"),
         (["fundgraph", "-"], "multigraph 1001\n", "1001 vertices"),
-    ], ids=["graph", "bigraph", "bigraph-columns", "multigraph"])
+        (["partition", "-"], "matrix 1001 0\n", "1001 matrix rows"),
+        (["partition", "-"], "matrix 1000000000 0\n", "1000000000 matrix rows"),
+        (["partition", "-"], "matrix 100000000000000000000 0\n",
+         "100000000000000000000 matrix rows"),
+    ], ids=["graph", "bigraph", "bigraph-columns", "multigraph", "matrix-rows",
+            "matrix-rows-1e9", "matrix-rows-1e20"])
     def test_header_over_the_cap_exits_3(self, argv, doc, message, capsys):
         assert run(argv, stdin=doc) == (EXIT_BUDGET, "")
         assert capsys.readouterr().err == f"budget exceeded: {message} exceeds the header cap 1000\n"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pivotkit.errors import DimensionMismatch, PivotOnZero
+from pivotkit.errors import CapExceeded, DimensionMismatch, PivotOnZero
 from pivotkit.gf2 import (BitMatrix, format_matrix, matrix_pivot, parse_matrix,
                           rank, rank_bits)
 
@@ -127,3 +127,11 @@ class TestFormat:
     @given(bitmatrices())
     def test_every_shape_round_trips(self, m):
         assert parse_matrix(format_matrix(m)) == m
+
+    def test_rows_of_an_empty_column_matrix_are_capped(self):
+        # Its text is the header alone, so the cap is checked before any
+        # row is allocated.
+        assert parse_matrix("matrix 1000 0\n") == BitMatrix(1000, 0)
+        for nrows in (1001, 10 ** 9, 10 ** 20):
+            with pytest.raises(CapExceeded, match=f"{nrows} matrix rows exceeds"):
+                parse_matrix(f"matrix {nrows} 0\n")
