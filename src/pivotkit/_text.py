@@ -1,6 +1,18 @@
-"""Helpers for the line-oriented ASCII formats."""
+"""Helpers for the line-oriented ASCII formats: comment stripping, the
+`<kind> <size>...` header line, and the `u v` edge line."""
 
 from __future__ import annotations
+
+from typing import Callable
+
+from .errors import CapExceeded, FormatError
+
+# The most any header may declare for each of its sizes: graph and
+# multigraph vertices, each side of a bigraph, matrix rows and columns.
+# It is checked before anything is allocated.  It equals
+# extremal.INSTANCE_CAP, so every file that gen, fundgraph and matroid
+# fromgraph write from a generated instance parses.
+HEADER_CAP = 1000
 
 
 def content_lines(text: str) -> list[str]:
@@ -11,3 +23,34 @@ def content_lines(text: str) -> list[str]:
         if line and not line.startswith("#"):
             out.append(line)
     return out
+
+
+def read_header(lines: list[str], kind: str, *names: str) -> list[int]:
+    """The sizes that the header `<kind> <size>...` (lines[0]) declares.
+
+    One size per name; each must be a non-negative integer, and one over
+    HEADER_CAP raises CapExceeded naming it.
+    """
+    if not lines:
+        raise FormatError(f"empty {kind} document")
+    head = lines[0].split()
+    try:
+        sizes = [int(s) for s in head[1:]]
+    except ValueError:
+        sizes = []
+    if head[0] != kind or len(sizes) != len(names) or min(sizes) < 0:
+        raise FormatError(f"bad {kind} header: {lines[0]!r}")
+    for size, name in zip(sizes, names):
+        if size > HEADER_CAP:
+            raise CapExceeded(f"{size} {name} exceeds the header cap {HEADER_CAP}")
+    return sizes
+
+
+def read_edges(lines: list[str], add: Callable[[int, int], object]) -> None:
+    """Call add(u, v) for each `u v` line; a bad line is a FormatError."""
+    for line in lines:
+        try:
+            u, v = map(int, line.split())
+            add(u, v)
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"bad edge line: {line!r}") from exc

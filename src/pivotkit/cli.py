@@ -114,8 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int)
 
     p = sub.add_parser("partition", help="constant-block partition")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--pair", nargs=2, metavar=("G1", "G2"))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?")
+    source.add_argument("--pair", nargs=2, metavar=("G1", "G2"))
 
     p = sub.add_parser("pivotminor", help="pivot-minor containment search")
     p.add_argument("h_file")
@@ -218,11 +219,8 @@ def _cmd_partition(args) -> int:
         g1 = parse_bigraph(_read(args.pair[0]))
         g2 = parse_bigraph(_read(args.pair[1]))
         bp = perturbation_partition(g1, g2)
-    elif args.file:
-        bp = constant_block_partition(parse_matrix(_read(args.file)))
     else:
-        print("partition: need a matrix file or --pair", file=sys.stderr)
-        return EXIT_USAGE
+        bp = constant_block_partition(parse_matrix(_read(args.file)))
     sys.stdout.write(format_block_partition(bp))
     return EXIT_OK
 

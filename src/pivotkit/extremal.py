@@ -17,7 +17,8 @@ from .gf2 import BitMatrix
 from .matroid import MultiGraph, format_multigraph, fundamental_matrix
 
 # The most vertices, and the most extra edges, a generated instance has;
-# checked before any list is built, so a larger size costs nothing.
+# checked before any list is built, so a larger size costs nothing.  It
+# equals _text.HEADER_CAP, so every file written from an instance parses.
 INSTANCE_CAP = 1000
 
 

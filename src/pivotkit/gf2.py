@@ -9,21 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ._text import content_lines
-from .errors import CapExceeded, DimensionMismatch, FormatError, PivotOnZero
-
-
-# The most vertices a graph or multigraph file, or one side of a bigraph
-# file, may declare in its header, and the most rows an n x 0 matrix file
-# may declare; checked before anything is allocated.  It equals
-# extremal.INSTANCE_CAP, so every file that gen, fundgraph and matroid
-# fromgraph write from a generated instance parses.
-HEADER_CAP = 1000
-
-
-def _check_header_cap(size: int, what: str) -> None:
-    if size > HEADER_CAP:
-        raise CapExceeded(f"{size} {what} exceeds the header cap {HEADER_CAP}")
+from ._text import content_lines, read_header
+from .errors import DimensionMismatch, FormatError, PivotOnZero
 
 
 class BitMatrix:
@@ -161,19 +148,9 @@ def format_matrix(m: BitMatrix) -> str:
 
 def parse_matrix(text: str) -> BitMatrix:
     lines = content_lines(text)
-    if not lines:
-        raise FormatError("empty matrix document")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "matrix":
-        raise FormatError(f"bad matrix header: {lines[0]!r}")
-    try:
-        nrows, ncols = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise FormatError("matrix dimensions must be integers") from exc
-    if ncols == 0 and len(lines) == 1 and nrows > 0:
-        # Its rows are the blank lines that content_lines dropped, so only
-        # the header cap bounds what is allocated.
-        _check_header_cap(nrows, "matrix rows")
+    nrows, ncols = read_header(lines, "matrix", "matrix rows", "matrix columns")
+    if ncols == 0 and len(lines) == 1:
+        # Its rows are the blank lines that content_lines dropped.
         return BitMatrix(nrows, 0)
     if len(lines) != 1 + nrows:
         raise FormatError(f"expected {nrows} matrix rows, got {len(lines) - 1}")

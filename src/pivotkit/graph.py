@@ -13,9 +13,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Optional
 
-from ._text import content_lines
-from .errors import FormatError
-from .gf2 import HEADER_CAP, BitMatrix, _check_header_cap
+from ._text import content_lines, read_edges, read_header
+from .gf2 import BitMatrix
 
 
 def _bits(mask: int):
@@ -274,28 +273,9 @@ def format_graph(g: Graph) -> str:
 
 def parse_graph(text: str) -> Graph:
     lines = content_lines(text)
-    if not lines:
-        raise FormatError("empty graph document")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "graph":
-        raise FormatError(f"bad graph header: {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise FormatError("bad vertex count") from exc
-    _check_header_cap(n, "vertices")
-    try:
-        g = Graph(n)
-    except ValueError as exc:
-        raise FormatError("bad vertex count") from exc
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {line!r}")
-        try:
-            g.add_edge(int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise FormatError(f"bad edge line: {line!r}") from exc
+    n, = read_header(lines, "graph", "vertices")
+    g = Graph(n)
+    read_edges(lines[1:], g.add_edge)
     return g
 
 
@@ -308,27 +288,6 @@ def format_bigraph(g: BitMatrix) -> str:
 
 def parse_bigraph(text: str) -> BitMatrix:
     lines = content_lines(text)
-    if not lines:
-        raise FormatError("empty bigraph document")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "bigraph":
-        raise FormatError(f"bad bigraph header: {lines[0]!r}")
-    try:
-        sizes = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise FormatError("bad side sizes") from exc
-    for size in sizes:
-        _check_header_cap(size, "vertices on one side")
-    try:
-        m = BitMatrix(*sizes)
-    except ValueError as exc:
-        raise FormatError("bad side sizes") from exc
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {line!r}")
-        try:
-            m.set(int(parts[0]), int(parts[1]), 1)
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"bad edge line: {line!r}") from exc
+    m = BitMatrix(*read_header(lines, "bigraph", "vertices on one side", "vertices on one side"))
+    read_edges(lines[1:], lambda u, v: m.set(u, v, 1))
     return m

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from ._text import content_lines
+from ._text import content_lines, read_header
 from .errors import (ElementNotFound, FormatError, GroundSetTooLarge,
                      NotASpanningTree, NotConnected, PivotOnZero,
                      SubsetCapExceeded)
 from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank_bits
-from .graph import Graph, _check_header_cap
+from .graph import Graph
 from .cutrank import SUBSET_CAP, find_low_rank_separation
 
 CIRCUIT_ENUM_CAP = 16
@@ -358,16 +358,7 @@ def format_multigraph(g: MultiGraph, t: frozenset[str], provenance: str | None =
 
 def parse_multigraph(text: str) -> tuple[MultiGraph, frozenset[str]]:
     lines = content_lines(text)
-    if not lines:
-        raise FormatError("empty multigraph document")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "multigraph":
-        raise FormatError(f"bad multigraph header: {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise FormatError("bad vertex count") from exc
-    _check_header_cap(n, "vertices")
+    n, = read_header(lines, "multigraph", "vertices")
     edges = []
     tree_labels = set()
     for line in lines[1:]:

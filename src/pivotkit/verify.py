@@ -52,7 +52,8 @@ _AVG_EXISTS_CAP = 12
 # Measured on 2 vCPUs with CPython 3.11 (README gives the figures): one
 # pert-partition trial at size = max_rank = 1000 takes about 1.7 s, and a
 # K_{s,t} search with s <= t <= 12 on an instance at the instance cap at
-# most 0.05 s.
+# most 0.05 s.  _PERT_CAP equals _text.HEADER_CAP, so the size x size
+# matrices of a pert-partition witness parse when it is replayed.
 _PERT_CAP = 1000
 _BICLIQUE_CAP = 12
 

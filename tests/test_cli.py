@@ -137,6 +137,12 @@ class TestPipelines:
         code, _ = run(["partition"])
         assert code == EXIT_USAGE
 
+    def test_partition_file_and_pair_is_usage(self, tmp_path):
+        f1 = tmp_path / "g1.txt"
+        f1.write_text("bigraph 2 2\n0 0\n")
+        code, out = run(["partition", "/nonexistent", "--pair", str(f1), str(f1)])
+        assert (code, out) == (EXIT_USAGE, "")
+
     def test_splittree(self):
         code, out = run(["splittree", "-", "2"],
                         stdin=format_graph(Graph.path(11)))
@@ -373,11 +379,28 @@ class TestExitCodes:
         (["partition", "-"], "matrix 1000000000 0\n", "1000000000 matrix rows"),
         (["partition", "-"], "matrix 100000000000000000000 0\n",
          "100000000000000000000 matrix rows"),
+        (["partition", "-"], "matrix 2 1001\n", "1001 matrix columns"),
+        (["partition", "-"], "matrix 1001 1\n" + "1\n" * 1001, "1001 matrix rows"),
     ], ids=["graph", "bigraph", "bigraph-columns", "multigraph", "matrix-rows",
-            "matrix-rows-1e9", "matrix-rows-1e20"])
+            "matrix-rows-1e9", "matrix-rows-1e20", "matrix-columns", "matrix-rows-written"])
     def test_header_over_the_cap_exits_3(self, argv, doc, message, capsys):
         assert run(argv, stdin=doc) == (EXIT_BUDGET, "")
         assert capsys.readouterr().err == f"budget exceeded: {message} exceeds the header cap 1000\n"
+
+    @pytest.mark.parametrize("argv, kind, sizes", [
+        (["pivot", "-", "0", "1"], "graph", 1),
+        (["partition", "--pair", "-", "-"], "bigraph", 2),
+        (["fundgraph", "-"], "multigraph", 1),
+        (["partition", "-"], "matrix", 2),
+    ], ids=["graph", "bigraph", "multigraph", "matrix"])
+    @pytest.mark.parametrize("bad", ["x", "-1", "count"], ids=["non-integer", "negative", "count"])
+    def test_bad_header_size_is_usage(self, argv, kind, sizes, bad, capsys):
+        if bad == "count":
+            head = f"{kind} " + " ".join(["1"] * (sizes + 1))
+        else:
+            head = f"{kind} " + " ".join(["1"] * (sizes - 1) + [bad])
+        assert run(argv, stdin=head + "\n") == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: bad {kind} header: '{head}'\n"
 
     def test_edgeless_multigraph_with_a_huge_header_is_not_connected(self):
         # A file header over the cap exits 3, but the library takes any

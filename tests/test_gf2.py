@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pivotkit.errors import CapExceeded, DimensionMismatch, PivotOnZero
 from pivotkit.gf2 import (BitMatrix, format_matrix, matrix_pivot, parse_matrix,
                           rank, rank_bits)
+from pivotkit.graph import Graph, format_bigraph, format_graph, parse_bigraph, parse_graph
 
 from oracles import rank_by_span
 
@@ -19,6 +22,14 @@ def bitmatrices(max_dim=5):
             lambda c: st.lists(st.integers(0, (1 << c) - 1 if c else 0),
                                min_size=r, max_size=r).map(
                 lambda rows: BitMatrix(r, c, rows))))
+
+
+def graphs(max_n=6):
+    """Every graph on 0..max_n vertices, each edge set a bitmask over the pairs."""
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.integers(0, (1 << n * (n - 1) // 2) - 1).map(
+            lambda mask: Graph(n, [e for i, e in enumerate(combinations(range(n), 2))
+                                   if mask >> i & 1])))
 
 
 class TestRank:
@@ -127,6 +138,14 @@ class TestFormat:
     @given(bitmatrices())
     def test_every_shape_round_trips(self, m):
         assert parse_matrix(format_matrix(m)) == m
+
+    @given(graphs())
+    def test_every_graph_round_trips(self, g):
+        assert parse_graph(format_graph(g)) == g
+
+    @given(bitmatrices())
+    def test_every_bigraph_shape_round_trips(self, m):
+        assert parse_bigraph(format_bigraph(m)) == m
 
     def test_rows_of_an_empty_column_matrix_are_capped(self):
         # Its text is the header alone, so the cap is checked before any
