@@ -7,11 +7,11 @@ from typing import Callable
 
 from .errors import CapExceeded, FormatError
 
-# The most any header may declare for each of its sizes: graph and
-# multigraph vertices, each side of a bigraph, matrix rows and columns.
-# It is checked before anything is allocated.  It equals
-# extremal.INSTANCE_CAP, so every file that gen, fundgraph and matroid
-# fromgraph write from a generated instance parses.
+# The one size cap for text and generated instances: the most any header
+# declares for each of its sizes (checked before anything is allocated),
+# the most cotree edges a multigraph file has, and the most vertices and
+# extra edges a generated instance has.  So every file pivotkit writes
+# parses back.
 HEADER_CAP = 1000
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/PASS, 1 property violated (witness printed),
-2 usage or parse error, 3 budget or size cap exceeded (unknown).
+2 usage or parse error, 3 budget or size cap exceeded (unknown),
+4 internal error (any other exception; its traceback goes to stderr).
 All file arguments accept `-` for stdin; all formats are line-oriented
 ASCII with `#` comment lines ignored.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import traceback
 
 from .cutrank import cut_rank, find_low_rank_separation
 from .errors import CapExceeded
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -290,6 +293,9 @@ def run_cli(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        print("internal error:\n" + traceback.format_exc(), end="", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -12,19 +12,16 @@ import heapq
 import random
 from dataclasses import dataclass
 
+from ._text import HEADER_CAP
 from .errors import CapExceeded
 from .gf2 import BitMatrix
 from .matroid import MultiGraph, format_multigraph, fundamental_matrix
 
-# The most vertices, and the most extra edges, a generated instance has;
-# checked before any list is built, so a larger size costs nothing.  It
-# equals _text.HEADER_CAP, so every file written from an instance parses.
-INSTANCE_CAP = 1000
-
 
 def _check_cap(what: str, size: int) -> None:
-    if size > INSTANCE_CAP:
-        raise CapExceeded(f"{size} {what} exceeds the instance cap {INSTANCE_CAP}")
+    """Cap an instance's vertices and extra edges before any list is built."""
+    if size > HEADER_CAP:
+        raise CapExceeded(f"{size} {what} exceeds the instance cap {HEADER_CAP}")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from ._text import content_lines, read_header
-from .errors import (ElementNotFound, FormatError, GroundSetTooLarge,
+from ._text import HEADER_CAP, content_lines, read_header
+from .errors import (CapExceeded, ElementNotFound, FormatError, GroundSetTooLarge,
                      NotASpanningTree, NotConnected, PivotOnZero,
                      SubsetCapExceeded)
 from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank_bits
@@ -361,6 +361,7 @@ def parse_multigraph(text: str) -> tuple[MultiGraph, frozenset[str]]:
     n, = read_header(lines, "multigraph", "vertices")
     edges = []
     tree_labels = set()
+    cotree = 0
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 4 or parts[2] not in ("tree", "cotree"):
@@ -372,6 +373,11 @@ def parse_multigraph(text: str) -> tuple[MultiGraph, frozenset[str]]:
         edges.append((parts[3], u, v))
         if parts[2] == "tree":
             tree_labels.add(parts[3])
+        else:
+            cotree += 1
+    # Tree lines need no cap: more than n - 1 are not a spanning tree.
+    if cotree > HEADER_CAP:
+        raise CapExceeded(f"{cotree} cotree edges exceeds the header cap {HEADER_CAP}")
     try:
         mg = MultiGraph(n, edges)
     except ValueError as exc:

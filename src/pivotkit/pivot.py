@@ -233,34 +233,29 @@ def canonical_form(g: Graph, automorphisms: Optional[list[list[int]]] = None) ->
     return (n, best)
 
 
-def _pairs(g: Graph, deletions: bool) -> list[tuple[int, int]]:
-    """The search steps from g as pairs: (u, v) with u < v pivots the edge
-    uv, in edge_list() order, and then, when deletions are allowed, (v, v)
-    deletes v."""
-    pairs = g.edge_list()
-    if deletions:
-        pairs += [(v, v) for v in range(g.n)]
-    return pairs
-
-
-def _orbit_firsts(g: Graph, autos: list[list[int]], deletions: bool) -> int:
-    """A mask over the positions of _pairs(g, deletions): the steps that
-    come first within their orbit under the group the maps generate.
+def _orbit_firsts(g: Graph, autos: list[list[int]], deletions: bool) -> list[tuple[int, int]]:
+    """The search steps from g that come first within their orbit under
+    the group the maps generate, as pairs: (u, v) with u < v pivots the
+    edge uv, in edge_list() order, and then, when deletions are allowed,
+    (v, v) deletes v.
 
     Successors in one orbit of automorphisms of g are isomorphic, so only
     the first of them can reach a new class: the edge first in
     edge_list() order (pivoting xy and yx gives one graph) and the least
     vertex.  Taking vertex v as the pair (v, v) lets one closure over
-    unordered pairs find both kinds of orbit.  Without maps every bit is
-    set (-1).
+    unordered pairs find both kinds of orbit.  Without maps every step
+    is kept.
     """
+    pairs = g.edge_list()
+    if deletions:
+        pairs += [(v, v) for v in range(g.n)]
     if not autos:
-        return -1
-    keep, met = 0, set()
-    for i, pair in enumerate(_pairs(g, deletions)):
+        return pairs
+    keep, met = [], set()
+    for pair in pairs:
         if pair in met:
             continue
-        keep |= 1 << i
+        keep.append(pair)
         met.add(pair)
         stack = [pair]
         while stack:
@@ -330,11 +325,7 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         if len(seen) > budget:
             seen.update(canonical_form(q) if q_k is None else q_k for q, _, _, q_k, _ in queue)
             raise SearchBudgetExceeded(budget, budget, len(seen), len(path))
-        deletions = cur.n > h.n
-        keep = _orbit_firsts(cur, autos, deletions)
-        for i, (u, v) in enumerate(_pairs(cur, deletions)):
-            if not keep >> i & 1:
-                continue
+        for u, v in _orbit_firsts(cur, autos, cur.n > h.n):
             nxt = pivot(cur, u, v) if u != v else cur.delete_vertex(v)
             if (labelled := nxt.key()) in met:
                 continue

@@ -25,12 +25,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from ._text import content_lines
+from ._text import HEADER_CAP, content_lines
 from .cutrank import SUBSET_CAP, find_low_rank_separation
 from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid,
                      SubsetCapExceeded, TreeTooSmall, UnknownCampaign)
-from .extremal import (INSTANCE_CAP, Instance, _make_instance, format_instance,
-                       gen_c6_blowup_example, gen_ktt_example, gen_random_instance)
+from .extremal import (Instance, _make_instance, format_instance, gen_c6_blowup_example,
+                       gen_ktt_example, gen_random_instance)
 from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
 from .graph import (Graph, _bits, bipartite_complement, degree_stats,
                     find_complete_bipartite, format_bigraph, format_graph,
@@ -50,11 +50,9 @@ VACUOUS = "vacuous"
 # vertex subsets, so it is bounded at this many vertices.
 _AVG_EXISTS_CAP = 12
 # Measured on 2 vCPUs with CPython 3.11 (README gives the figures): one
-# pert-partition trial at size = max_rank = 1000 takes about 1.7 s, and a
-# K_{s,t} search with s <= t <= 12 on an instance at the instance cap at
-# most 0.05 s.  _PERT_CAP equals _text.HEADER_CAP, so the size x size
-# matrices of a pert-partition witness parse when it is replayed.
-_PERT_CAP = 1000
+# pert-partition trial at size = max_rank = HEADER_CAP takes about 1.7 s,
+# and a K_{s,t} search with s <= t <= 12 on an instance at the cap at
+# most 0.05 s.
 _BICLIQUE_CAP = 12
 
 
@@ -488,8 +486,8 @@ class Campaign:
     decode: Callable
 
 
-_INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2, INSTANCE_CAP),
-                    "max_extra": Param(6, 0, INSTANCE_CAP), "bound_offset": Param(0),
+_INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2, HEADER_CAP),
+                    "max_extra": Param(6, 0, HEADER_CAP), "bound_offset": Param(0),
                     "instances": Param(None)}
 
 
@@ -514,8 +512,8 @@ _CAMPAIGNS = {
         {"trials": Param(1000, 1), "n_max": Param(8, 4, 10)}, _gen_rankconn, _check_rankconn,
         lambda w: (parse_graph(_data(w)),)),
     "pert-partition": Campaign(
-        {"trials": Param(200, 1), "size": Param(8, 1, _PERT_CAP),
-         "max_rank": Param(4, 0, _PERT_CAP)},
+        {"trials": Param(200, 1), "size": Param(8, 1, HEADER_CAP),
+         "max_rank": Param(4, 0, HEADER_CAP)},
         _gen_pert, _check_pert, _decode_pert),
     "pivot-matroid": Campaign(
         {"trials": Param(200, 1), "max_elements": Param(10, 2, CIRCUIT_ENUM_CAP)},

@@ -12,13 +12,14 @@ import pytest
 
 import pivotkit
 import pivotkit.cli
-from pivotkit.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
-                          run_cli)
+from pivotkit.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
+                          EXIT_VIOLATION, run_cli)
 from pivotkit.extremal import format_instance, gen_ktt_example
 from pivotkit.gf2 import BitMatrix, parse_matrix
 from pivotkit.graph import Graph, format_graph, parse_bigraph, parse_graph
 from pivotkit.matroid import BinaryMatroid, format_matroid, parse_matroid, parse_multigraph
-from pivotkit.verify import _CAMPAIGNS, _merge_params, campaign_names, run_campaign
+from pivotkit.verify import (_CAMPAIGNS, _merge_params, campaign_names, format_report,
+                             run_campaign)
 
 
 _BIG = str(10 ** 20)
@@ -51,6 +52,11 @@ def _dense_matroid(count):
 def _matching(edges):
     """The graph of `edges` disjoint edges."""
     return Graph(2 * edges, [(2 * i, 2 * i + 1) for i in range(edges)])
+
+
+def _cotree_multigraph(count):
+    """A multigraph file: one tree edge and `count` cotree edges parallel to it."""
+    return "multigraph 2\n0 1 tree t\n" + "".join(f"0 1 cotree f{i}\n" for i in range(count))
 
 
 class TestGen:
@@ -313,10 +319,11 @@ class TestExitCodes:
         ("pivot-matroid", "x=a y=b", "basis a\nnonbasis\nmatrix 1000000000 0", EXIT_BUDGET),
         ("conn-equiv", "k_max=4", "basis a\nnonbasis\nmatrix 100000000000000000000 0",
          EXIT_BUDGET),
+        ("fun-lemma", "s=2 t=3 bound_offset=0", _cotree_multigraph(1001), EXIT_BUDGET),
     ], ids=["conn-equiv-25", "conn-equiv-26", "conn-equiv-k0", "avg-exists-k0",
             "avg-exists-20-vertices", "fun-lemma-s13", "fun-lemma-t13", "cofun-lemma-s13",
             "pert-partition-1e9-rows", "pert-partition-1e20-rows", "pivot-matroid-1e9-rows",
-            "conn-equiv-1e20-rows"])
+            "conn-equiv-1e20-rows", "fun-lemma-1001-cotree"])
     def test_replay_enforces_the_campaign_limits(self, tmp_path, name, fields, data, code):
         # A witness is held to the ranges and caps that `check` enforces,
         # before its check runs: without them the two conn-equiv witnesses
@@ -362,13 +369,44 @@ class TestExitCodes:
         assert run(["matroid", *argv], stdin=mat) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == "error: 'zz'\n"
 
-    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch, capsys):
         def broken(g, vertices):
             raise KeyError("internal")
 
         monkeypatch.setattr(pivotkit.cli, "cut_rank", broken)
-        with pytest.raises(KeyError, match="internal"):
-            run(["cutrank", "-", "--set", "0"], stdin=format_graph(Graph.cycle(4)))
+        assert run(["cutrank", "-", "--set", "0"],
+                   stdin=format_graph(Graph.cycle(4))) == (EXIT_INTERNAL, "")
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:\nTraceback (most recent call last):\n")
+        assert err.endswith("KeyError: 'internal'\n")
+
+    @pytest.mark.parametrize("error", [IndexError, KeyError])
+    @pytest.mark.parametrize("command", ["check", "replay", "pivotminor", "rankconn"])
+    def test_internal_error_in_the_library_exits_4(self, tmp_path, monkeypatch, capsys,
+                                                   command, error):
+        # An exception that is neither a usage error nor a cap is a fault,
+        # never an answer: not 0-3, and the traceback names it.
+        def broken(*args, **kwargs):
+            raise error("internal")
+
+        c5, c8 = tmp_path / "c5.txt", tmp_path / "c8.txt"
+        c5.write_text(format_graph(Graph.cycle(5)))
+        c8.write_text(format_graph(Graph.cycle(8)))
+        report = tmp_path / "report.txt"
+        report.write_text(format_report(run_campaign("fun-lemma", {"trials": 30,
+                                                                   "bound_offset": -3})))
+        module, name, argv = {
+            "check": ("verify", "degree_stats", ["check", "fun-lemma"]),
+            "replay": ("verify", "degree_stats", ["replay", str(report)]),
+            "pivotminor": ("pivot", "canonical_form", ["pivotminor", str(c5), str(c8)]),
+            "rankconn": ("cutrank", "rank_bits", ["rankconn", str(c8), "3"]),
+        }[command]
+        # By sys.modules: the package exports a function named pivot.
+        monkeypatch.setattr(sys.modules[f"pivotkit.{module}"], name, broken)
+        assert run(argv) == (EXIT_INTERNAL, "")
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:\nTraceback (most recent call last):\n")
+        assert err.endswith(f"{error.__name__}: {error('internal')}\n")
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["pivot", "-", "0", "1"], "graph 1001\n", "1001 vertices"),
@@ -381,8 +419,11 @@ class TestExitCodes:
          "100000000000000000000 matrix rows"),
         (["partition", "-"], "matrix 2 1001\n", "1001 matrix columns"),
         (["partition", "-"], "matrix 1001 1\n" + "1\n" * 1001, "1001 matrix rows"),
+        (["fundgraph", "-"], _cotree_multigraph(1001), "1001 cotree edges"),
+        (["matroid", "fromgraph", "-"], _cotree_multigraph(1001), "1001 cotree edges"),
     ], ids=["graph", "bigraph", "bigraph-columns", "multigraph", "matrix-rows",
-            "matrix-rows-1e9", "matrix-rows-1e20", "matrix-columns", "matrix-rows-written"])
+            "matrix-rows-1e9", "matrix-rows-1e20", "matrix-columns", "matrix-rows-written",
+            "fundgraph-cotree", "fromgraph-cotree"])
     def test_header_over_the_cap_exits_3(self, argv, doc, message, capsys):
         assert run(argv, stdin=doc) == (EXIT_BUDGET, "")
         assert capsys.readouterr().err == f"budget exceeded: {message} exceeds the header cap 1000\n"
@@ -427,6 +468,14 @@ class TestExitCodes:
         assert code == EXIT_OK and (m.nrows, m.ncols) == (999, 1000)
         code, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
         assert code == EXIT_OK and len(parse_matroid(mat).element_order()) == 1999
+        # A hand-written multigraph at the cotree cap: 1 x 1,000 and 1,000 x 1.
+        doc = _cotree_multigraph(1000)
+        code, fund = run(["fundgraph", "-"], stdin=doc)
+        assert code == EXIT_OK and parse_bigraph(fund).ncols == 1000
+        for flags, shape in (([], (1, 1000)), (["--cographic"], (1000, 1))):
+            code, mat = run(["matroid", "fromgraph", "-", *flags], stdin=doc)
+            rep = parse_matroid(mat).rep
+            assert code == EXIT_OK and (rep.nrows, rep.ncols) == shape
 
     @pytest.mark.parametrize("argv, message", [
         (["gen", "ktt", _BIG], f"{_BIG} vertices exceeds the instance cap 1000"),

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from pivotkit._text import HEADER_CAP
 from pivotkit.errors import CapExceeded
-from pivotkit.extremal import (INSTANCE_CAP, Instance, _random_tree_edges, format_instance,
+from pivotkit.extremal import (Instance, _random_tree_edges, format_instance,
                                gen_c6_blowup_example, gen_ktt_example,
                                gen_random_instance)
 from pivotkit.graph import Graph, degree_stats, find_complete_bipartite
@@ -92,7 +93,7 @@ class TestRandomInstance:
         # MultiGraph has no vertex cap, so its walk keeps edge lists: a
         # 20,000-vertex random tree with 5 extra edges peaks near 13 MB.
         # One adjacency bitmask per vertex would take it near 50 MB.  The
-        # generators stop at INSTANCE_CAP, so the multigraph is built here.
+        # generators stop at HEADER_CAP, so the multigraph is built here.
         import tracemalloc
         tracemalloc.start()
         try:
@@ -129,7 +130,7 @@ class TestInstanceCap:
     # Each generator builds an instance at the cap and refuses one past it
     # before building any list.
     def test_at_the_cap(self):
-        assert INSTANCE_CAP == 1000
+        assert HEADER_CAP == 1000
         assert gen_ktt_example(1000).multigraph.n == 1000
         assert gen_c6_blowup_example(334).multigraph.n == 1000
         inst = gen_random_instance(1000, 1000, 0)
