@@ -38,16 +38,17 @@ class OrbitBudgetExceeded(CapExceeded):
 class SearchBudgetExceeded(CapExceeded):
     """Containment search ran out of node budget; result is unknown.
 
-    Says how far the search got: ``expanded`` nodes expanded, ``classes``
-    distinct isomorphism classes seen, and ``depth`` the path length of
-    the state that would have been expanded next (0 is the host graph).
+    Says how far the search got: ``expanded`` nodes expanded, ``stored``
+    labelled graphs the search holds as keys, and ``depth`` the path
+    length of the state that would have been expanded next (0 is the host
+    graph).
     """
 
-    def __init__(self, budget: int, expanded: int, classes: int, depth: int):
+    def __init__(self, budget: int, expanded: int, stored: int, depth: int):
         super().__init__(f"budget {budget} exhausted: expanded={expanded} "
-                         f"classes={classes} depth={depth}")
+                         f"stored={stored} depth={depth}")
         self.expanded = expanded
-        self.classes = classes
+        self.stored = stored
         self.depth = depth
 
 

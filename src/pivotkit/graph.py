@@ -280,10 +280,10 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_bigraph(g: BitMatrix) -> str:
-    lines = [f"bigraph {g.nrows} {g.ncols}"]
-    for i, row in enumerate(g.rows):
-        lines += [f"{i} {j}" for j in _bits(row)]
-    return "\n".join(lines) + "\n"
+    """The bigraph's text, built one string per row so that its peak
+    memory stays within a few times the output's length."""
+    rows = (f"{i} " + f"\n{i} ".join(map(str, _bits(row))) for i, row in enumerate(g.rows) if row)
+    return "\n".join([f"bigraph {g.nrows} {g.ncols}", *rows, ""])
 
 
 def parse_bigraph(text: str) -> BitMatrix:

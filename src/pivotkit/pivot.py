@@ -295,8 +295,8 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     returns at the first whose form is h's; any other is canonicalised
     when it is dequeued.  A dequeued state whose class is seen is
     dropped; otherwise its class is added and it is expanded, so seen
-    counts the expansions.  When they pass the budget, the classes of the
-    states still queued are added before the search stops.  Every queued
+    counts the expansions.  When they pass the budget the search stops at
+    once, reporting the labelled graphs it has stored.  Every queued
     state comes from one of at most budget expansions, so at most
     1 + budget * (n + n(n-1)/2) labelled keys and queued graphs are held
     for an n-vertex g, and the budget caps memory as well as time.
@@ -323,8 +323,7 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         seen.add(k)
         path = path + [step] if step else path
         if len(seen) > budget:
-            seen.update(canonical_form(q) if q_k is None else q_k for q, _, _, q_k, _ in queue)
-            raise SearchBudgetExceeded(budget, budget, len(seen), len(path))
+            raise SearchBudgetExceeded(budget, budget, len(met), len(path))
         for u, v in _orbit_firsts(cur, autos, cur.n > h.n):
             nxt = pivot(cur, u, v) if u != v else cur.delete_vertex(v)
             if (labelled := nxt.key()) in met:

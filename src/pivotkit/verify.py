@@ -49,6 +49,9 @@ VACUOUS = "vacuous"
 # The exhaustive subgraph search of _check_avg_exists visits all 2^n
 # vertex subsets, so it is bounded at this many vertices.
 _AVG_EXISTS_CAP = 12
+# rankconn-lemma's graphs: the campaign draws at most this many vertices,
+# and a replayed witness with more is refused before any search.
+_RANKCONN_CAP = 10
 # Measured on 2 vCPUs with CPython 3.11 (README gives the figures): one
 # pert-partition trial at size = max_rank = HEADER_CAP takes about 1.7 s,
 # and a K_{s,t} search with s <= t <= 12 on an instance at the cap at
@@ -179,6 +182,8 @@ def _check_struct_density(h: BitMatrix, row_classes, col_classes, s: int):
 
 
 def _check_rankconn(g: Graph):
+    if g.n > _RANKCONN_CAP:
+        raise CapExceeded(f"rankconn-lemma caps a graph at {_RANKCONN_CAP} vertices, got {g.n}")
     if not is_c4_free(g):
         return VACUOUS
     k = vertex_connectivity(g)
@@ -504,12 +509,13 @@ _CAMPAIGNS = {
         {"max_edges": Param(11, 5, 12)}, _gen_tree, _check_tree,
         lambda w: (parse_graph(_data(w)), _int(w, "s"))),
     "struct-density": Campaign(
-        {"s": Param(2, 1), "classes": Param(2, 1), "trials": Param(200, 1)},
+        {"s": Param(2, 1, _BICLIQUE_CAP), "classes": Param(2, 1), "trials": Param(200, 1)},
         _gen_struct_density, _check_struct_density,
         lambda w: (parse_bigraph(_data(w)), _classes(_field(w, "rows")),
                    _classes(_field(w, "cols")), _int(w, "s"))),
     "rankconn-lemma": Campaign(
-        {"trials": Param(1000, 1), "n_max": Param(8, 4, 10)}, _gen_rankconn, _check_rankconn,
+        {"trials": Param(1000, 1), "n_max": Param(8, 4, _RANKCONN_CAP)},
+        _gen_rankconn, _check_rankconn,
         lambda w: (parse_graph(_data(w)),)),
     "pert-partition": Campaign(
         {"trials": Param(200, 1), "size": Param(8, 1, HEADER_CAP),

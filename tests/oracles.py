@@ -458,7 +458,8 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
 
     Breadth-first search over canonical forms with a node budget; raises
     SearchBudgetExceeded when the budget runs out (result unknown, which
-    is deliberately distinct from False), and ValueError when budget < 1.
+    is deliberately distinct from False), and ValueError when budget < 1;
+    its ``stored`` figure counts the graphs it keeps, one per class met.
     On success, returns the witness sequence of ("pivot", x, y) /
     ("delete", v) steps, each in the labels of the intermediate graph it
     applies to.

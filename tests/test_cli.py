@@ -16,7 +16,7 @@ from pivotkit.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                           EXIT_VIOLATION, run_cli)
 from pivotkit.extremal import format_instance, gen_ktt_example
 from pivotkit.gf2 import BitMatrix, parse_matrix
-from pivotkit.graph import Graph, format_graph, parse_bigraph, parse_graph
+from pivotkit.graph import Graph, format_bigraph, format_graph, parse_bigraph, parse_graph
 from pivotkit.matroid import BinaryMatroid, format_matroid, parse_matroid, parse_multigraph
 from pivotkit.verify import (_CAMPAIGNS, _merge_params, campaign_names, format_report,
                              run_campaign)
@@ -235,7 +235,7 @@ class TestExitCodes:
         code, out = run(["pivotminor", str(hp), str(gp), "--budget", "2"])
         assert code == EXIT_BUDGET and out == ""
         err = capsys.readouterr().err
-        assert "expanded=2" in err and "classes=" in err and "depth=1" in err
+        assert "expanded=2 stored=7 depth=1" in err
 
     def test_pivotminor_host_over_the_subset_cap_is_budget(self, tmp_path, capsys):
         hp, gp = tmp_path / "h", tmp_path / "g"
@@ -270,6 +270,7 @@ class TestExitCodes:
         ["cofun-lemma", "--s", "13"],
         ["pert-partition", "--size", "1001"],
         ["pert-partition", "--max-rank", "1001"],
+        ["struct-density", "--s", "13"],
     ])
     def test_campaign_parameter_above_cap_is_budget(self, argv):
         code, out = run(["check"] + argv)
@@ -320,15 +321,26 @@ class TestExitCodes:
         ("conn-equiv", "k_max=4", "basis a\nnonbasis\nmatrix 100000000000000000000 0",
          EXIT_BUDGET),
         ("fun-lemma", "s=2 t=3 bound_offset=0", _cotree_multigraph(1001), EXIT_BUDGET),
+        ("rankconn-lemma", "k=2", format_graph(Graph.cycle(11)), EXIT_BUDGET),
+        ("struct-density", "s=13 rows=0,1 cols=0,1",
+         format_bigraph(BitMatrix(2, 2, [0b11, 0b11])), EXIT_BUDGET),
     ], ids=["conn-equiv-25", "conn-equiv-26", "conn-equiv-k0", "avg-exists-k0",
             "avg-exists-20-vertices", "fun-lemma-s13", "fun-lemma-t13", "cofun-lemma-s13",
             "pert-partition-1e9-rows", "pert-partition-1e20-rows", "pivot-matroid-1e9-rows",
-            "conn-equiv-1e20-rows", "fun-lemma-1001-cotree"])
-    def test_replay_enforces_the_campaign_limits(self, tmp_path, name, fields, data, code):
+            "conn-equiv-1e20-rows", "fun-lemma-1001-cotree", "rankconn-lemma-11-vertices",
+            "struct-density-s13"])
+    def test_replay_enforces_the_campaign_limits(self, tmp_path, monkeypatch, name, fields,
+                                                 data, code):
         # A witness is held to the ranges and caps that `check` enforces,
         # before its check runs: without them the two conn-equiv witnesses
-        # over the subset cap sweep 2^24 splits or more, and the k=0
-        # avg-exists witness walks 2^20 subgraphs.
+        # over the subset cap sweep 2^24 splits or more, the k=0
+        # avg-exists witness walks 2^20 subgraphs, and a C4-free
+        # rankconn-lemma graph is searched whatever its size.
+        def refused(*args):
+            raise AssertionError("a refused witness reached its search")
+
+        for search in ("vertex_connectivity", "find_complete_bipartite"):
+            monkeypatch.setattr(sys.modules["pivotkit.verify"], search, refused)
         blob = data.strip().replace("\n", ";")
         report = tmp_path / "report.txt"
         report.write_text(f"FAIL\nname={name}\nviolations=1\n"

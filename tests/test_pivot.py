@@ -106,6 +106,15 @@ def twin_heavy(rng):
     return graphs + [multipartite(s) for s in ((3, 3, 3), (2, 2, 2, 2), (1, 2, 3))]
 
 
+def _outcome(search, h, g, budget):
+    """A pivot-minor search's answer and witness, or, when its budget runs
+    out, the expansions and depth it reached."""
+    try:
+        return search(h, g, budget)
+    except SearchBudgetExceeded as exc:
+        return ("budget", exc.expanded, exc.depth)
+
+
 class TestPivot:
     def test_single_edge_fixed(self):
         g = Graph(2, [(0, 1)])
@@ -412,8 +421,28 @@ class TestIsPivotMinor:
         with pytest.raises(SearchBudgetExceeded) as info:
             is_pivot_minor(h, g, 2)
         exc = info.value
-        assert exc.expanded == 2 and exc.classes > 1 and exc.depth == 1
-        assert "expanded=2" in str(exc) and f"classes={exc.classes}" in str(exc)
+        assert (exc.expanded, exc.stored, exc.depth) == (2, 7, 1)
+        assert str(exc) == "budget 2 exhausted: expanded=2 stored=7 depth=1"
+
+    @pytest.mark.parametrize("budget, stored, depth", [(1, 3, 1), (5, 37, 2), (40, 207, 4)])
+    def test_budget_stop_computes_no_form(self, monkeypatch, budget, stored, depth):
+        """A stop reports the labelled graphs the search stored, so the only
+        form computed without a maps list is H's: the queued states are not
+        canonicalised for a figure."""
+        module = sys.modules["pivotkit.pivot"]
+        form, bare = module.canonical_form, []
+
+        def recording(g, automorphisms=None):
+            if automorphisms is None:
+                bare.append(g.key())
+            return form(g, automorphisms)
+
+        monkeypatch.setattr(module, "canonical_form", recording)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            is_pivot_minor(Graph.cycle(5), Graph.cycle(8), budget)
+        exc = info.value
+        assert bare == [Graph.cycle(5).key()]
+        assert (exc.expanded, exc.stored, exc.depth) == (budget, stored, depth)
 
     @pytest.mark.parametrize("budget", [0, -1, -5])
     def test_budget_below_one_rejected(self, budget):
@@ -469,14 +498,9 @@ class TestIsPivotMinor:
         assert any(found for found, _ in new) and not all(found for found, _ in new)
 
     def test_same_outcomes_as_the_oracle_bfs(self):
-        """The labelled-repeat skip keeps every answer, witness and
-        budget message of the BFS that canonicalises every successor."""
-        def outcome(search, h, g, budget):
-            try:
-                return search(h, g, budget)
-            except SearchBudgetExceeded as exc:
-                return str(exc)
-
+        """The labelled-repeat skip keeps every answer, witness, expansion
+        count and depth of the BFS that canonicalises every successor.  The
+        two store different graphs, so their stored counts differ."""
         rng = random.Random(11)
         kinds = set()
         for _ in range(80):
@@ -484,9 +508,9 @@ class TestIsPivotMinor:
             g = gnp(rng, n, rng.choice((0.3, 0.5, 0.7)))
             h = gnp(rng, rng.randint(1, n), rng.choice((0.3, 0.5, 0.7)))
             budget = rng.choice((1, 3, 10, 100, 20000))
-            got = outcome(is_pivot_minor, h, g, budget)
-            assert got == outcome(oracles.is_pivot_minor, h, g, budget)
-            kinds.add("budget" if isinstance(got, str) else got[0])
+            got = _outcome(is_pivot_minor, h, g, budget)
+            assert got == _outcome(oracles.is_pivot_minor, h, g, budget)
+            kinds.add(got[0])
         assert kinds == {True, False, "budget"}
 
     def test_each_labelled_graph_canonicalised_once(self, monkeypatch):
@@ -528,24 +552,18 @@ class TestIsPivotMinor:
         assert len(keys) == calls and len(set(keys[1:])) == calls - 1
 
     def test_budget_stops_mid_level_as_the_oracle(self, monkeypatch):
-        """A budget that runs out partway through a level counts the classes
-        of every successor met on it so far.  At each budget from 1 to the
-        full search's expansion count, the figures are those of the BFS that
-        canonicalises each successor as it meets it."""
-        def outcome(search, h, g, budget):
-            try:
-                return search(h, g, budget)
-            except SearchBudgetExceeded as exc:
-                return ("budget", exc.expanded, exc.classes, exc.depth)
-
+        """A budget that runs out partway through a level stops at the same
+        state as the BFS that canonicalises each successor as it meets it:
+        at each budget from 1 to the full search's expansion count, the
+        expansions and depth are that BFS's."""
         monkeypatch.setattr(oracles, "canonical_form", canonical_form)
         queries = [(Graph.cycle(5), Graph.cycle(8)), (Graph.path(5), k_nn(4)),
                    (Graph.path(5), gnp(random.Random(59), 8, 0.5))]
         answers = []
         for h, g in queries:
             for budget in count(1):
-                got = outcome(is_pivot_minor, h, g, budget)
-                assert got == outcome(oracles.is_pivot_minor, h, g, budget), budget
+                got = _outcome(is_pivot_minor, h, g, budget)
+                assert got == _outcome(oracles.is_pivot_minor, h, g, budget), budget
                 if got[0] != "budget":
                     answers.append(got[0])
                     break
@@ -553,17 +571,11 @@ class TestIsPivotMinor:
 
     def test_orbit_rule_keeps_the_oracle_outcomes(self, monkeypatch):
         """On symmetric hosts, where one successor per orbit prunes the
-        most, the answers, witnesses and budget figures are those of the
+        most, the answers, witnesses, expansions and depth are those of the
         BFS that builds and canonicalises every successor.  That BFS runs
         here with this module's canonical form, so the two differ only in
         the search; its own ordering search takes about a minute per query
         on the Petersen graph."""
-        def outcome(search, h, g, budget):
-            try:
-                return search(h, g, budget)
-            except SearchBudgetExceeded as exc:
-                return ("budget", exc.expanded, exc.classes, exc.depth)
-
         monkeypatch.setattr(oracles, "canonical_form", canonical_form)
         rng = random.Random(53)
         # On the prism, pruning edges by the vertex orbits of their ends
@@ -576,8 +588,8 @@ class TestIsPivotMinor:
         queries.append((Graph.cycle(5), blow_up(Graph.cycle(6), 4), 30))
         kinds = set()
         for h, g, budget in queries:
-            got = outcome(is_pivot_minor, h, g, budget)
-            assert got == outcome(oracles.is_pivot_minor, h, g, budget)
+            got = _outcome(is_pivot_minor, h, g, budget)
+            assert got == _outcome(oracles.is_pivot_minor, h, g, budget)
             kinds.add(got[0])
         assert kinds == {True, False, "budget"}
 
