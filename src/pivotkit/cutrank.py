@@ -45,24 +45,21 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
     the smaller side, by the X <-> V-X symmetry; a balanced split by
     the side holding vertex 0), then is lexicographically first, so it
     is deterministic; its cut-rank is l - 1.  The walk is depth-first
-    over sorted prefixes P, sizes ascending, with lim = min(size, least
-    order still open), and ranks are computed only up to lim.  Every
-    vertex below P's last one and outside P is outside each completion
-    of P, so P's rows on those columns are a submatrix of every
-    completion's cut matrix, and two bounds follow.  Before sibling v
-    joins the members M, M's rows on the columns below v and outside M
-    are ranked: every completion of M + v' with v' >= v keeps those
-    columns on its other side, so once their rank reaches lim the
-    sibling loop ends, leaves included.  That elimination is then
-    continued with v's row, which gives the rank of M + v on the same
-    columns, and once it reaches lim the subtree below M + v is pruned
-    (a prefix shorter than lim, whose rank is below it, is not ranked).
-    lim only falls, so neither bound hides the first witness, which is
-    that of the full scan.  Memory is the current prefix and one
-    elimination state of at most lim rows per frame of the walk, which
-    is at most n/2 frames deep, so O(n k) rows in all; nothing is kept per
-    subset.  Raises SubsetCapExceeded when the vertex count is over the
-    enumeration cap.
+    over sorted prefixes, the members M, sizes ascending, with lim =
+    min(size, least order still open).  Each frame keeps one echelon of
+    M's rows on the columns outside M, keyed by lowest bit, so the rank
+    of those rows on any set of columns below a vertex v is the number
+    of lowest bits below v.  Every vertex below v and outside M is
+    outside each completion of M + v' with v' >= v, so M's rows on those
+    columns are a submatrix of every such completion's cut matrix: once
+    their rank reaches lim the sibling loop ends, leaves included (the
+    child frame's first sibling makes the same test for M + v, so it
+    prunes the subtree below M + v).  A leaf's cut-rank is the size of
+    its echelon.  lim only falls, so the bound never hides the first
+    witness, which is that of the full scan.  Memory is one echelon of
+    at most n/2 rows per frame of the walk, which is at most n/2 frames
+    deep; nothing is kept per subset.  Raises SubsetCapExceeded when the
+    vertex count is over the enumeration cap.
     """
     n = g.n
     if n > SUBSET_CAP:
@@ -71,38 +68,45 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
     if top < 1:
         return None
     adj = g.adj
-    full = (1 << n) - 1
     best = None
-    members: list[int] = []
 
-    def extend(mask: int, lo: int, size: int) -> bool:
-        """Walk the completions of members; True once a rank-0 witness is found."""
+    def extend(rows: dict[int, int], mask: int, lo: int, size: int) -> bool:
+        """Walk the completions of the members in mask; True once a rank-0
+        witness is found.  rows is an echelon of their rows on the columns
+        outside mask, one row per lowest bit (a one-bit mask, never in
+        mask); a row's bits in mask are stale, and are masked off where the
+        row is used."""
         nonlocal best, top
-        depth = len(members) + 1
+        depth = mask.bit_count() + 1
+        leads = sum(rows)
         for v in range(lo, 1 if depth == 1 and 2 * size == n else n - size + depth):
             bit = 1 << v
-            cols = (bit - 1) ^ mask  # outside every completion of members + v', v' >= v
             lim = min(size, top)
-            lead: dict[int, int] = {}
-            if depth > lim and rank_bits([adj[u] & cols for u in members], lim, lead) == lim:
+            if (leads & (bit - 1)).bit_count() >= lim:
                 break
-            members.append(v)
-            if depth == size:
-                out = full ^ mask ^ bit
-                r = rank_bits([adj[u] & out for u in members], lim)
-                if r < lim:
-                    best, top = Separation(tuple(members), r + 1, r), r
-                    if r == 0:
-                        return True
-            elif (depth < lim  # lead holds the members' rows only when depth > lim
-                  or rank_bits([adj[u] & cols for u in members] if depth == lim
-                               else [adj[v] & cols], lim, lead) < lim) \
-                    and extend(mask | bit, v + 1, size):
-                return True
-            members.pop()
+            grown = mask | bit
+            keep = ~grown
+            child = dict(rows)
+            for row in (child.pop(bit, 0), adj[v]):
+                row &= keep
+                while row:
+                    low = row & -row
+                    if low not in child:
+                        child[low] = row
+                        break
+                    row = (row ^ child[low]) & keep
+            if depth < size:
+                if extend(child, grown, v + 1, size):
+                    return True
+            elif len(child) < lim:
+                r = len(child)
+                side = tuple(u for u in range(v + 1) if grown >> u & 1)
+                best, top = Separation(side, r + 1, r), r
+                if r == 0:
+                    return True
         return False
 
     for size in range(1, n // 2 + 1):
-        if extend(0, 0, size):
+        if extend({}, 0, 0, size):
             break
     return best

@@ -89,20 +89,9 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-def rank_bits(rows: Iterable[int], stop: int | None = None,
-              lead: dict[int, int] | None = None) -> int:
-    """Rank over GF(2) of rows given as bit-packed ints.
-
-    With a positive ``stop``, elimination ends as soon as the rank
-    reaches it, so the result is min(rank, stop).  A ``lead`` dict holds
-    the elimination across calls: the rows already reduced into it (one
-    per leading bit) count toward the rank, and each new independent row
-    is added to it, so ranking a matrix and then the matrix plus one row
-    costs one row's reduction, not a second elimination.  It must hold
-    fewer than ``stop`` rows when the call starts.
-    """
-    if lead is None:
-        lead = {}
+def rank_bits(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of rows given as bit-packed ints."""
+    lead: dict[int, int] = {}
     for row in rows:
         while row:
             hb = row.bit_length() - 1
@@ -110,8 +99,6 @@ def rank_bits(rows: Iterable[int], stop: int | None = None,
                 row ^= lead[hb]
             else:
                 lead[hb] = row
-                if len(lead) == stop:
-                    return stop
                 break
     return len(lead)
 

@@ -265,10 +265,12 @@ def degree_stats(g) -> DegreeStats:
 
 
 def format_graph(g: Graph) -> str:
-    lines = [f"graph {g.n}"]
-    for u, v in g.edge_list():
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    """The graph's text, each edge under its lower end, built one string
+    per row so that its peak memory stays within a few times the
+    output's length."""
+    above = ((u, a >> u + 1 << u + 1) for u, a in enumerate(g.adj))
+    rows = (f"{u} " + f"\n{u} ".join(map(str, _bits(a))) for u, a in above if a)
+    return "\n".join([f"graph {g.n}", *rows, ""])
 
 
 def parse_graph(text: str) -> Graph:

@@ -388,14 +388,14 @@ def format_tree_split(split: TreeSplit) -> str:
 
 
 def format_block_partition(bp: BlockPartition) -> str:
-    """Text form; the mode names a block's values 0 and 1."""
+    """Text form; the mode names a block's values 0 and 1.  It is built
+    one string per row class so that its peak memory stays within a few
+    times the output's length."""
     words = {"matrix": ("zero", "one"), "graph-pair": ("equal", "complement")}[bp.mode]
+    ncols = bp.blocks.ncols
     lines = [f"blockpartition {bp.mode} {len(bp.row_classes)} {len(bp.col_classes)}"]
-    for i, rc in enumerate(bp.row_classes):
-        lines.append(f"rowclass {i} " + " ".join(str(x) for x in rc))
-    for j, cc in enumerate(bp.col_classes):
-        lines.append(f"colclass {j} " + " ".join(str(x) for x in cc))
-    for i, row in enumerate(bp.blocks.rows):
-        for j in range(bp.blocks.ncols):
-            lines.append(f"block {i} {j} {words[row >> j & 1]}")
-    return "\n".join(lines) + "\n"
+    lines += (f"rowclass {i} " + " ".join(map(str, rc)) for i, rc in enumerate(bp.row_classes))
+    lines += (f"colclass {j} " + " ".join(map(str, cc)) for j, cc in enumerate(bp.col_classes))
+    lines += ("\n".join(f"block {i} {j} {words[row >> j & 1]}" for j in range(ncols))
+              for i, row in enumerate(bp.blocks.rows) if ncols)
+    return "\n".join([*lines, ""])

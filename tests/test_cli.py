@@ -401,9 +401,10 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise error("internal")
 
-        c5, c8 = tmp_path / "c5.txt", tmp_path / "c8.txt"
+        c5, c8, p5 = tmp_path / "c5.txt", tmp_path / "c8.txt", tmp_path / "p5.txt"
         c5.write_text(format_graph(Graph.cycle(5)))
         c8.write_text(format_graph(Graph.cycle(8)))
+        p5.write_text(format_graph(Graph.path(5)))
         report = tmp_path / "report.txt"
         report.write_text(format_report(run_campaign("fun-lemma", {"trials": 30,
                                                                    "bound_offset": -3})))
@@ -411,7 +412,7 @@ class TestExitCodes:
             "check": ("verify", "degree_stats", ["check", "fun-lemma"]),
             "replay": ("verify", "degree_stats", ["replay", str(report)]),
             "pivotminor": ("pivot", "canonical_form", ["pivotminor", str(c5), str(c8)]),
-            "rankconn": ("cutrank", "rank_bits", ["rankconn", str(c8), "3"]),
+            "rankconn": ("cutrank", "Separation", ["rankconn", str(p5), "3"]),  # has a witness
         }[command]
         # By sys.modules: the package exports a function named pivot.
         monkeypatch.setattr(sys.modules[f"pivotkit.{module}"], name, broken)

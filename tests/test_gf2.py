@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pivotkit.errors import CapExceeded, DimensionMismatch, PivotOnZero
-from pivotkit.gf2 import (BitMatrix, format_matrix, matrix_pivot, parse_matrix,
-                          rank, rank_bits)
+from pivotkit.gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank
 from pivotkit.graph import Graph, format_bigraph, format_graph, parse_bigraph, parse_graph
 
 from oracles import rank_by_span
@@ -58,10 +57,6 @@ class TestRank:
         assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
         assert t.rows == [m.column_bits(j) for j in range(m.ncols)]
         assert rank(m) == rank(t)
-
-    @given(bitmatrices(), st.integers(1, 6))
-    def test_stop_caps_the_rank(self, m, stop):
-        assert rank_bits(m.rows, stop) == min(rank(m), stop)
 
 
 class TestMatrixPivot:

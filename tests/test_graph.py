@@ -267,3 +267,16 @@ class TestFormats:
         finally:
             tracemalloc.stop()
         assert len(text) == 654016 and peak < 3 * len(text)
+
+    def test_graph_text_peak_memory_is_near_its_length(self):
+        """One string per row, not one per edge: K_300's 0.33 MB of text
+        peaks near twice that, where a list of edge lines peaked near
+        nineteen times."""
+        g = Graph(300, combinations(range(300), 2))
+        tracemalloc.start()
+        try:
+            text = format_graph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 325920 and peak < 3 * len(text)

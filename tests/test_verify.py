@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from pivotkit import cutrank, matroid, structure, verify
+import pivotkit
+from pivotkit import cli, cutrank, matroid, structure, verify
 from pivotkit.cutrank import find_low_rank_separation
 from pivotkit.errors import CapExceeded, FormatError, UnknownCampaign
-from pivotkit.gf2 import BitMatrix, rank_bits
+from pivotkit.gf2 import BitMatrix
 from pivotkit.graph import DegreeStats
 from pivotkit.matroid import (BinaryMatroid, connectivity_lambda, format_matroid,
                               is_k_connected)
@@ -315,16 +316,13 @@ def test_conn_equiv_sweep_catches_one_wrong_split(monkeypatch):
 
 
 def test_conn_equiv_checks_the_separation_walk_against_the_sweep(monkeypatch):
-    """A walk whose every stopped rank reaches its stop finds no separation.
-    The sweep's exhaustive order disagrees on every trial that has one (97
-    of the 100 at seed 0), and each witness replays under the same walk.
-    The fault goes into every module that ranks with a stop, so a second
-    search driven by the same walk would fail alike and hide it."""
-    def stopped(rows, stop=None, lead=None):
-        return rank_bits(rows, None, lead) if stop is None else stop
-
-    for module in (cutrank, matroid):
-        monkeypatch.setattr(module, "rank_bits", stopped)
+    """A walk that finds no separation disagrees with the sweep's exhaustive
+    order on every trial that has one (97 of the 100 at seed 0), and each
+    witness replays under the same walk.  The fault goes into every
+    namespace that binds the walk, so a second search driven by it would
+    fail alike and hide it."""
+    for module in (pivotkit, cli, cutrank, matroid, verify):
+        monkeypatch.setattr(module, "find_low_rank_separation", lambda g, k: None)
     report = run_campaign("conn-equiv", None, 0)
     assert len(report.violations) == 97 and report.trials_run == 100
     assert all(replay_witness(w) for w in parse_report(format_report(report))["witnesses"])
