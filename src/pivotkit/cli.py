@@ -43,7 +43,12 @@ def _read(path: str) -> str:
 
 
 def _csv_ints(raw: str) -> list[int]:
-    return [int(x) for x in raw.split(",") if x != ""]
+    """argparse type of a vertex set: comma-separated integers."""
+    try:
+        return [int(x) for x in raw.split(",") if x != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"vertices must be comma-separated integers, got {raw!r}") from None
 
 
 def _csv_strs(raw: str) -> list[str]:
@@ -88,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutrank", help="cut-rank of a vertex set")
     p.add_argument("file")
-    p.add_argument("--set", dest="vertex_set", required=True)
+    p.add_argument("--set", dest="vertex_set", required=True, type=_csv_ints)
 
     p = sub.add_parser("rankconn", help="certify k-rank-connectivity")
     p.add_argument("file")
@@ -170,7 +175,7 @@ def _cmd_pivot(args) -> int:
 
 def _cmd_cutrank(args) -> int:
     g = parse_graph(_read(args.file))
-    print(cut_rank(g, _csv_ints(args.vertex_set)))
+    print(cut_rank(g, args.vertex_set))
     return EXIT_OK
 
 

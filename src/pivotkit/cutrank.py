@@ -8,8 +8,7 @@ every graph is therefore 1-rank-connected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import SubsetCapExceeded
 from .gf2 import rank_bits
@@ -18,8 +17,7 @@ from .graph import Graph
 SUBSET_CAP = 24  # the most vertices or elements a subset search enumerates
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(NamedTuple):
     """A witness that a graph is not k-rank-connected for some k > order."""
 
     side_x: tuple[int, ...]

@@ -60,12 +60,8 @@ class NotASpanningTree(ValueError):
     """The designated edge set is not a spanning tree."""
 
 
-class ElementNotFound(KeyError, ValueError):
-    """Matroid element label not present where required.
-
-    A ValueError like every other bad input; the KeyError base is kept
-    for callers that catch a missing key.
-    """
+class ElementNotFound(ValueError):
+    """Matroid element label not present where required."""
 
 
 class TreeTooSmall(ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._text import HEADER_CAP
 from .errors import CapExceeded
@@ -24,8 +24,7 @@ def _check_cap(what: str, size: int) -> None:
         raise CapExceeded(f"{size} {what} exceeds the instance cap {HEADER_CAP}")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A multigraph with a spanning tree, the set of its edge labels, and
     its fundamental graph, whose biadjacency rows are the tree edges."""
 

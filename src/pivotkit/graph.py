@@ -8,7 +8,6 @@ the columns side B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Optional
@@ -118,8 +117,7 @@ class Graph:
         return cls(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     min_degree: int
     max_degree: int
     average_degree: Fraction

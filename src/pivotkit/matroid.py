@@ -108,13 +108,13 @@ class BinaryMatroid:
         try:
             return self.basis.index(x)
         except ValueError:
-            raise ElementNotFound(x) from None
+            raise ElementNotFound(f"{x!r} is not a basis element") from None
 
     def col_of(self, y: str) -> int:
         try:
             return self.nonbasis.index(y)
         except ValueError:
-            raise ElementNotFound(y) from None
+            raise ElementNotFound(f"{y!r} is not a non-basis element") from None
 
     def element_order(self) -> list[str]:
         return sorted(self.ground())
@@ -276,7 +276,7 @@ def minor(m: BinaryMatroid, deletions: Iterable[str], contractions: Iterable[str
     ground = m.ground()
     for e in sorted(dels | cons):
         if e not in ground:
-            raise ElementNotFound(e)
+            raise ElementNotFound(f"unknown element {e!r}")
     for e in sorted(cons):
         m = _contract(m, e)
     if dels:
@@ -321,7 +321,7 @@ def connectivity_lambda(m: BinaryMatroid, x_set: Iterable[str]) -> int:
     x = 0
     for e in set(x_set):
         if e not in pos:
-            raise ElementNotFound(e)
+            raise ElementNotFound(f"unknown element {e!r}")
         x |= 1 << pos[e]
     return connectivity_kernel(m)(x)
 

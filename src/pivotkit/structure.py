@@ -11,9 +11,8 @@ enumerates the trees of one order up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import NotATree, PartitionInvalid, TreeTooSmall
 from .gf2 import BitMatrix
@@ -26,8 +25,7 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SplitEdge:
+class SplitEdge(NamedTuple):
     """A tree edge whose removal leaves two components of >= s edges."""
 
     edge: Edge
@@ -35,8 +33,7 @@ class SplitEdge:
     side_b: frozenset[Edge]
 
 
-@dataclass(frozen=True)
-class SplitVertex:
+class SplitVertex(NamedTuple):
     """Three edge-disjoint subtrees of >= s edges meeting only at v."""
 
     vertex: int
@@ -48,8 +45,7 @@ class SplitVertex:
 TreeSplit = Union[SplitEdge, SplitVertex]
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(NamedTuple):
     """Row/column classes under which every block is constant.
 
     ``blocks`` has one row per row class and one column per column
@@ -303,7 +299,7 @@ def perturbation_partition(g1: BitMatrix, g2: BitMatrix) -> BlockPartition:
     biadjacency difference g1 ^ g2, which raises DimensionMismatch when
     the shapes differ.
     """
-    return replace(constant_block_partition(g1 ^ g2), mode="graph-pair")
+    return constant_block_partition(g1 ^ g2)._replace(mode="graph-pair")
 
 
 def _expand(bp: BlockPartition, nrows: int, ncols: int) -> BitMatrix:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from ._text import HEADER_CAP, content_lines
 from .cutrank import SUBSET_CAP, find_low_rank_separation
@@ -59,14 +59,13 @@ _RANKCONN_CAP = 10
 _BICLIQUE_CAP = 12
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(NamedTuple):
     name: str
     params: dict
     seed: int
-    trials_run: int = 0
-    vacuous: int = 0
-    violations: list = field(default_factory=list)  # list of witness dicts
+    trials_run: int
+    vacuous: int
+    violations: list  # list of witness dicts
 
     @property
     def passed(self) -> bool:
@@ -462,8 +461,7 @@ def _decode_pert(w: dict):
 
 # --- the campaign records ---
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """A campaign parameter's default and legal range.
 
     A value below ``low`` is a usage error (ValueError).  A value above
@@ -475,8 +473,7 @@ class Param:
     cap: int | None = None
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(NamedTuple):
     """Everything one campaign declares.
 
     ``generate(params, rng)`` yields the argument tuple of one trial, or
@@ -569,17 +566,18 @@ def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> Campai
     if name not in _CAMPAIGNS:
         raise UnknownCampaign(name)
     campaign = _CAMPAIGNS[name]
-    report = CampaignReport(name=name, params=_merge_params(name, campaign.params, params),
-                            seed=seed)
-    for args in campaign.generate(report.params, random.Random(seed)):
+    merged = _merge_params(name, campaign.params, params)
+    trials = vacuous = 0
+    violations = []
+    for args in campaign.generate(merged, random.Random(seed)):
         outcome = VACUOUS if args == VACUOUS else campaign.check(*args)
-        report.trials_run += 1
+        trials += 1
         if outcome == VACUOUS:
-            report.vacuous += 1
+            vacuous += 1
         elif outcome is not None:
             outcome["name"] = name
-            report.violations.append(outcome)
-    return report
+            violations.append(outcome)
+    return CampaignReport(name, merged, seed, trials, vacuous, violations)
 
 
 # --- replay ---
@@ -591,7 +589,7 @@ def _replay(w: dict, index: int) -> bool:
         raise FormatError(f"witness {index}: {exc}") from None
     campaign = _CAMPAIGNS.get(name)
     if campaign is None:
-        raise UnknownCampaign(name)
+        raise UnknownCampaign(f"witness {index}: unknown campaign {name!r}")
     try:
         params = {key: _int(w, key) for key in w if key in campaign.params}
     except FormatError as exc:

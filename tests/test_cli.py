@@ -379,7 +379,31 @@ class TestExitCodes:
         _, doc = run(["gen", "ktt", "3"])
         _, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
         assert run(["matroid", *argv], stdin=mat) == (EXIT_USAGE, "")
-        assert capsys.readouterr().err == "error: 'zz'\n"
+        assert capsys.readouterr().err == "error: unknown element 'zz'\n"
+
+    @pytest.mark.parametrize("fields, message", [
+        ("x=zz y=b", "'zz' is not a basis element"),
+        ("x=a y=zz", "'zz' is not a non-basis element"),
+    ], ids=["x", "y"])
+    def test_replay_element_off_its_side_is_usage(self, tmp_path, capsys, fields, message):
+        report = tmp_path / "report.txt"
+        report.write_text("FAIL\nname=pivot-matroid\nviolations=1\nwitness name=pivot-matroid "
+                          f"{fields} data=basis a;nonbasis b;matrix 1 1;1\n")
+        assert run(["replay", str(report)]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_replay_unknown_campaign_names_the_witness(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        report.write_text("FAIL\nname=nope\nviolations=1\nwitness name=nope data=x\n")
+        assert run(["replay", str(report)]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == "error: witness 0: unknown campaign 'nope'\n"
+
+    def test_cutrank_non_integer_vertex_is_usage(self, capsys):
+        assert run(["cutrank", "-", "--set", "0,a"],
+                   stdin=format_graph(Graph.cycle(4))) == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --set: vertices must be comma-separated "
+                            "integers, got '0,a'\n")
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch, capsys):
         def broken(g, vertices):
@@ -700,6 +724,17 @@ def test_cli_import_does_not_load_networkx():
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_dataclasses():
+    # Every result record is a NamedTuple; pytest itself loads dataclasses,
+    # so the import is checked in a fresh interpreter.
+    src = Path(pivotkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", "import sys, pivotkit.cli; "
+                           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+
 def test_campaigns_do_not_load_networkx():
     # src/ uses only the standard library: every campaign at its defaults
     # runs without networkx ever being imported.
@@ -753,4 +788,4 @@ def test_unknown_label_message_is_independent_of_the_hash_seed():
                               input=doc, capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_USAGE
         lines.add(proc.stderr)
-    assert lines == {"error: 'ww'\n"}
+    assert lines == {"error: unknown element 'ww'\n"}

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 import tracemalloc
@@ -91,7 +90,7 @@ class TestRunCampaign:
     def test_ranges_are_checked_before_any_trial(self, name, params, error, monkeypatch):
         def no_trials(p, rng):
             raise AssertionError("a trial was generated")
-        campaign = dataclasses.replace(verify._CAMPAIGNS[name], generate=no_trials)
+        campaign = verify._CAMPAIGNS[name]._replace(generate=no_trials)
         monkeypatch.setitem(verify._CAMPAIGNS, name, campaign)
         with pytest.raises(error, match="must be at least" if error is ValueError else "caps"):
             run_campaign(name, params)
@@ -232,7 +231,7 @@ class TestReportFormat:
         def failing(*args):
             raise ValueError("internal")
 
-        campaign = dataclasses.replace(verify._CAMPAIGNS["conn-equiv"], check=failing)
+        campaign = verify._CAMPAIGNS["conn-equiv"]._replace(check=failing)
         monkeypatch.setitem(verify._CAMPAIGNS, "conn-equiv", campaign)
         data = verify._embed(format_matroid(BinaryMatroid(["a"], ["b"], BitMatrix(1, 1, [1]))))
         w = {"name": "conn-equiv", "k_max": "4", "data": data}
@@ -409,7 +408,7 @@ def test_pert_partition_that_drops_a_class_is_a_violation(partition, monkeypatch
     def dropping(*args):
         bp = made(*args)
         blocks = BitMatrix(bp.blocks.nrows - 1, bp.blocks.ncols, bp.blocks.rows[:-1])
-        return dataclasses.replace(bp, row_classes=bp.row_classes[:-1], blocks=blocks)
+        return bp._replace(row_classes=bp.row_classes[:-1], blocks=blocks)
 
     monkeypatch.setattr(verify, partition, dropping)
     report = run_campaign("pert-partition", {"trials": 5, "size": 4}, seed=2)
