@@ -314,12 +314,12 @@ def connectivity_kernel(m: BinaryMatroid) -> Callable[[int], int]:
 def connectivity_lambda(m: BinaryMatroid, x_set: Iterable[str]) -> int:
     """The connectivity function: rk(D[X_B, Y_C]) + rk(D[Y_B, X_C]).
 
-    Raises ElementNotFound for a label outside the ground set; the value
-    comes from ``connectivity_kernel`` on the mask of x_set.
+    Raises ElementNotFound for the least label outside the ground set;
+    the value comes from ``connectivity_kernel`` on the mask of x_set.
     """
     pos = {e: i for i, e in enumerate(m.element_order())}
     x = 0
-    for e in set(x_set):
+    for e in sorted(x_set):
         if e not in pos:
             raise ElementNotFound(f"unknown element {e!r}")
         x |= 1 << pos[e]

@@ -8,12 +8,12 @@ replayed independently of the original run.  Reports are bit-identical
 across runs with the same (name, params, seed).
 
 Each campaign is one ``Campaign`` record in ``_CAMPAIGNS``: its parameters
-(``Param``: default, least legal value, cap), a generator that yields one
-argument tuple per trial (or VACUOUS), the check those arguments go to, and
-a decoder that turns a parsed witness back into the check's arguments.
+(``Param``: default, least legal value, cap), a generator of what each trial
+draws (or VACUOUS), the check, and ``fields``, which encode a violation's
+arguments into its witness and decode them back for a replay.
 ``run_campaign`` checks the merged parameters against the record once,
 before any trial; ``replay_witness`` checks a witness's parameter fields
-against the same record, then runs the record's decoder and its check
+against the same record, then decodes the arguments and runs the check
 (a missing or malformed field is a FormatError naming the witness and
 the field); the CLI derives the ``check`` flags from the declared names.
 """
@@ -131,15 +131,12 @@ def parse_report(text: str) -> dict:
 # --- per-campaign single-instance checks (shared by run and replay) ---
 
 def _check_fun(inst: Instance, s: int, t: int, bound_offset: int):
-    """Violation dict, "vacuous", or None (pass)."""
+    """VACUOUS, None (pass), or a violation's fields beyond its arguments."""
     h = inst.fundamental
     if find_complete_bipartite(h, s, t) is not None:
         return VACUOUS
     bound = max(2 * s - 2, t - 1) + bound_offset
-    if degree_stats(h).min_degree > bound:
-        return {"s": s, "t": t, "bound_offset": bound_offset,
-                "data": _embed(format_instance(inst))}
-    return None
+    return {} if degree_stats(h).min_degree > bound else None
 
 
 def _check_cofun(inst: Instance, s: int, bound_offset: int):
@@ -147,10 +144,7 @@ def _check_cofun(inst: Instance, s: int, bound_offset: int):
     if find_complete_bipartite(h, s, s) is not None:
         return VACUOUS
     bound = 5 * s - 1 + bound_offset
-    if degree_stats(h).min_degree > bound:
-        return {"s": s, "bound_offset": bound_offset,
-                "data": _embed(format_instance(inst))}
-    return None
+    return {} if degree_stats(h).min_degree > bound else None
 
 
 def _check_tree(tree: Graph, s: int):
@@ -164,20 +158,14 @@ def _check_tree(tree: Graph, s: int):
     except (NotATree, TreeTooSmall):
         return VACUOUS
     except Exception as exc:  # any other failure to split is a violation
-        return {"s": s, "reason": type(exc).__name__,
-                "data": _embed(format_graph(tree))}
+        return {"reason": type(exc).__name__}
     return None
 
 
 def _check_struct_density(h: BitMatrix, row_classes, col_classes, s: int):
     if find_complete_bipartite(h, s, s) is not None:
         return VACUOUS
-    if not check_struct_density(h, row_classes, col_classes, s):
-        return {"s": s,
-                "rows": "|".join(",".join(map(str, c)) for c in row_classes),
-                "cols": "|".join(",".join(map(str, c)) for c in col_classes),
-                "data": _embed(format_bigraph(h))}
-    return None
+    return None if check_struct_density(h, row_classes, col_classes, s) else {}
 
 
 def _check_rankconn(g: Graph):
@@ -186,13 +174,11 @@ def _check_rankconn(g: Graph):
     if not is_c4_free(g):
         return VACUOUS
     k = vertex_connectivity(g)
-    sep = find_low_rank_separation(g, k + 1)
-    if sep is not None:
-        return {"k": k, "data": _embed(format_graph(g))}
-    return None
+    return None if find_low_rank_separation(g, k + 1) is None else {"k": k}
 
 
-def _check_pert(c: BitMatrix, d1: BitMatrix):
+def _check_pert(matrices: tuple[BitMatrix, BitMatrix]):
+    c, d1 = matrices
     bp = constant_block_partition(c)
     p = rank(c)
     ok = (len(bp.row_classes) <= 2 ** p
@@ -207,9 +193,7 @@ def _check_pert(c: BitMatrix, d1: BitMatrix):
                   and reconstruct_from_partition(d2, bp2) == d1)
         except PartitionInvalid:  # a partition that drops or repeats a class
             ok = False
-    if not ok:
-        return {"data": _embed(format_matrix(c)) + "&" + _embed(format_matrix(d1))}
-    return None
+    return None if ok else {}
 
 
 def _check_pivot_matroid(m: BinaryMatroid, x: str, y: str):
@@ -218,9 +202,7 @@ def _check_pivot_matroid(m: BinaryMatroid, x: str, y: str):
     pos = {e: i for i, e in enumerate(order)}
     expected = pivot(m.element_graph(), pos[x], pos[y])
     ok = circuits(m) == circuits(m2) and m2.element_graph() == expected
-    if not ok:
-        return {"x": x, "y": y, "data": _embed(format_matroid(m))}
-    return None
+    return None if ok else {}
 
 
 def _subsets(lo: int, hi: int) -> list[tuple[int, list[int]]]:
@@ -258,14 +240,12 @@ def _check_conn_equiv(m: BinaryMatroid, k_max: int):
             members = low_members + high_members
             value = lam(x)
             if value != rank_bits([adj[u] & comp for u in members]):
-                return {"k_max": k_max, "data": _embed(format_matroid(m))}
+                return {}
             if value < order - 1 and value < len(members) and value < n - len(members):
                 order = value + 1
     # The pruned separation walk against the exhaustive sweep's answer.
     sep = find_low_rank_separation(g, k_max)
-    if order != (k_max if sep is None else sep.order):
-        return {"k_max": k_max, "data": _embed(format_matroid(m))}
-    return None
+    return None if order == (k_max if sep is None else sep.order) else {}
 
 
 def _check_avg_exists(g: Graph, k: int):
@@ -283,10 +263,10 @@ def _check_avg_exists(g: Graph, k: int):
                 continue
             if find_low_rank_separation(sub, k + 2) is None:
                 return None
-    return {"k": k, "data": _embed(format_graph(g))}
+    return {}
 
 
-# --- trial generators: each yields a check's arguments, or VACUOUS ---
+# --- trial generators: each yields the arguments a trial draws, or VACUOUS ---
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     g = Graph(n)
@@ -320,26 +300,16 @@ def _parse_instance_spec(spec: str) -> Instance:
     raise ValueError(f"bad instance spec: {spec!r}")
 
 
-def _instances_for(params: dict, rng: random.Random):
-    specs = params.get("instances")
+def _gen_instance(p: dict, rng: random.Random):
+    specs = p["instances"]
     if specs:
         # Every spec is parsed before the first trial runs.
-        yield from [_parse_instance_spec(spec) for spec in specs]
+        yield from [(_parse_instance_spec(spec),) for spec in specs]
         return
-    for _ in range(params["trials"]):
-        n = rng.randint(2, params["max_tree_vertices"])
-        extra = rng.randint(0, params["max_extra"])
-        yield gen_random_instance(n, extra, rng.randrange(2 ** 32))
-
-
-def _gen_fun(p: dict, rng: random.Random):
-    for inst in _instances_for(p, rng):
-        yield inst, p["s"], p["t"], p["bound_offset"]
-
-
-def _gen_cofun(p: dict, rng: random.Random):
-    for inst in _instances_for(p, rng):
-        yield inst, p["s"], p["bound_offset"]
+    for _ in range(p["trials"]):
+        n = rng.randint(2, p["max_tree_vertices"])
+        extra = rng.randint(0, p["max_extra"])
+        yield (gen_random_instance(n, extra, rng.randrange(2 ** 32)),)
 
 
 def _gen_tree(p: dict, rng: random.Random):
@@ -362,7 +332,7 @@ def _gen_struct_density(p: dict, rng: random.Random):
             continue
         row_classes = _random_partition(rng, h.nrows, p["classes"])
         col_classes = _random_partition(rng, h.ncols, p["classes"])
-        yield h, row_classes, col_classes, p["s"]
+        yield h, row_classes, col_classes
 
 
 def _random_partition(rng: random.Random, size: int, classes: int):
@@ -399,7 +369,7 @@ def _gen_pert(p: dict, rng: random.Random):
             rows.append(acc)
         c = BitMatrix(size, size, rows)
         d1 = BitMatrix(size, size, [rng.randrange(1 << size) for _ in range(size)])
-        yield c, d1
+        yield ((c, d1),)
 
 
 def _gen_pivot_matroid(p: dict, rng: random.Random):
@@ -416,16 +386,16 @@ def _gen_pivot_matroid(p: dict, rng: random.Random):
 
 def _gen_conn_equiv(p: dict, rng: random.Random):
     for _ in range(p["trials"]):
-        yield _random_matroid(rng, p["max_elements"]), p["k_max"]
+        yield (_random_matroid(rng, p["max_elements"]),)
 
 
 def _gen_avg_exists(p: dict, rng: random.Random):
     for _ in range(p["trials"]):
         n = rng.randint(5, p["n_max"])
-        yield _random_graph(rng, n, rng.uniform(0.3, 0.7)), p["k"]
+        yield (_random_graph(rng, n, rng.uniform(0.3, 0.7)),)
 
 
-# --- witness decoders: a parsed witness back to its check's arguments ---
+# --- witness codecs: (encode(value) -> field text, decode(witness, key) -> value) ---
 
 def _field(w: dict, key: str) -> str:
     if key not in w:
@@ -441,22 +411,29 @@ def _int(w: dict, key: str) -> int:
         raise FormatError(f"{key}={value!r} is not an integer") from None
 
 
-def _data(w: dict) -> str:
-    return _unembed(_field(w, "data"))
+def _text_codec(format_value: Callable, parse_text: Callable) -> tuple:
+    """The codec of a value written as a text file, its lines joined by ';'."""
+    return (lambda value: _embed(format_value(value)),
+            lambda w, key: parse_text(_unembed(_field(w, key))))
 
 
-def _instance_from_witness(w: dict) -> Instance:
-    mg, tree = parse_multigraph(_data(w))
-    return _make_instance(mg, tree, "replayed")
-
-
-def _classes(field: str):
-    return tuple(tuple(int(x) for x in c.split(",")) for c in field.split("|"))
-
-
-def _decode_pert(w: dict):
-    blob_c, blob_d = _field(w, "data").split("&")
+def _decode_matrices(w: dict, key: str):
+    blob_c, blob_d = _field(w, key).split("&")
     return parse_matrix(_unembed(blob_c)), parse_matrix(_unembed(blob_d))
+
+
+_INT = (str, _int)
+_STR = (str, _field)
+_GRAPH = _text_codec(format_graph, parse_graph)
+_BIGRAPH = _text_codec(format_bigraph, parse_bigraph)
+_MATROID = _text_codec(format_matroid, parse_matroid)
+_INSTANCE = _text_codec(format_instance,
+                        lambda text: _make_instance(*parse_multigraph(text), "replayed"))
+_CLASSES = (lambda classes: "|".join(",".join(map(str, c)) for c in classes),
+            lambda w, key: tuple(tuple(int(x) for x in c.split(","))
+                                 for c in _field(w, key).split("|")))
+_MATRIX_PAIR = (lambda pair: "&".join(_embed(format_matrix(m)) for m in pair),
+                _decode_matrices)
 
 
 # --- the campaign records ---
@@ -476,16 +453,17 @@ class Param(NamedTuple):
 class Campaign(NamedTuple):
     """Everything one campaign declares.
 
-    ``generate(params, rng)`` yields the argument tuple of one trial, or
-    VACUOUS for an instance that cannot meet the hypothesis; ``check(*args)``
-    returns a witness dict, VACUOUS or None (pass); ``decode(witness)``
-    rebuilds the argument tuple from a parsed witness, so every replay is
-    the same check again.
+    ``fields`` holds one (witness key, codec) pair per argument of
+    ``check``, in order.  An argument whose key is a parameter's name is
+    that parameter's value; ``generate(params, rng)`` yields the others,
+    drawn for one trial, or VACUOUS for an instance that cannot meet the
+    hypothesis.  ``check(*args)`` returns VACUOUS, None (pass), or a dict
+    of the fields a violation's witness holds beyond its arguments.
     """
     params: dict
     generate: Callable
     check: Callable
-    decode: Callable
+    fields: tuple
 
 
 _INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2, HEADER_CAP),
@@ -496,42 +474,38 @@ _INSTANCE_PARAMS = {"trials": Param(500, 1), "max_tree_vertices": Param(10, 2, H
 _CAMPAIGNS = {
     "fun-lemma": Campaign(
         {"s": Param(2, 1, _BICLIQUE_CAP), "t": Param(3, 1, _BICLIQUE_CAP), **_INSTANCE_PARAMS},
-        _gen_fun, _check_fun,
-        lambda w: (_instance_from_witness(w), _int(w, "s"), _int(w, "t"),
-                   _int(w, "bound_offset"))),
+        _gen_instance, _check_fun,
+        (("data", _INSTANCE), ("s", _INT), ("t", _INT), ("bound_offset", _INT))),
     "cofun-lemma": Campaign(
-        {"s": Param(2, 1, _BICLIQUE_CAP), **_INSTANCE_PARAMS}, _gen_cofun, _check_cofun,
-        lambda w: (_instance_from_witness(w), _int(w, "s"), _int(w, "bound_offset"))),
+        {"s": Param(2, 1, _BICLIQUE_CAP), **_INSTANCE_PARAMS}, _gen_instance, _check_cofun,
+        (("data", _INSTANCE), ("s", _INT), ("bound_offset", _INT))),
     "tree-lemma": Campaign(
         {"max_edges": Param(11, 5, 12)}, _gen_tree, _check_tree,
-        lambda w: (parse_graph(_data(w)), _int(w, "s"))),
+        (("data", _GRAPH), ("s", _INT))),
     "struct-density": Campaign(
         {"s": Param(2, 1, _BICLIQUE_CAP), "classes": Param(2, 1), "trials": Param(200, 1)},
         _gen_struct_density, _check_struct_density,
-        lambda w: (parse_bigraph(_data(w)), _classes(_field(w, "rows")),
-                   _classes(_field(w, "cols")), _int(w, "s"))),
+        (("data", _BIGRAPH), ("rows", _CLASSES), ("cols", _CLASSES), ("s", _INT))),
     "rankconn-lemma": Campaign(
         {"trials": Param(1000, 1), "n_max": Param(8, 4, _RANKCONN_CAP)},
-        _gen_rankconn, _check_rankconn,
-        lambda w: (parse_graph(_data(w)),)),
+        _gen_rankconn, _check_rankconn, (("data", _GRAPH),)),
     "pert-partition": Campaign(
         {"trials": Param(200, 1), "size": Param(8, 1, HEADER_CAP),
          "max_rank": Param(4, 0, HEADER_CAP)},
-        _gen_pert, _check_pert, _decode_pert),
+        _gen_pert, _check_pert, (("data", _MATRIX_PAIR),)),
     "pivot-matroid": Campaign(
         {"trials": Param(200, 1), "max_elements": Param(10, 2, CIRCUIT_ENUM_CAP)},
         _gen_pivot_matroid, _check_pivot_matroid,
-        lambda w: (parse_matroid(_data(w)), _field(w, "x"), _field(w, "y"))),
+        (("data", _MATROID), ("x", _STR), ("y", _STR))),
     "conn-equiv": Campaign(
         {"trials": Param(100, 1), "max_elements": Param(10, 2, SUBSET_CAP),
          "k_max": Param(4, 1)}, _gen_conn_equiv, _check_conn_equiv,
-        lambda w: (parse_matroid(_data(w)), _int(w, "k_max"))),
+        (("data", _MATROID), ("k_max", _INT))),
     # k = 1 and at most _AVG_EXISTS_CAP vertices keep the exhaustive
     # subgraph search of _check_avg_exists bounded.
     "avg-exists": Campaign(
         {"trials": Param(25, 1), "n_max": Param(12, 5, _AVG_EXISTS_CAP), "k": Param(1, 1, 1)},
-        _gen_avg_exists, _check_avg_exists,
-        lambda w: (parse_graph(_data(w)), _int(w, "k"))),
+        _gen_avg_exists, _check_avg_exists, (("data", _GRAPH), ("k", _INT))),
 }
 
 
@@ -564,19 +538,24 @@ def _merge_params(name: str, declared: dict, params: dict | None) -> dict:
 def run_campaign(name: str, params: dict | None = None, seed: int = 0) -> CampaignReport:
     """Run a named campaign; deterministic per (name, params, seed)."""
     if name not in _CAMPAIGNS:
-        raise UnknownCampaign(name)
+        raise UnknownCampaign(f"unknown campaign {name!r}")
     campaign = _CAMPAIGNS[name]
     merged = _merge_params(name, campaign.params, params)
     trials = vacuous = 0
     violations = []
-    for args in campaign.generate(merged, random.Random(seed)):
-        outcome = VACUOUS if args == VACUOUS else campaign.check(*args)
+    for drawn in campaign.generate(merged, random.Random(seed)):
         trials += 1
+        if drawn == VACUOUS:
+            vacuous += 1
+            continue
+        values = iter(drawn)
+        args = [merged[key] if key in merged else next(values) for key, _ in campaign.fields]
+        outcome = campaign.check(*args)
         if outcome == VACUOUS:
             vacuous += 1
         elif outcome is not None:
-            outcome["name"] = name
-            violations.append(outcome)
+            violations.append({"name": name, **{key: encode(arg) for (key, (encode, _)), arg
+                                                 in zip(campaign.fields, args)}, **outcome})
     return CampaignReport(name, merged, seed, trials, vacuous, violations)
 
 
@@ -596,7 +575,7 @@ def _replay(w: dict, index: int) -> bool:
         raise FormatError(f"witness {index} ({name}): {exc}") from None
     _merge_params(name, campaign.params, params)
     try:
-        args = campaign.decode(w)
+        args = [decode(w, key) for key, (_, decode) in campaign.fields]
     except ValueError as exc:
         raise FormatError(f"witness {index} ({name}): {exc}") from None
     return isinstance(campaign.check(*args), dict)

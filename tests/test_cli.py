@@ -356,9 +356,11 @@ class TestExitCodes:
         ("pivot-matroid", "x=a", "basis a;nonbasis b;matrix 1 1;1", "missing field y"),
         ("struct-density", "s=1 cols=0", "bigraph 1 1;0 0", "missing field rows"),
         ("struct-density", "s=1 rows=0", "bigraph 1 1;0 0", "missing field cols"),
+        ("tree-lemma", "s=two", "graph 6;0 1;1 2;2 3;3 4;4 5", "s='two' is not an integer"),
+        ("tree-lemma", "reason=RuntimeError", "graph 6;0 1;1 2;2 3;3 4;4 5", "missing field s"),
         (None, "s=1", "x", "missing field name"),
     ], ids=["s-not-an-integer", "s-missing", "x-missing", "y-missing", "rows-missing",
-            "cols-missing", "name-missing"])
+            "cols-missing", "tree-s-not-an-integer", "tree-s-missing", "name-missing"])
     def test_replay_names_a_malformed_witness_field(self, tmp_path, capsys, name, fields,
                                                     data, message):
         # The first witness is a real one; the second carries the bad field.
@@ -780,12 +782,13 @@ def test_tree_problem_message_is_independent_of_the_hash_seed():
 def test_unknown_label_message_is_independent_of_the_hash_seed():
     src = Path(pivotkit.__file__).resolve().parents[1]
     doc = "basis a\nnonbasis b\nmatrix 1 1\n1\n"
-    lines = set()
-    for seed in range(6):
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
-        proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", "matroid", "minor", "-",
-                               "--delete", "zz,yy,b", "--contract", "xx,ww"],
-                              input=doc, capture_output=True, text=True, env=env)
-        assert proc.returncode == EXIT_USAGE
-        lines.add(proc.stderr)
-    assert lines == {"error: unknown element 'ww'\n"}
+    for argv, label in [(["minor", "-", "--delete", "zz,yy,b", "--contract", "xx,ww"], "ww"),
+                        (["lambda", "-", "--set", "zz,yy,xx"], "xx")]:
+        lines = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+            proc = subprocess.run([sys.executable, "-m", "pivotkit.cli", "matroid", *argv],
+                                  input=doc, capture_output=True, text=True, env=env)
+            assert proc.returncode == EXIT_USAGE
+            lines.add(proc.stderr)
+        assert lines == {f"error: unknown element '{label}'\n"}

@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 import tracemalloc
@@ -44,8 +45,9 @@ class TestRunCampaign:
         assert format_report(r1) == format_report(r2)
 
     def test_unknown_campaign(self):
-        with pytest.raises(UnknownCampaign):
+        with pytest.raises(UnknownCampaign) as info:
             run_campaign("nope")
+        assert str(info.value) == "unknown campaign 'nope'"
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
@@ -383,13 +385,22 @@ def test_planted_violation_round_trips_through_the_report(name, monkeypatch):
     parsed = parse_report(format_report(report))
     assert len(parsed["witnesses"]) == len(report.violations)
     assert all(replay_witness(w) for w in parsed["witnesses"])
-    # The decoder rebuilds the check's exact arguments, not merely some
-    # arguments that also violate.
+    # The fields decode to the check's exact arguments, not merely some
+    # arguments that also violate, and encode back to the same witness.
     campaign = verify._CAMPAIGNS[name]
     for original, w in zip(report.violations, parsed["witnesses"]):
-        again = campaign.check(*campaign.decode(w))
-        again["name"] = name
+        args = [decode(w, key) for key, (_, decode) in campaign.fields]
+        again = {"name": name, **campaign.check(*args)}
+        for (key, (encode, _)), arg in zip(campaign.fields, args):
+            again[key] = encode(arg)
         assert _fields(again) == _fields(original)
+
+
+@pytest.mark.parametrize("name", campaign_names())
+def test_fields_name_each_check_argument_once(name):
+    campaign = verify._CAMPAIGNS[name]
+    keys = [key for key, _ in campaign.fields]
+    assert len(set(keys)) == len(keys) == len(inspect.signature(campaign.check).parameters)
 
 
 def _fields(witness):
