@@ -3,7 +3,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import chain, filterfalse
+from operator import methodcaller
+from typing import Callable, Iterator
 
 from .errors import CapExceeded, FormatError
 
@@ -15,38 +17,47 @@ from .errors import CapExceeded, FormatError
 HEADER_CAP = 1000
 
 
-def content_lines(text: str) -> list[str]:
-    """Strip blank lines and `#` comment lines, returning the rest."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+def _blocks(text: str) -> Iterator[str]:
+    """Consecutive slices of text, each about 4,096 characters long and
+    ending at a line end, so that each splits into whole lines."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + 4096) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
 
 
-def read_header(lines: list[str], kind: str, *names: str) -> list[int]:
-    """The sizes that the header `<kind> <size>...` (lines[0]) declares.
+def content_lines(text: str) -> Iterator[str]:
+    """The stripped lines of text that are neither blank nor `#` comments,
+    one at a time: text is split a block at a time, so that its lines are
+    never all held at once."""
+    lines = map(str.strip, chain.from_iterable(map(str.splitlines, _blocks(text))))
+    return filterfalse(methodcaller("startswith", "#"), filter(None, lines))
+
+
+def read_header(lines: Iterator[str], kind: str, *names: str) -> list[int]:
+    """The sizes that the header `<kind> <size>...`, the next of lines, declares.
 
     One size per name; each must be a non-negative integer, and one over
     HEADER_CAP raises CapExceeded naming it.
     """
-    if not lines:
+    line = next(lines, None)
+    if line is None:
         raise FormatError(f"empty {kind} document")
-    head = lines[0].split()
+    head = line.split()
     try:
         sizes = [int(s) for s in head[1:]]
     except ValueError:
         sizes = []
     if head[0] != kind or len(sizes) != len(names) or min(sizes) < 0:
-        raise FormatError(f"bad {kind} header: {lines[0]!r}")
+        raise FormatError(f"bad {kind} header: {line!r}")
     for size, name in zip(sizes, names):
         if size > HEADER_CAP:
             raise CapExceeded(f"{size} {name} exceeds the header cap {HEADER_CAP}")
     return sizes
 
 
-def read_edges(lines: list[str], add: Callable[[int, int], object]) -> None:
+def read_edges(lines: Iterator[str], add: Callable[[int, int], object]) -> None:
     """Call add(u, v) for each `u v` line; a bad line is a FormatError."""
     for line in lines:
         try:

@@ -52,6 +52,7 @@ def _csv_ints(raw: str) -> list[int]:
 
 
 def _csv_strs(raw: str) -> list[str]:
+    """argparse type of an element set: comma-separated labels."""
     return [x for x in raw.split(",") if x != ""]
 
 
@@ -66,8 +67,19 @@ def _connectivity_k(raw: str) -> int:
     return k
 
 
+def _write(text: str) -> int:
+    sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _print(value) -> int:
+    print(value)
+    return EXIT_OK
+
+
 @functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; every leaf subcommand sets `run`, its handler."""
     parser = argparse.ArgumentParser(prog="pivotkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -75,56 +87,74 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_sub = p.add_subparsers(dest="generator", required=True)
     g = gen_sub.add_parser("ktt")
     g.add_argument("t", type=int)
+    g.set_defaults(run=lambda a: _write(format_instance(gen_ktt_example(a.t))))
     g = gen_sub.add_parser("c6blowup")
     g.add_argument("s", type=int)
+    g.set_defaults(run=lambda a: _write(format_instance(gen_c6_blowup_example(a.s))))
     g = gen_sub.add_parser("random")
     g.add_argument("n", type=int)
     g.add_argument("extra", type=int)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--allow-loops", action="store_true")
+    g.set_defaults(run=lambda a: _write(format_instance(
+        gen_random_instance(a.n, a.extra, a.seed, allow_loops=a.allow_loops))))
 
     p = sub.add_parser("fundgraph", help="fundamental graph of a multigraph")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_fundgraph)
 
     p = sub.add_parser("pivot", help="pivot a graph edge")
     p.add_argument("file")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
+    p.set_defaults(run=lambda a: _write(format_graph(pivot(parse_graph(_read(a.file)), a.x, a.y))))
 
     p = sub.add_parser("cutrank", help="cut-rank of a vertex set")
     p.add_argument("file")
     p.add_argument("--set", dest="vertex_set", required=True, type=_csv_ints)
+    p.set_defaults(run=lambda a: _print(cut_rank(parse_graph(_read(a.file)), a.vertex_set)))
 
     p = sub.add_parser("rankconn", help="certify k-rank-connectivity")
     p.add_argument("file")
     p.add_argument("k", type=_connectivity_k)
+    p.set_defaults(run=_cmd_rankconn)
 
     p = sub.add_parser("matroid", help="binary matroid operations")
     msub = p.add_subparsers(dest="matroid_command", required=True)
     m = msub.add_parser("fromgraph")
     m.add_argument("file")
     m.add_argument("--cographic", action="store_true")
+    m.set_defaults(run=_cmd_fromgraph)
     m = msub.add_parser("circuits")
     m.add_argument("file")
+    m.set_defaults(run=_cmd_circuits)
     m = msub.add_parser("minor")
     m.add_argument("file")
-    m.add_argument("--delete", default="")
-    m.add_argument("--contract", default="")
+    m.add_argument("--delete", default="", type=_csv_strs)
+    m.add_argument("--contract", default="", type=_csv_strs)
+    m.set_defaults(run=lambda a: _write(format_matroid(
+        minor(parse_matroid(_read(a.file)), a.delete, a.contract))))
     m = msub.add_parser("lambda")
     m.add_argument("file")
-    m.add_argument("--set", dest="element_set", required=True)
+    m.add_argument("--set", dest="element_set", required=True, type=_csv_strs)
+    m.set_defaults(run=lambda a: _print(
+        connectivity_lambda(parse_matroid(_read(a.file)), a.element_set)))
     m = msub.add_parser("connectivity")
     m.add_argument("file")
     m.add_argument("k", type=_connectivity_k)
+    m.set_defaults(run=_cmd_connectivity)
 
     p = sub.add_parser("splittree", help="split a tree into large parts")
     p.add_argument("file")
     p.add_argument("s", type=int)
+    p.set_defaults(run=lambda a: _write(format_tree_split(
+        split_tree(parse_graph(_read(a.file)), a.s))))
 
     p = sub.add_parser("partition", help="constant-block partition")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("file", nargs="?")
     source.add_argument("--pair", nargs=2, metavar=("G1", "G2"))
+    p.set_defaults(run=_cmd_partition)
 
     p = sub.add_parser("pivotminor", help="pivot-minor containment search")
     p.add_argument("h_file")
@@ -132,6 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=20000)
     p.add_argument("--refute", action="store_true",
                    help="exit 1 when the pivot-minor IS found")
+    p.set_defaults(run=_cmd_pivotminor)
 
     p = sub.add_parser("check", help="run a verification campaign")
     p.add_argument("campaign", choices=campaign_names())
@@ -143,40 +174,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "repeatable, replaces random generation")
         else:
             p.add_argument("--" + key.replace("_", "-"), type=int)
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("replay", help="re-verify the witnesses in a report")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_replay)
     return parser
-
-
-def _cmd_gen(args) -> int:
-    if args.generator == "ktt":
-        inst = gen_ktt_example(args.t)
-    elif args.generator == "c6blowup":
-        inst = gen_c6_blowup_example(args.s)
-    else:
-        inst = gen_random_instance(args.n, args.extra, args.seed,
-                                   allow_loops=args.allow_loops)
-    sys.stdout.write(format_instance(inst))
-    return EXIT_OK
 
 
 def _cmd_fundgraph(args) -> int:
     mg, tree = parse_multigraph(_read(args.file))
-    sys.stdout.write(format_bigraph(graphic_matroid(mg, tree).rep))
-    return EXIT_OK
-
-
-def _cmd_pivot(args) -> int:
-    g = parse_graph(_read(args.file))
-    sys.stdout.write(format_graph(pivot(g, args.x, args.y)))
-    return EXIT_OK
-
-
-def _cmd_cutrank(args) -> int:
-    g = parse_graph(_read(args.file))
-    print(cut_rank(g, args.vertex_set))
-    return EXIT_OK
+    return _write(format_bigraph(graphic_matroid(mg, tree).rep))
 
 
 def _cmd_rankconn(args) -> int:
@@ -190,25 +198,20 @@ def _cmd_rankconn(args) -> int:
     return EXIT_VIOLATION
 
 
-def _cmd_matroid(args) -> int:
-    if args.matroid_command == "fromgraph":
-        mg, tree = parse_multigraph(_read(args.file))
-        m = cographic_matroid(mg, tree) if args.cographic else graphic_matroid(mg, tree)
-        sys.stdout.write(format_matroid(m))
-        return EXIT_OK
-    m = parse_matroid(_read(args.file))
-    if args.matroid_command == "circuits":
-        for circuit in sorted(sorted(c) for c in circuits(m)):
-            print(" ".join(circuit))
-        return EXIT_OK
-    if args.matroid_command == "minor":
-        result = minor(m, _csv_strs(args.delete), _csv_strs(args.contract))
-        sys.stdout.write(format_matroid(result))
-        return EXIT_OK
-    if args.matroid_command == "lambda":
-        print(connectivity_lambda(m, _csv_strs(args.element_set)))
-        return EXIT_OK
-    connected, witness = is_k_connected(m, args.k)
+def _cmd_fromgraph(args) -> int:
+    mg, tree = parse_multigraph(_read(args.file))
+    return _write(format_matroid(cographic_matroid(mg, tree) if args.cographic
+                                 else graphic_matroid(mg, tree)))
+
+
+def _cmd_circuits(args) -> int:
+    for circuit in sorted(sorted(c) for c in circuits(parse_matroid(_read(args.file)))):
+        print(" ".join(circuit))
+    return EXIT_OK
+
+
+def _cmd_connectivity(args) -> int:
+    connected, witness = is_k_connected(parse_matroid(_read(args.file)), args.k)
     if connected:
         print(f"{args.k}-connected")
         return EXIT_OK
@@ -216,21 +219,12 @@ def _cmd_matroid(args) -> int:
     return EXIT_VIOLATION
 
 
-def _cmd_splittree(args) -> int:
-    tree = parse_graph(_read(args.file))
-    sys.stdout.write(format_tree_split(split_tree(tree, args.s)))
-    return EXIT_OK
-
-
 def _cmd_partition(args) -> int:
     if args.pair:
-        g1 = parse_bigraph(_read(args.pair[0]))
-        g2 = parse_bigraph(_read(args.pair[1]))
-        bp = perturbation_partition(g1, g2)
+        bp = perturbation_partition(*(parse_bigraph(_read(path)) for path in args.pair))
     else:
         bp = constant_block_partition(parse_matrix(_read(args.file)))
-    sys.stdout.write(format_block_partition(bp))
-    return EXIT_OK
+    return _write(format_block_partition(bp))
 
 
 def _cmd_pivotminor(args) -> int:
@@ -269,21 +263,6 @@ def _cmd_replay(args) -> int:
     return EXIT_VIOLATION
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "fundgraph": _cmd_fundgraph,
-    "pivot": _cmd_pivot,
-    "cutrank": _cmd_cutrank,
-    "rankconn": _cmd_rankconn,
-    "matroid": _cmd_matroid,
-    "splittree": _cmd_splittree,
-    "partition": _cmd_partition,
-    "pivotminor": _cmd_pivotminor,
-    "check": _cmd_check,
-    "replay": _cmd_replay,
-}
-
-
 def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -291,7 +270,7 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except CapExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

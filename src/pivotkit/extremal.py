@@ -70,24 +70,12 @@ def gen_c6_blowup_example(s: int) -> Instance:
     leg = s - 1
     n = 1 + 3 * leg
     _check_cap("vertices", n)
-    edges = []
-    tree_labels = []
-    tips = []
-    for i in range(3):
-        prev = 0
-        for j in range(leg):
-            v = 1 + i * leg + j
-            label = f"t{i * leg + j}"
-            edges.append((label, prev, v))
-            tree_labels.append(label)
-            prev = v
-        tips.append(prev)
-    idx = 0
-    for a, b in ((0, 1), (1, 2), (0, 2)):
-        for _ in range(leg):
-            edges.append((f"f{idx}", tips[a], tips[b]))
-            idx += 1
-    return _make_instance(MultiGraph(n, edges), frozenset(tree_labels), f"c6blowup s={s}")
+    # Leg i is the path 0, i*leg + 1, ..., (i + 1)*leg, so the tips are leg, 2leg, 3leg.
+    tips = ((leg, 2 * leg), (2 * leg, 3 * leg), (leg, 3 * leg))
+    edges = [(f"t{k}", 0 if k % leg == 0 else k, k + 1) for k in range(3 * leg)]
+    edges += [(f"f{i}", *tips[i // leg]) for i in range(3 * leg)]
+    tree = frozenset(f"t{k}" for k in range(3 * leg))
+    return _make_instance(MultiGraph(n, edges), tree, f"c6blowup s={s}")
 
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:

@@ -7,7 +7,7 @@ values; nothing mutates its inputs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._text import content_lines, read_header
 from .errors import DimensionMismatch, FormatError, PivotOnZero
@@ -134,20 +134,23 @@ def format_matrix(m: BitMatrix) -> str:
 
 
 def parse_matrix(text: str) -> BitMatrix:
-    lines = content_lines(text)
+    return read_matrix(content_lines(text))
+
+
+def read_matrix(lines: Iterator[str]) -> BitMatrix:
+    """The matrix whose header is the next of lines and whose rows are the rest."""
     nrows, ncols = read_header(lines, "matrix", "matrix rows", "matrix columns")
-    if ncols == 0 and len(lines) == 1:
+    rows, bad = [], None
+    for line in lines:
+        ok = len(line) == ncols and not set(line) - {"0", "1"}
+        rows.append(int(line[::-1], 2) if ok else 0)
+        if not ok and bad is None:
+            bad = line
+    if ncols == 0 and not rows:
         # Its rows are the blank lines that content_lines dropped.
         return BitMatrix(nrows, 0)
-    if len(lines) != 1 + nrows:
-        raise FormatError(f"expected {nrows} matrix rows, got {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        if len(line) != ncols or set(line) - {"0", "1"}:
-            raise FormatError(f"bad matrix row: {line!r}")
-        bits = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                bits |= 1 << j
-        rows.append(bits)
+    if len(rows) != nrows:
+        raise FormatError(f"expected {nrows} matrix rows, got {len(rows)}")
+    if bad is not None:
+        raise FormatError(f"bad matrix row: {bad!r}")
     return BitMatrix(nrows, ncols, rows)

@@ -275,7 +275,7 @@ def parse_graph(text: str) -> Graph:
     lines = content_lines(text)
     n, = read_header(lines, "graph", "vertices")
     g = Graph(n)
-    read_edges(lines[1:], g.add_edge)
+    read_edges(lines, g.add_edge)
     return g
 
 
@@ -289,5 +289,5 @@ def format_bigraph(g: BitMatrix) -> str:
 def parse_bigraph(text: str) -> BitMatrix:
     lines = content_lines(text)
     m = BitMatrix(*read_header(lines, "bigraph", "vertices on one side", "vertices on one side"))
-    read_edges(lines[1:], lambda u, v: m.set(u, v, 1))
+    read_edges(lines, lambda u, v: m.set(u, v, 1))
     return m

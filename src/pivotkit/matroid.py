@@ -9,13 +9,14 @@ label swap, and leaves the circuits unchanged.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._text import HEADER_CAP, content_lines, read_header
 from .errors import (CapExceeded, ElementNotFound, FormatError, GroundSetTooLarge,
                      NotASpanningTree, NotConnected, PivotOnZero,
                      SubsetCapExceeded)
-from .gf2 import BitMatrix, format_matrix, matrix_pivot, parse_matrix, rank_bits
+from .gf2 import BitMatrix, format_matrix, matrix_pivot, rank_bits, read_matrix
 from .graph import Graph
 from .cutrank import SUBSET_CAP, find_low_rank_separation
 
@@ -362,7 +363,7 @@ def parse_multigraph(text: str) -> tuple[MultiGraph, frozenset[str]]:
     edges = []
     tree_labels = set()
     cotree = 0
-    for line in lines[1:]:
+    for line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[2] not in ("tree", "cotree"):
             raise FormatError(f"bad multigraph edge line: {line!r}")
@@ -393,13 +394,14 @@ def format_matroid(m: BinaryMatroid) -> str:
 
 def parse_matroid(text: str) -> BinaryMatroid:
     lines = content_lines(text)
-    if len(lines) < 3:
+    head = list(islice(lines, 3))
+    if len(head) < 3:
         raise FormatError("matroid document too short")
-    basis = lines[0].split()
-    nonbasis = lines[1].split()
+    basis = head[0].split()
+    nonbasis = head[1].split()
     if basis.pop(0) != "basis" or nonbasis.pop(0) != "nonbasis":
         raise FormatError("matroid document must start with basis/nonbasis lines")
-    rep = parse_matrix("\n".join(lines[2:]))
+    rep = read_matrix(chain([head[2]], lines))
     try:
         return BinaryMatroid(basis, nonbasis, rep)
     except ValueError as exc:

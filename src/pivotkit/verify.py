@@ -108,10 +108,11 @@ def format_report(report: CampaignReport) -> str:
 
 def parse_report(text: str) -> dict:
     lines = content_lines(text)
-    if not lines or lines[0] not in ("PASS", "FAIL"):
+    summary = next(lines, None)
+    if summary not in ("PASS", "FAIL"):
         raise FormatError("report must start with PASS or FAIL")
-    out = {"summary": lines[0], "fields": {}, "witnesses": []}
-    for line in lines[1:]:
+    out = {"summary": summary, "fields": {}, "witnesses": []}
+    for line in lines:
         if line.startswith("witness "):
             body = line[len("witness "):]
             head, sep, data = body.partition(" data=")
@@ -417,9 +418,19 @@ def _text_codec(format_value: Callable, parse_text: Callable) -> tuple:
             lambda w, key: parse_text(_unembed(_field(w, key))))
 
 
-def _decode_matrices(w: dict, key: str):
-    blob_c, blob_d = _field(w, key).split("&")
-    return parse_matrix(_unembed(blob_c)), parse_matrix(_unembed(blob_d))
+def _decode_classes(w: dict, key: str) -> tuple:
+    value = _field(w, key)
+    try:
+        return tuple(tuple(int(x) for x in c.split(",")) for c in value.split("|"))
+    except ValueError:
+        raise FormatError(f"{key}={value!r} is not classes of comma-separated integers") from None
+
+
+def _decode_matrices(w: dict, key: str) -> tuple:
+    blobs = _field(w, key).split("&")
+    if len(blobs) != 2:
+        raise FormatError(f"{key} must hold two matrices joined by '&'")
+    return tuple(parse_matrix(_unembed(blob)) for blob in blobs)
 
 
 _INT = (str, _int)
@@ -429,9 +440,7 @@ _BIGRAPH = _text_codec(format_bigraph, parse_bigraph)
 _MATROID = _text_codec(format_matroid, parse_matroid)
 _INSTANCE = _text_codec(format_instance,
                         lambda text: _make_instance(*parse_multigraph(text), "replayed"))
-_CLASSES = (lambda classes: "|".join(",".join(map(str, c)) for c in classes),
-            lambda w, key: tuple(tuple(int(x) for x in c.split(","))
-                                 for c in _field(w, key).split("|")))
+_CLASSES = (lambda classes: "|".join(",".join(map(str, c)) for c in classes), _decode_classes)
 _MATRIX_PAIR = (lambda pair: "&".join(_embed(format_matrix(m)) for m in pair),
                 _decode_matrices)
 

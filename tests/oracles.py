@@ -170,10 +170,6 @@ def fundamental_matrix_by_solving(mg: MultiGraph, tree: frozenset[str]):
     return d, tree_labels, cotree_labels
 
 
-def graph_from_nx_edges(n: int, edges) -> Graph:
-    return Graph(n, edges)
-
-
 def multigraph_minor(mg: MultiGraph, deletions: set[str], contractions: set[str]) -> MultiGraph:
     """Graph minor: delete edges, then contract edges by merging ends.
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -359,8 +360,14 @@ class TestExitCodes:
         ("tree-lemma", "s=two", "graph 6;0 1;1 2;2 3;3 4;4 5", "s='two' is not an integer"),
         ("tree-lemma", "reason=RuntimeError", "graph 6;0 1;1 2;2 3;3 4;4 5", "missing field s"),
         (None, "s=1", "x", "missing field name"),
+        ("pert-partition", "", "matrix 1 1;1", "data must hold two matrices joined by '&'"),
+        ("pert-partition", "", "matrix 1 1;1&matrix 1 1;0&matrix 1 1;1",
+         "data must hold two matrices joined by '&'"),
+        ("struct-density", "s=1 rows=a cols=0", "bigraph 1 1;0 0",
+         "rows='a' is not classes of comma-separated integers"),
     ], ids=["s-not-an-integer", "s-missing", "x-missing", "y-missing", "rows-missing",
-            "cols-missing", "tree-s-not-an-integer", "tree-s-missing", "name-missing"])
+            "cols-missing", "tree-s-not-an-integer", "tree-s-missing", "name-missing",
+            "data-one-matrix", "data-three-matrices", "rows-not-integers"])
     def test_replay_names_a_malformed_witness_field(self, tmp_path, capsys, name, fields,
                                                     data, message):
         # The first witness is a real one; the second carries the bad field.
@@ -764,6 +771,23 @@ def test_successive_calls_share_no_parser_state():
     assert run(argv) == (EXIT_OK, fresh.stdout)
     assert run(["check", "fun-lemma", "--trials", "x"]) == (EXIT_USAGE, "")
     assert run(argv) == (EXIT_OK, fresh.stdout)
+
+
+def test_every_subcommand_declares_its_handler():
+    # A leaf subcommand without `run` would reach the handler call and
+    # exit 4 instead of running.
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, path + [name])
+
+    found = list(leaves(pivotkit.cli._build_parser(), []))
+    assert len(found) == 17
+    for path, parser in found:
+        assert callable(parser.get_default("run")), path
 
 
 def test_tree_problem_message_is_independent_of_the_hash_seed():
