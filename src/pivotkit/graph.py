@@ -195,6 +195,29 @@ def is_connected(g: Graph) -> bool:
     return g.n == 0 or len(_bfs(g.adj, 0)[0]) == g.n
 
 
+def shape(g: Graph) -> tuple[tuple[int, ...], bool]:
+    """The sorted sizes of g's components, and whether g is bipartite.
+
+    One breadth-first walk per component colours each vertex by the
+    parity of its depth; g is bipartite when no edge joins two vertices
+    of one colour.
+    """
+    sizes, bipartite = [], True
+    left = (1 << g.n) - 1
+    while left:
+        order, parent = _bfs(g.adj, (left & -left).bit_length() - 1)
+        odd = 0
+        for v in order[1:]:
+            if not odd >> parent[v] & 1:
+                odd |= 1 << v
+        for v in order:
+            left ^= 1 << v
+            if g.adj[v] & (odd if odd >> v & 1 else ~odd):
+                bipartite = False
+        sizes.append(len(order))
+    return tuple(sorted(sizes)), bipartite
+
+
 def _local_vertex_connectivity(net: list[int], s: int, t: int, cutoff: int) -> int:
     """Max internally vertex-disjoint s-t paths in net, stopping at cutoff."""
     res = list(net)

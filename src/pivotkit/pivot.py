@@ -14,7 +14,7 @@ from typing import Optional
 
 from .cutrank import SUBSET_CAP
 from .errors import CapExceeded, NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
-from .graph import Graph
+from .graph import Graph, shape
 
 
 def pivot(g: Graph, x: int, y: int) -> Graph:
@@ -283,11 +283,24 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     and one deletion per orbit of its vertices, under the automorphisms
     canonical_form found while labelling it: the edge first in
     edge_list() order and the least vertex of each orbit.  A later member
-    of an orbit has the first member's form, which is seen by then, so
-    the answer, the witness and the budget figures are those of the
-    search that expands every successor.  Each labelled graph is
-    canonicalised at most once: a repeat (pivoting an edge back gives the
-    parent) was matched or seen already.
+    of an orbit has the first member's form, which is seen by then.  Each
+    labelled graph is canonicalised at most once: a repeat (pivoting an
+    edge back gives the parent) was matched or seen already.
+
+    A successor with as many vertices as h whose shape (graph.shape: its
+    sorted component sizes and whether it is bipartite) is not h's is
+    dropped: it stays met, but gets no form and is not queued.  Both
+    parts of the shape are invariant under isomorphism and under pivots.
+    A pivot keeps the cut-rank function (Oum, "Rank-width and
+    vertex-minors", JCTB 95, 2005), so it keeps the vertex set of every
+    component; it is an involution that maps bipartite graphs to
+    bipartite graphs.  A state with as many vertices as h is expanded
+    only by pivots, so its whole subtree stays in its pivot class; when
+    its shape is not h's, that class holds no copy of h.  A state that
+    reaches h is generated only from one that also reaches h, so among
+    those states the FIFO order and which are met and seen are
+    unchanged: the answer and the witness are those of the search that
+    expands every successor, from at most its expansions.
 
     Successors wait in one FIFO queue with their graph, their parent's
     path, their step, their maps and their form once known.  One with as
@@ -306,7 +319,7 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     _check_host(g)
     if h.n > g.n:
         return False, None
-    target = canonical_form(h)
+    target, h_shape = canonical_form(h), shape(h)
     autos: list[list[int]] = []
     start_key = canonical_form(g, autos)
     if g.n == h.n and start_key == target:
@@ -332,6 +345,8 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
             step = ("pivot", u, v) if u != v else ("delete", v)
             nxt_k, nxt_autos = None, []
             if nxt.n == h.n:
+                if shape(nxt) != h_shape:
+                    continue
                 nxt_k = canonical_form(nxt, nxt_autos)
                 if nxt_k == target:
                     return True, path + [step]

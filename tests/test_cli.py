@@ -238,6 +238,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "expanded=2 stored=7 depth=1" in err
 
+    @pytest.mark.parametrize("budget, code, out, err", [
+        ("3", EXIT_BUDGET, "",
+         "budget exceeded: budget 3 exhausted: expanded=3 stored=19 depth=2\n"),
+        ("40", EXIT_OK, "no\n", "")])
+    def test_c5_in_c8_answers_within_40_expansions(self, tmp_path, capsys,
+                                                    budget, code, out, err):
+        """The 5-vertex states whose shape is not C5's are dropped, so the
+        "no" takes 35 expansions where expanding them takes 46; the stop
+        at 3 lies above that level and keeps its figures."""
+        hp, gp = tmp_path / "h", tmp_path / "g"
+        hp.write_text(format_graph(Graph.cycle(5)))
+        gp.write_text(format_graph(Graph.cycle(8)))
+        assert run(["pivotminor", str(hp), str(gp), "--budget", budget]) == (code, out)
+        assert capsys.readouterr().err == err
+
     def test_pivotminor_host_over_the_subset_cap_is_budget(self, tmp_path, capsys):
         hp, gp = tmp_path / "h", tmp_path / "g"
         hp.write_text(format_graph(Graph.path(3)))

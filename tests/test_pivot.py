@@ -12,7 +12,7 @@ import oracles
 from pivotkit.cutrank import SUBSET_CAP, cut_rank
 from pivotkit.errors import (CapExceeded, NotAnEdge, OrbitBudgetExceeded,
                              SearchBudgetExceeded)
-from pivotkit.graph import Graph
+from pivotkit.graph import Graph, shape
 from pivotkit.pivot import _fixing, canonical_form, is_pivot_minor, pivot, pivot_orbit
 
 from oracles import blow_up
@@ -106,6 +106,13 @@ def twin_heavy(rng):
     return graphs + [multipartite(s) for s in ((3, 3, 3), (2, 2, 2, 2), (1, 2, 3))]
 
 
+def pivot_cases():
+    """Every labelled graph on two to five vertices and 300 seeded G(8, p)."""
+    rng = random.Random(37)
+    graphs = [g for n in range(2, 6) for g in all_graphs(n)]
+    return graphs + [gnp(rng, 8, rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
+
+
 def _outcome(search, h, g, budget):
     """A pivot-minor search's answer and witness, or, when its budget runs
     out, the expansions and depth it reached."""
@@ -113,6 +120,40 @@ def _outcome(search, h, g, budget):
         return search(h, g, budget)
     except SearchBudgetExceeded as exc:
         return ("budget", exc.expanded, exc.depth)
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The labelled keys of the states is_pivot_minor expands: it closes
+    the orbits of one state per expansion."""
+    module = sys.modules["pivotkit.pivot"]
+    keys, firsts = [], module._orbit_firsts
+
+    def counting(g, autos, deletions):
+        keys.append(g.key())
+        return firsts(g, autos, deletions)
+
+    monkeypatch.setattr(module, "_orbit_firsts", counting)
+    return keys
+
+
+def _against_the_oracle(h, g, budget, expansions=None):
+    """is_pivot_minor's outcome, checked against the BFS that expands
+    every successor, which makes at least as many expansions: where the
+    search stops, that BFS stops too, and where it answers, that BFS
+    gives the same answer and witness at a budget of at least 20,000.
+    Given the expansions fixture, that BFS also stops at a budget one
+    below the search's expansions."""
+    if expansions is not None:
+        expansions.clear()
+    got = _outcome(is_pivot_minor, h, g, budget)
+    if got[0] == "budget":
+        assert _outcome(oracles.is_pivot_minor, h, g, budget)[0] == "budget"
+        return got
+    assert got == _outcome(oracles.is_pivot_minor, h, g, max(budget, 20000))
+    if expansions is not None and len(expansions) > 1:
+        assert _outcome(oracles.is_pivot_minor, h, g, len(expansions) - 1)[0] == "budget"
+    return got
 
 
 class TestPivot:
@@ -142,14 +183,21 @@ class TestPivot:
     def test_matches_the_three_pass_oracle(self):
         """Every edge, both ways round, of every labelled graph on at most
         five vertices, of 300 seeded G(8, p) and of K_24."""
-        rng = random.Random(37)
-        graphs = [g for n in range(2, 6) for g in all_graphs(n)]
-        graphs += [gnp(rng, 8, rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
-        graphs.append(complete(24))
-        for g in graphs:
+        for g in pivot_cases() + [complete(24)]:
             for u, v in g.edge_list():
                 assert pivot(g, u, v) == oracles.pivot(g, u, v)
                 assert pivot(g, v, u) == oracles.pivot(g, v, u)
+
+    def test_pivots_keep_the_shape(self):
+        """The component sizes and bipartiteness that is_pivot_minor
+        compares agree with networkx and survive every pivot, both ways
+        round, on the graphs of the test above but K_24."""
+        for g in pivot_cases():
+            x = to_nx(g)
+            sizes = tuple(sorted(len(c) for c in nx.connected_components(x)))
+            assert shape(g) == (sizes, nx.is_bipartite(x))
+            for u, v in g.edge_list():
+                assert shape(pivot(g, u, v)) == shape(pivot(g, v, u)) == shape(g)
 
     def test_bipartite_preserved_and_cutranks(self):
         for g in all_graphs(5):
@@ -424,7 +472,7 @@ class TestIsPivotMinor:
         assert (exc.expanded, exc.stored, exc.depth) == (2, 7, 1)
         assert str(exc) == "budget 2 exhausted: expanded=2 stored=7 depth=1"
 
-    @pytest.mark.parametrize("budget, stored, depth", [(1, 3, 1), (5, 37, 2), (40, 207, 4)])
+    @pytest.mark.parametrize("budget, stored, depth", [(1, 3, 1), (5, 37, 2), (30, 179, 4)])
     def test_budget_stop_computes_no_form(self, monkeypatch, budget, stored, depth):
         """A stop reports the labelled graphs the search stored, so the only
         form computed without a maps list is H's: the queued states are not
@@ -461,24 +509,15 @@ class TestIsPivotMinor:
             with pytest.raises(CapExceeded, match="25 vertices exceeds the cap 24"):
                 is_pivot_minor(h, Graph.path(SUBSET_CAP + 1), 10 ** 12)
 
-    def test_orbits_closed_only_for_expanded_states(self, monkeypatch):
+    def test_orbits_closed_only_for_expanded_states(self, expansions):
         """A queued state keeps its maps; its orbits are closed when it is
         expanded, so a run stopped by its budget closes exactly as many
         as it expanded."""
-        module = sys.modules["pivotkit.pivot"]
-        closures = []
-        firsts = module._orbit_firsts
-
-        def counting(g, autos, deletions):
-            closures.append(g.key())
-            return firsts(g, autos, deletions)
-
-        monkeypatch.setattr(module, "_orbit_firsts", counting)
-        for budget in (1, 5, 40):
-            closures.clear()
+        for budget in (1, 5, 30):
+            expansions.clear()
             with pytest.raises(SearchBudgetExceeded) as info:
                 is_pivot_minor(Graph.cycle(5), Graph.cycle(8), budget)
-            assert len(closures) == info.value.expanded == budget
+            assert len(expansions) == info.value.expanded == budget
 
     def test_same_answers_as_the_ordering_search(self, monkeypatch):
         """The BFS keeps the first labelled graph of each class, so any
@@ -497,10 +536,11 @@ class TestIsPivotMinor:
         assert [is_pivot_minor(h, g, 20000) for h, g in queries] == new
         assert any(found for found, _ in new) and not all(found for found, _ in new)
 
-    def test_same_outcomes_as_the_oracle_bfs(self):
-        """The labelled-repeat skip keeps every answer, witness, expansion
-        count and depth of the BFS that canonicalises every successor.  The
-        two store different graphs, so their stored counts differ."""
+    def test_same_outcomes_as_the_oracle_bfs(self, expansions):
+        """The labelled-repeat skip and the shape drop remove only states
+        that cannot reach H, so the search gives the answer and witness of
+        the BFS that canonicalises every successor, from no more
+        expansions."""
         rng = random.Random(11)
         kinds = set()
         for _ in range(80):
@@ -508,17 +548,32 @@ class TestIsPivotMinor:
             g = gnp(rng, n, rng.choice((0.3, 0.5, 0.7)))
             h = gnp(rng, rng.randint(1, n), rng.choice((0.3, 0.5, 0.7)))
             budget = rng.choice((1, 3, 10, 100, 20000))
-            got = _outcome(is_pivot_minor, h, g, budget)
-            assert got == _outcome(oracles.is_pivot_minor, h, g, budget)
-            kinds.add(got[0])
+            kinds.add(_against_the_oracle(h, g, budget, expansions)[0])
         assert kinds == {True, False, "budget"}
+
+    def test_small_graphs_against_the_oracle_bfs(self, monkeypatch):
+        """Every pair of graphs from the atlas with |H| <= |G| <= 5, and every
+        6-vertex G against P4, C4, C5, P5 and C6, gets the answer and
+        witness of the BFS that expands every successor.  That BFS runs
+        with this module's canonical form; checking the expansions here
+        too would double its time."""
+        monkeypatch.setattr(oracles, "canonical_form", canonical_form)
+        atlas = [Graph(x.number_of_nodes(), x.edges()) for x in nx.graph_atlas_g()]
+        small = [g for g in atlas if g.n <= 5]
+        queries = [(h, g) for g in small for h in small if h.n <= g.n]
+        queries += [(h, g) for g in atlas if g.n == 6
+                    for h in (Graph.path(4), Graph.cycle(4), Graph.cycle(5),
+                              Graph.path(5), Graph.cycle(6))]
+        answers = {_against_the_oracle(h, g, 20000)[0] for h, g in queries}
+        assert answers == {True, False}
 
     def test_each_labelled_graph_canonicalised_once(self, monkeypatch):
         """Pivoting an edge back gives the parent; a BFS that
         canonicalises every successor gives the same answer with 530
         calls on 352 labelled graphs, and one that skips only labelled
         repeats with those 352.  Expanding one successor per
-        automorphism orbit leaves 217."""
+        automorphism orbit leaves 217, and dropping the 5-vertex states
+        whose shape is not C5's leaves 173."""
         module = sys.modules["pivotkit.pivot"]
         form, keys = module.canonical_form, []
 
@@ -528,18 +583,19 @@ class TestIsPivotMinor:
 
         monkeypatch.setattr(module, "canonical_form", recording)
         assert is_pivot_minor(Graph.cycle(5), Graph.cycle(8), 20000) == (False, None)
-        assert len(keys) == len(set(keys)) == 217
+        assert len(keys) == len(set(keys)) == 173
 
     @pytest.mark.parametrize("h, found, calls", [
-        (Graph.path(5), True, 18), (Graph.cycle(6), True, 15),
-        (Graph.path(4), True, 75), (Graph.cycle(5), False, 217)], ids=["P5", "C6", "P4", "C5"])
+        (Graph.path(5), True, 18), (Graph.cycle(6), True, 12),
+        (Graph.path(4), True, 75), (Graph.cycle(5), False, 173)], ids=["P5", "C6", "P4", "C5"])
     def test_successors_are_canonicalised_as_they_leave_the_queue(self, monkeypatch,
                                                                   h, found, calls):
         """A successor with as many vertices as H is canonicalised when it
-        is met, any other only when it leaves the queue.  In C8, P5, C6 and
-        P4 are found with 18, 15 and 75 calls, where canonicalising each
-        successor as it is met takes 74, 46 and 169; the "no" query C5 still
-        takes 217.  After H's own form, each labelled graph is counted once."""
+        is met, unless its shape is not H's, any other only when it leaves
+        the queue.  In C8, P5, C6 and P4 are found with 18, 12 and 75
+        calls, where canonicalising each successor as it is met takes 74,
+        46 and 169; the "no" query C5 takes 173.  After H's own form, each
+        labelled graph is counted once."""
         module = sys.modules["pivotkit.pivot"]
         form, keys = module.canonical_form, []
 
@@ -552,51 +608,57 @@ class TestIsPivotMinor:
         assert len(keys) == calls and len(set(keys[1:])) == calls - 1
 
     def test_budget_stops_mid_level_as_the_oracle(self, monkeypatch):
-        """A budget that runs out partway through a level stops at the same
-        state as the BFS that canonicalises each successor as it meets it:
-        at each budget from 1 to the full search's expansion count, the
-        expansions and depth are that BFS's."""
+        """At each budget from 1 to the one where the BFS that
+        canonicalises each successor as it meets it answers, a budget that
+        runs out partway through a level either stops the search or lets it
+        give that BFS's answer and witness, and at that last budget the
+        search has answered.  C5 in C8 answers with 35 expansions where
+        that BFS takes 46."""
         monkeypatch.setattr(oracles, "canonical_form", canonical_form)
         queries = [(Graph.cycle(5), Graph.cycle(8)), (Graph.path(5), k_nn(4)),
                    (Graph.path(5), gnp(random.Random(59), 8, 0.5))]
         answers = []
         for h, g in queries:
+            early = []  # the search's outcomes at the budgets where it answers
             for budget in count(1):
                 got = _outcome(is_pivot_minor, h, g, budget)
-                assert got == _outcome(oracles.is_pivot_minor, h, g, budget), budget
                 if got[0] != "budget":
-                    answers.append(got[0])
+                    early.append(got)
+                want = _outcome(oracles.is_pivot_minor, h, g, budget)
+                if want[0] != "budget":
                     break
-        assert answers == [False, False, True]
+            assert early[-1] is got and all(e == want for e in early)
+            answers.append((want[0], budget - len(early) + 1, budget))
+        assert answers[0] == (False, 35, 46)
+        assert [a[0] for a in answers] == [False, False, True]
 
     def test_orbit_rule_keeps_the_oracle_outcomes(self, monkeypatch):
         """On symmetric hosts, where one successor per orbit prunes the
-        most, the answers, witnesses, expansions and depth are those of the
-        BFS that builds and canonicalises every successor.  That BFS runs
-        here with this module's canonical form, so the two differ only in
-        the search; its own ordering search takes about a minute per query
-        on the Petersen graph."""
+        most, the search gives the answer and witness of the BFS that
+        builds and canonicalises every successor.  That BFS runs here with
+        this module's canonical form, so the two differ only in the
+        search; its own ordering search takes about a minute per query on
+        the Petersen graph.  Checking the expansions here too would add
+        half the test's time."""
         monkeypatch.setattr(oracles, "canonical_form", canonical_form)
         rng = random.Random(53)
         # On the prism, pruning edges by the vertex orbits of their ends
         # would take a rung for a cycle edge.
         hosts = [Graph.cycle(8), k_nn(4), petersen(), blow_up(Graph.cycle(6), 2), prism(5)]
         hosts += twin_heavy(rng)[-4:]
-        queries = [(h, g, budget) for g in hosts for budget in (30, 20000)
+        queries = [(h, g, 20000) for g in hosts
                    for h in (Graph.cycle(5), Graph.path(5), Graph.cycle(6), Graph.path(4))]
         # Beyond 30 states the 24-vertex blow-up takes about 20 s.
         queries.append((Graph.cycle(5), blow_up(Graph.cycle(6), 4), 30))
         kinds = set()
         for h, g, budget in queries:
-            got = _outcome(is_pivot_minor, h, g, budget)
-            assert got == _outcome(oracles.is_pivot_minor, h, g, budget)
-            kinds.add(got[0])
+            kinds.add(_against_the_oracle(h, g, budget)[0])
         assert kinds == {True, False, "budget"}
 
     def test_pinned_bench_queries(self, monkeypatch):
         """Every pooled pivot-search unit of the benchmark keeps its
         pinned answer and witness, and each witness replays to a copy of
-        H.  The pool takes 28,495 canonical forms, 15,585 of them on the
+        H.  The pool takes 18,420 canonical forms, 7,717 of them on the
         "no" queries."""
         module = sys.modules["pivotkit.pivot"]
         form, calls = module.canonical_form, [0]
@@ -627,7 +689,7 @@ class TestIsPivotMinor:
                     g = oracles.pivot(g, *step[1:]) if step[0] == "pivot" \
                         else g.delete_vertex(step[1])
                 assert nx.is_isomorphic(to_nx(g), to_nx(h)), unit
-        assert (calls[0], no_calls) == (28495, 15585)
+        assert (calls[0], no_calls) == (18420, 7717)
 
     def test_witness_replays(self):
         h = Graph(3, [(0, 1), (0, 2)])
