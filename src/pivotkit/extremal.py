@@ -15,7 +15,7 @@ from typing import NamedTuple
 from ._text import HEADER_CAP
 from .errors import CapExceeded
 from .gf2 import BitMatrix
-from .matroid import MultiGraph, format_multigraph, fundamental_matrix
+from .matroid import MultiGraph, format_multigraph, graphic_matroid
 
 
 def _check_cap(what: str, size: int) -> None:
@@ -35,7 +35,7 @@ class Instance(NamedTuple):
 
 
 def _make_instance(mg: MultiGraph, tree: frozenset[str], provenance: str) -> Instance:
-    return Instance(mg, tree, fundamental_matrix(mg, tree)[0], provenance)
+    return Instance(mg, tree, graphic_matroid(mg, tree).rep, provenance)
 
 
 def format_instance(inst: Instance) -> str:

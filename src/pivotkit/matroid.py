@@ -96,7 +96,7 @@ class BinaryMatroid:
         nonbasis = tuple(nonbasis)
         if len(basis) != rep.nrows or len(nonbasis) != rep.ncols:
             raise ValueError("representation shape does not match label counts")
-        if len(set(basis) | set(nonbasis)) != len(basis) + len(nonbasis):
+        if len({*basis, *nonbasis}) != len(basis) + len(nonbasis):
             raise ValueError("element labels must be distinct")
         self.basis = basis
         self.nonbasis = nonbasis
@@ -141,14 +141,14 @@ class BinaryMatroid:
         return f"BinaryMatroid(|B|={len(self.basis)}, |E-B|={len(self.nonbasis)})"
 
 
-def fundamental_matrix(g: MultiGraph, t: frozenset[str]) -> tuple[BitMatrix, list[str], list[str]]:
-    """The tree-edge x non-tree-edge cycle membership matrix of g, whose
-    spanning tree t is given as the set of its edge labels.
+def graphic_matroid(g: MultiGraph, t: frozenset[str]) -> BinaryMatroid:
+    """The matroid on E(g) whose basis is the spanning tree t, given as
+    the set of its edge labels; labels keep their order in g.edges.
 
-    Built by tree-path traversal: the cycle closed by a non-tree edge
-    consists of the tree edges on the path between its endpoints.  A
-    loop yields a zero column.  Returns (D, row labels, column labels)
-    with labels in their order of appearance in g.edges.
+    D, the tree-edge x non-tree-edge cycle membership matrix, is built by
+    tree-path traversal: the cycle closed by a non-tree edge consists of
+    the tree edges on the path between its endpoints.  A loop yields a
+    zero column.
 
     One walk over the tree edges both validates the tree and roots it.
     A valid tree spans g, so g itself is walked only once the tree is
@@ -184,14 +184,8 @@ def fundamental_matrix(g: MultiGraph, t: frozenset[str]) -> tuple[BitMatrix, lis
                 u, v = v, u
             rows[row_of[u]] |= bit
             u = parent[u]
-    return (BitMatrix(len(rows), len(cotree), rows),
-            [e[0] for e in tree], [e[0] for e in cotree])
-
-
-def graphic_matroid(g: MultiGraph, t: frozenset[str]) -> BinaryMatroid:
-    """The matroid on E(g) whose basis is the spanning tree."""
-    d, tree_labels, cotree_labels = fundamental_matrix(g, t)
-    return BinaryMatroid(tree_labels, cotree_labels, d)
+    return BinaryMatroid([e[0] for e in tree], [e[0] for e in cotree],
+                         BitMatrix(len(rows), len(cotree), rows))
 
 
 def _dual(m: BinaryMatroid) -> BinaryMatroid:

@@ -69,22 +69,17 @@ def pivot_orbit(g: Graph, max_size: int) -> list[Graph]:
     _check_host(g)
     seen = {g.key()}
     order = [g]
-    frontier = [g]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for h in frontier:
-            for u, v in h.edge_list():
-                p = pivot(h, u, v)
-                k = p.key()
-                if k not in seen:
-                    seen.add(k)
-                    if len(seen) > max_size:
-                        raise OrbitBudgetExceeded(max_size, len(seen), depth)
-                    order.append(p)
-                    nxt.append(p)
-        frontier = nxt
+    depth = [0]
+    for h, d in zip(order, depth):  # the loop also visits the graphs appended below
+        for u, v in h.edge_list():
+            p = pivot(h, u, v)
+            k = p.key()
+            if k not in seen:
+                seen.add(k)
+                if len(seen) > max_size:
+                    raise OrbitBudgetExceeded(max_size, len(seen), d + 1)
+                order.append(p)
+                depth.append(d + 1)
     return order
 
 

@@ -39,8 +39,8 @@ from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
                       connectivity_kernel, format_matroid, parse_matroid,
                       parse_multigraph)
 from .pivot import pivot
-from .structure import (_group_indices, block_partition_is_constant, check_struct_density,
-                        constant_block_partition, perturbation_partition,
+from .structure import (_group_indices, _validate_partition, block_partition_is_constant,
+                        check_struct_density, constant_block_partition, perturbation_partition,
                         free_trees, reconstruct_from_partition,
                         split_tree)
 
@@ -164,6 +164,8 @@ def _check_tree(tree: Graph, s: int):
 
 
 def _check_struct_density(h: BitMatrix, row_classes, col_classes, s: int):
+    _validate_partition(row_classes, h.nrows, "row")
+    _validate_partition(col_classes, h.ncols, "column")
     if find_complete_bipartite(h, s, s) is not None:
         return VACUOUS
     return None if check_struct_density(h, row_classes, col_classes, s) else {}
@@ -206,15 +208,6 @@ def _check_pivot_matroid(m: BinaryMatroid, x: str, y: str):
     return None if ok else {}
 
 
-def _subsets(lo: int, hi: int) -> list[tuple[int, list[int]]]:
-    """Every subset of the positions lo..hi-1 as (mask, ascending members),
-    masks ascending."""
-    table = [(0, [])]
-    for u in range(lo, hi):
-        table += [(mask | 1 << u, members + [u]) for mask, members in table]
-    return table
-
-
 def _check_conn_equiv(m: BinaryMatroid, k_max: int):
     n = len(m.basis) + len(m.nonbasis)
     if n > SUBSET_CAP:
@@ -222,20 +215,21 @@ def _check_conn_equiv(m: BinaryMatroid, k_max: int):
     # lambda(X) = lambda(E-X) (swap the two rank terms) and cut-rank(X) =
     # cut-rank(V-X) (transpose the symmetric adjacency), so the masks
     # without the top element cover every split once.  They are walked as
-    # (high half, low half) pairs, masks ascending, over two subset tables
-    # of 2^(half size) entries each rather than one of 2^(n-1).
+    # (high half, low half) pairs, masks ascending, with the low halves'
+    # members listed once: 2^(half size) lists rather than 2^(n-1).
     lam = connectivity_kernel(m)
     g = m.element_graph()
     adj = g.adj
     full = (1 << n) - 1
     bits = max(n - 1, 0)
-    lows = _subsets(0, bits // 2)
+    lows = [list(_bits(low)) for low in range(1 << bits // 2)]
     # The least order of a separation, lambda(X) + 1 over the splits with
     # lambda(X) < |X|, |E-X|, taken as k_max when none is lower: the
     # object is k-connected exactly for k <= order.
     order = k_max
-    for high, high_members in _subsets(bits // 2, bits):
-        for low, low_members in lows:
+    for high in range(0, 1 << bits, len(lows)):
+        high_members = list(_bits(high))
+        for low, low_members in enumerate(lows):
             x = high | low
             comp = full ^ x
             members = low_members + high_members
@@ -328,9 +322,6 @@ def _gen_struct_density(p: dict, rng: random.Random):
         h = inst.fundamental
         if rng.random() < 0.5:
             h = bipartite_complement(h)
-        if h.nrows == 0 or h.ncols == 0:
-            yield VACUOUS
-            continue
         row_classes = _random_partition(rng, h.nrows, p["classes"])
         col_classes = _random_partition(rng, h.ncols, p["classes"])
         yield h, row_classes, col_classes

@@ -19,7 +19,8 @@ every row.  The canonical form is the earlier one: the least adjacency
 code over every ordering that lists the colour-refinement classes as
 blocks, tried by backtracking.  The pivot-minor search is the earlier BFS,
 which builds and canonicalises every successor (here with that
-canonical form and that pivot).
+canonical form and that pivot), and the pivot orbit is the earlier
+closure, which keeps one frontier list per level.
 The tree split and its checker are the earlier set-based ones, which
 build a Graph per part and test it by BFS.  Vertex connectivity is the
 earlier all-pairs one, a max-flow on a freshly built network for every
@@ -32,7 +33,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from pivotkit.cutrank import SUBSET_CAP, Separation
 from pivotkit.errors import (ElementNotFound, GroundSetTooLarge, NotAnEdge, NotATree,
-                             SearchBudgetExceeded, SubsetCapExceeded, TreeTooSmall)
+                             OrbitBudgetExceeded, SearchBudgetExceeded, SubsetCapExceeded,
+                             TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
 from pivotkit.graph import Graph, _bfs, _bits, is_connected
 from pivotkit.matroid import CIRCUIT_ENUM_CAP, BinaryMatroid, MultiGraph
@@ -131,7 +133,8 @@ def fundamental_matrix_by_solving(mg: MultiGraph, tree: frozenset[str]):
     Each non-tree edge's column equals a unique XOR combination of the
     tree-edge incidence columns; that combination is its cycle row set.
     Returns (BitMatrix, tree labels, cotree labels) matching the order
-    convention of pivotkit.matroid.fundamental_matrix.
+    convention of pivotkit.matroid.graphic_matroid's rep, basis and
+    nonbasis.
     """
     tree_labels = [lab for lab, _, _ in mg.edges if lab in tree]
     cotree_labels = [lab for lab, _, _ in mg.edges if lab not in tree]
@@ -447,6 +450,30 @@ def canonical_form(g: Graph) -> tuple:
 
     rec(0, groups)
     return (n, best)
+
+
+def pivot_orbit(g: Graph, max_size: int) -> list[Graph]:
+    """Breadth-first closure of g under pivoting over all edges, one
+    frontier list per level (here with the earlier pivot)."""
+    seen = {g.key()}
+    order = [g]
+    frontier = [g]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for h in frontier:
+            for u, v in h.edge_list():
+                p = pivot(h, u, v)
+                k = p.key()
+                if k not in seen:
+                    seen.add(k)
+                    if len(seen) > max_size:
+                        raise OrbitBudgetExceeded(max_size, len(seen), depth)
+                    order.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return order
 
 
 def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list[tuple]]]:

@@ -156,6 +156,11 @@ class TestPipelines:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "split edge 7 8"
 
+    def test_splittree_star_splits_at_its_centre(self):
+        star = format_graph(Graph(7, [(0, leaf) for leaf in range(1, 7)]))
+        assert run(["splittree", "-", "1"], stdin=star) == (
+            EXIT_OK, "split vertex 0\ntree1 0-1\ntree2 0-2\ntree3 0-3 0-4 0-5 0-6\n")
+
 
 class TestExitCodes:
     def test_rankconn_pass_and_fail(self):
@@ -174,6 +179,11 @@ class TestExitCodes:
         if code == EXIT_VIOLATION:
             assert out.startswith("separation side=")
 
+    def test_matroid_connectivity_pass(self):
+        _, doc = run(["gen", "ktt", "4"])
+        _, mat = run(["matroid", "fromgraph", "-"], stdin=doc)
+        assert run(["matroid", "connectivity", "-", "2"], stdin=mat) == (EXIT_OK, "2-connected\n")
+
     @pytest.mark.parametrize("k", ["0", "-2", "x"])
     def test_rankconn_k_below_one_is_usage(self, k):
         code, out = run(["rankconn", "-", "--", k],
@@ -190,6 +200,21 @@ class TestExitCodes:
     def test_parse_error_is_usage(self):
         code, _ = run(["cutrank", "-", "--set", "0"], stdin="nonsense\n")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["partition", "-"], "matrix 2 2\n10\n", "expected 2 matrix rows, got 1"),
+        (["partition", "-"], "matrix 2 2\n1x\n01\n", "bad matrix row: '1x'"),
+        # The row count is reported before a bad row.
+        (["partition", "-"], "matrix 2 2\n1x\n", "expected 2 matrix rows, got 1"),
+        (["pivot", "-", "0", "1"], "# only a comment\n", "empty graph document"),
+        (["pivot", "-", "0", "1"], "graph 3\n0 1 2\n", "bad edge line: '0 1 2'"),
+        (["splittree", "-", "0"], "graph 7\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n",
+         "s must be positive"),
+    ], ids=["missing-row", "bad-row", "missing-and-bad-row", "no-header", "three-field-edge",
+            "splittree-s0"])
+    def test_bad_input_is_usage_naming_the_problem(self, argv, doc, message, capsys):
+        assert run(argv, stdin=doc) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_file_is_usage(self):
         code, _ = run(["pivot", "/nonexistent/file", "0", "1"])
@@ -416,6 +441,16 @@ class TestExitCodes:
         assert run(["replay", str(report)]) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_replay_struct_density_classes_off_the_bigraph_is_usage(self, tmp_path, capsys, s):
+        # Row 5 is not a row of the 1 x 1 bigraph.  The classes are checked
+        # before the K_{s,s} search, which finds the one edge when s = 1.
+        report = tmp_path / "report.txt"
+        report.write_text("FAIL\nname=struct-density\nviolations=1\nwitness name=struct-density "
+                          f"s={s} rows=0,5 cols=0 data=bigraph 1 1;0 0\n")
+        assert run(["replay", str(report)]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == "error: row classes do not partition 0..0\n"
+
     def test_replay_unknown_campaign_names_the_witness(self, tmp_path, capsys):
         report = tmp_path / "report.txt"
         report.write_text("FAIL\nname=nope\nviolations=1\nwitness name=nope data=x\n")
@@ -511,8 +546,8 @@ class TestExitCodes:
         # timeout, since a walk over 10^20 vertices grows until it is stopped.
         src = Path(pivotkit.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        code = ("from pivotkit.matroid import MultiGraph, fundamental_matrix\n"
-                "fundamental_matrix(MultiGraph(10 ** 20), frozenset())\n")
+        code = ("from pivotkit.matroid import MultiGraph, graphic_matroid\n"
+                "graphic_matroid(MultiGraph(10 ** 20), frozenset())\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60, preexec_fn=_limit_memory)
         assert proc.returncode == 1

@@ -8,7 +8,7 @@ from pivotkit.extremal import (Instance, _random_tree_edges, format_instance,
                                gen_c6_blowup_example, gen_ktt_example,
                                gen_random_instance)
 from pivotkit.graph import Graph, degree_stats, find_complete_bipartite
-from pivotkit.matroid import MultiGraph, fundamental_matrix, graphic_matroid, parse_multigraph
+from pivotkit.matroid import MultiGraph, graphic_matroid, parse_multigraph
 from pivotkit.pivot import canonical_form
 
 from oracles import blow_up, fundamental_matrix_by_solving
@@ -100,7 +100,7 @@ class TestRandomInstance:
             rng = random.Random(1)
             edges = [(f"t{i}", u, v) for i, (u, v) in enumerate(_random_tree_edges(20000, rng))]
             edges += [(f"f{i}", rng.randrange(20000), rng.randrange(20000)) for i in range(5)]
-            fundamental_matrix(MultiGraph(20000, edges), frozenset(e[0] for e in edges[:19999]))
+            graphic_matroid(MultiGraph(20000, edges), frozenset(e[0] for e in edges[:19999]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

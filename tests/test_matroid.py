@@ -14,7 +14,7 @@ from pivotkit.matroid import (BinaryMatroid, MultiGraph,
                               change_basis, circuits, cographic_matroid,
                               connectivity_kernel, connectivity_lambda,
                               format_matroid, format_multigraph,
-                              fundamental_matrix, graphic_matroid,
+                              graphic_matroid,
                               is_k_connected, minor, parse_matroid,
                               parse_multigraph)
 from pivotkit.pivot import pivot
@@ -53,19 +53,18 @@ def random_connected_multigraph(rng, n_max=6, extra_max=4, allow_loops=True):
 class TestFundamentalMatrix:
     def test_triangle(self):
         mg, t = triangle()
-        d, rows, cols = fundamental_matrix(mg, t)
-        assert rows == ["e0", "e1"] and cols == ["e2"]
-        assert d == BitMatrix(2, 1, [1, 1])
+        m = graphic_matroid(mg, t)
+        assert m.basis == ("e0", "e1") and m.nonbasis == ("e2",)
+        assert m.rep == BitMatrix(2, 1, [1, 1])
 
     def test_loop_gives_zero_column(self):
         mg = MultiGraph(2, [("t", 0, 1), ("l", 1, 1)])
-        d, rows, cols = fundamental_matrix(mg, frozenset({"t"}))
-        assert cols == ["l"] and d == BitMatrix(1, 1)
+        m = graphic_matroid(mg, frozenset({"t"}))
+        assert m.nonbasis == ("l",) and m.rep == BitMatrix(1, 1)
 
     def test_parallel_edge(self):
         mg = MultiGraph(2, [("t", 0, 1), ("p", 0, 1)])
-        d, _, _ = fundamental_matrix(mg, frozenset({"t"}))
-        assert d == BitMatrix(1, 1, [1])
+        assert graphic_matroid(mg, frozenset({"t"})).rep == BitMatrix(1, 1, [1])
 
     def test_matches_incidence_solving_oracle(self):
         rng = random.Random(23)
@@ -74,10 +73,10 @@ class TestFundamentalMatrix:
             if i % 2:  # half of the instances get a loop at a random position
                 v = rng.randrange(mg.n)
                 mg.edges.insert(rng.randint(0, len(mg.edges)), ("loop", v, v))
-            d, rows, cols = fundamental_matrix(mg, t)
+            m = graphic_matroid(mg, t)
             od, orows, ocols = fundamental_matrix_by_solving(mg, t)
-            assert (rows, cols) == (orows, ocols)
-            assert d == od
+            assert (list(m.basis), list(m.nonbasis)) == (orows, ocols)
+            assert m.rep == od
 
     def test_a_valid_tree_is_walked_once(self, monkeypatch):
         calls = []
@@ -89,27 +88,34 @@ class TestFundamentalMatrix:
         real = matroid._walk
         monkeypatch.setattr(matroid, "_walk", counting)
         mg = MultiGraph(4, [("e0", 0, 1), ("f", 0, 3), ("e1", 1, 2), ("e2", 2, 3), ("l", 2, 2)])
-        d, _, _ = fundamental_matrix(mg, frozenset({"e0", "e1", "e2"}))
-        assert d == BitMatrix(3, 2, [1, 1, 1])
+        m = graphic_matroid(mg, frozenset({"e0", "e1", "e2"}))
+        assert m.rep == BitMatrix(3, 2, [1, 1, 1])
         assert calls == [3]  # the tree edges only
 
     def test_not_connected(self):
         mg = MultiGraph(3, [("e0", 0, 1)])
         with pytest.raises((NotConnected, NotASpanningTree)):
-            fundamental_matrix(mg, frozenset({"e0"}))
+            graphic_matroid(mg, frozenset({"e0"}))
 
     def test_not_connected_is_raised_before_any_tree_check(self):
         mg = MultiGraph(4, [("e0", 0, 1), ("e1", 2, 3), ("l", 2, 2)])
         for tree in ({"e0"}, {"e0", "l"}, {"e0", "e1", "nope"}):
             with pytest.raises(NotConnected):
-                fundamental_matrix(mg, frozenset(tree))
+                graphic_matroid(mg, frozenset(tree))
 
     def test_bad_tree(self):
         mg, _ = triangle()
-        with pytest.raises(NotASpanningTree):
-            fundamental_matrix(mg, frozenset({"e0"}))
-        with pytest.raises(NotASpanningTree):
-            fundamental_matrix(mg, frozenset({"e0", "e1", "e2"}))
+        with pytest.raises(NotASpanningTree, match="^tree has 1 edges, expected 2$"):
+            graphic_matroid(mg, frozenset({"e0"}))
+        with pytest.raises(NotASpanningTree, match="^tree has 3 edges, expected 2$"):
+            graphic_matroid(mg, frozenset({"e0", "e1", "e2"}))
+        with pytest.raises(NotASpanningTree, match="^unknown tree edge label: x$"):
+            graphic_matroid(mg, frozenset({"e0", "x"}))
+        # Three tree edges on four vertices, two of them parallel: the
+        # count is right, but vertex 3 is not reached.
+        mg = MultiGraph(4, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2), ("d", 2, 3)])
+        with pytest.raises(NotASpanningTree, match="^tree edges do not span every vertex$"):
+            graphic_matroid(mg, frozenset({"a", "b", "c"}))
 
 
 class TestCircuits:

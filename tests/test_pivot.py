@@ -249,6 +249,25 @@ class TestPivotOrbit:
         with pytest.raises(CapExceeded, match="25 vertices exceeds the cap 24"):
             pivot_orbit(Graph.path(SUBSET_CAP + 1), 10 ** 12)
 
+    @pytest.mark.parametrize("max_size", [3, 50, 10 ** 6])
+    def test_matches_frontier_oracle(self, max_size):
+        # Every labelled graph on 1..5 vertices and 200 seeded G(n, p) on
+        # 6..9: the same graphs in the same order, or the same stop.
+        rng = random.Random(43)
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        for _ in range(200):
+            n, p = rng.randint(6, 9), rng.random()
+            graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+
+        def outcome(orbit, g):
+            try:
+                return orbit(g, max_size)
+            except OrbitBudgetExceeded as exc:
+                return exc.found, exc.depth
+
+        for g in graphs:
+            assert outcome(pivot_orbit, g) == outcome(oracles.pivot_orbit, g), g.edge_list()
+
     def test_bipartite_orbit_stays_bipartite(self):
         g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
         for h in pivot_orbit(g, 500):
