@@ -23,6 +23,12 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _deleted(adj: list[int], v: int) -> list[int]:
+    """The rows without vertex v, the vertices above v relabelled down by one."""
+    low = (1 << v) - 1
+    return [(row & low) | (row >> (v + 1) << v) for row in adj[:v] + adj[v + 1:]]
+
+
 def _bfs(adj: list[int], root: int) -> tuple[list[int], list[int]]:
     """Breadth-first walk over adjacency bitmasks from root.
 
@@ -73,7 +79,15 @@ class Graph:
         return self.adj[v].bit_count()
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
+        """The edges (u, v) with u < v, by u and then by v."""
+        edges = []
+        for u, row in enumerate(self.adj):
+            row >>= u + 1
+            while row:
+                low = row & -row
+                edges.append((u, u + low.bit_length()))
+                row ^= low
+        return edges
 
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -82,14 +96,8 @@ class Graph:
         """Remove v, relabelling vertices above v down by one."""
         if not (0 <= v < self.n):
             raise ValueError("vertex out of range")
-        low = (1 << v) - 1
         g = Graph(self.n - 1)
-        out = []
-        for u, mask in enumerate(self.adj):
-            if u == v:
-                continue
-            out.append((mask & low) | ((mask >> (v + 1)) << v))
-        g.adj = out
+        g.adj = _deleted(self.adj, v)
         return g
 
     def key(self) -> tuple:

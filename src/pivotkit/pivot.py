@@ -14,39 +14,45 @@ from typing import Optional
 
 from .cutrank import SUBSET_CAP
 from .errors import CapExceeded, NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
-from .graph import Graph, shape
+from .graph import Graph, _deleted, shape
+
+
+def _pivoted(adj: list[int], x: int, y: int) -> list[int]:
+    """pivot's rows for the graph with rows adj and the edge xy, unchecked."""
+    ax, ay = adj[x], adj[y]
+    xy = (1 << x) | (1 << y)
+    v1 = ax & ~ay & ~(1 << y)
+    v2 = ay & ~ax & ~(1 << x)
+    v3 = ax & ay
+    rows = adj[:]
+    for region, flip in ((v1, v2 | v3 | xy), (v2, v1 | v3 | xy), (v3, v1 | v2)):
+        while region:
+            low = region & -region
+            rows[low.bit_length() - 1] ^= flip
+            region ^= low
+    rows[x], rows[y] = ay ^ xy, ax ^ xy
+    return rows
+
+
+def _graph(rows: list[int]) -> Graph:
+    """The graph with adjacency rows rows, which it keeps."""
+    g = Graph(0)
+    g.n, g.adj = len(rows), rows
+    return g
 
 
 def pivot(g: Graph, x: int, y: int) -> Graph:
     """Pivot the edge xy; raises NotAnEdge when xy is not an edge.
 
-    One pass over the rows: with V1, V2 and V3 the neighbours private to
-    x, private to y and common, a row in one region flips its bits in the
-    other two; then every row swaps its bits x and y where they differ,
-    and rows x and y (in no region) are exchanged.
+    Only the rows of x, y and their neighbours change; any other row is
+    adjacent to neither.  With V1, V2 and V3 the neighbours private to x,
+    private to y and common, a row in one region flips its bits in the
+    other two, a V1 or V2 row also swaps its bits x and y, which differ
+    there, and rows x and y are exchanged with those bits swapped.
     """
     if x == y or not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
         raise NotAnEdge(f"({x},{y}) is not an edge")
-    ax, ay = g.adj[x], g.adj[y]
-    v1 = ax & ~ay & ~(1 << y)
-    v2 = ay & ~ax & ~(1 << x)
-    v3 = ax & ay
-    xy = (1 << x) | (1 << y)
-    adj = []
-    for u, row in enumerate(g.adj):
-        if v1 >> u & 1:
-            row ^= v2 | v3
-        elif v2 >> u & 1:
-            row ^= v1 | v3
-        elif v3 >> u & 1:
-            row ^= v1 | v2
-        if (row >> x ^ row >> y) & 1:
-            row ^= xy
-        adj.append(row)
-    adj[x], adj[y] = adj[y], adj[x]
-    out = Graph(g.n)
-    out.adj = adj
-    return out
+    return _graph(_pivoted(g.adj, x, y))
 
 
 def _check_host(g: Graph) -> None:
@@ -67,18 +73,17 @@ def pivot_orbit(g: Graph, max_size: int) -> list[Graph]:
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     _check_host(g)
-    seen = {g.key()}
+    seen = {tuple(g.adj)}
     order = [g]
     depth = [0]
     for h, d in zip(order, depth):  # the loop also visits the graphs appended below
         for u, v in h.edge_list():
-            p = pivot(h, u, v)
-            k = p.key()
-            if k not in seen:
+            rows = _pivoted(h.adj, u, v)
+            if (k := tuple(rows)) not in seen:
                 seen.add(k)
                 if len(seen) > max_size:
                     raise OrbitBudgetExceeded(max_size, len(seen), d + 1)
-                order.append(p)
+                order.append(_graph(rows))
                 depth.append(d + 1)
     return order
 
@@ -112,19 +117,26 @@ def _refine(adj: list[int], cells: list[int], queue: list[int]) -> list[int]:
             if c & (c - 1) == 0:
                 out.append(c)
                 continue
-            pieces: dict[int, int] = {}  # count in S -> vertices with it
-            rest = c
+            low = c & -c
+            first = (adj[low.bit_length() - 1] & s).bit_count()
+            rest = c ^ low
+            while rest:  # up to the first vertex with another count
+                low = rest & -rest
+                if (adj[low.bit_length() - 1] & s).bit_count() != first:
+                    break
+                rest ^= low
+            if not rest:
+                out.append(c)
+                continue
+            pieces = {first: c ^ rest}  # count in S -> vertices with it
             while rest:
                 low = rest & -rest
                 k = (adj[low.bit_length() - 1] & s).bit_count()
                 pieces[k] = pieces.get(k, 0) | low
                 rest ^= low
-            if len(pieces) == 1:
-                out.append(c)
-            else:
-                split = [pieces[k] for k in sorted(pieces)]
-                out += split
-                queue += split
+            split = [pieces[k] for k in sorted(pieces)]
+            out += split
+            queue += split
         cells = out
     return cells
 
@@ -162,13 +174,16 @@ def canonical_form(g: Graph, automorphisms: Optional[list[list[int]]] = None) ->
 
     Keys are equal exactly when graphs are isomorphic; the integer values
     may differ between versions of this function.  The ordered partition
-    of the vertices, held as masks, starts as one cell, which splits by
-    degree, and is refined by splitter cells until equitable.  Then each
-    vertex of the first smallest cell with more than one vertex gets a
-    cell of its own just before the rest of that cell, and the search
-    recurses with that vertex as the only splitter: the parent partition
-    is already equitable.  A leaf, where all cells are singletons, codes
-    the adjacency rows in cell order.  Automorphisms fixing the
+    of the vertices, held as masks, starts as the degree classes in
+    ascending degree, and is refined by splitter cells until equitable.
+    Then each vertex of the first smallest cell with more than one vertex
+    gets a cell of its own just before the rest of that cell, and the
+    search recurses with that vertex as the only splitter: the parent
+    partition is already equitable.  A leaf, where all cells are
+    singletons, codes the adjacency matrix with rows and columns in cell
+    order: the rows are stacked in that order into one integer, and for
+    the vertex v in cell i, column v is gathered into column i through a
+    mask of bit 0 of every row.  Automorphisms fixing the
     individualized vertices prune children in one orbit; they come from
     equal leaf codes and, before the first branch, from transpositions of
     twins (McKay, "Practical graph isomorphism", 1981; McKay and Piperno,
@@ -178,32 +193,40 @@ def canonical_form(g: Graph, automorphisms: Optional[list[list[int]]] = None) ->
     vertex v sent to a[v]; each is an automorphism of g.
     """
     n, adj = g.n, g.adj
-    cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1]) if n else []
+    degrees: dict[int, int] = {}  # degree -> vertices with it
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        degrees[d] = degrees.get(d, 0) | 1 << v
+    cells = [degrees[d] for d in sorted(degrees)]
+    if len(cells) > 1:
+        cells = _refine(adj, cells, cells[:])
     autos = _twin_swaps(adj) if len(cells) < n else []
+    ones = ((1 << n * n) - 1) // ((1 << n) - 1) if n else 0  # bit 0 of every n-bit row
     best = best_order = None
 
     def search(cells: list[int], path: int) -> None:
         nonlocal best, best_order
         if len(cells) == n:
-            order = [c.bit_length() - 1 for c in cells]
-            bit = [0] * n  # vertex -> its bit at its leaf position
-            for i, v in enumerate(order):
-                bit[v] = 1 << i
+            order, rows = [], 0
+            for c in cells:
+                v = c.bit_length() - 1
+                order.append(v)
+                rows = rows << n | adj[v]
             code = 0
-            for v in order:
-                row, moved = adj[v], 0
-                while row:
-                    low = row & -row
-                    moved |= bit[low.bit_length() - 1]
-                    row ^= low
-                code = code << n | moved
+            for i, v in enumerate(order):  # column v of rows becomes column i
+                code |= (rows >> v & ones) << i
             if best is None or code < best:
                 best, best_order = code, order
             elif code == best:
-                auto = [v for _, v in sorted(zip(best_order, order))]
-                autos.append((auto, sum(1 << u for u in range(n) if auto[u] == u)))
+                auto, fixed = [0] * n, 0
+                for u, v in zip(best_order, order):
+                    auto[u] = v
+                    if u == v:
+                        fixed |= 1 << u
+                autos.append((auto, fixed))
             return
-        i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))[1]
+        sizes = [c.bit_count() if c & (c - 1) else n + 1 for c in cells]
+        i = sizes.index(min(sizes))  # the first smallest cell of two or more
         cell = todo = cells[i]
         seen = 0  # orbits of the children searched so far
         while todo:
@@ -282,10 +305,14 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     labelled graph is canonicalised at most once: a repeat (pivoting an
     edge back gives the parent) was matched or seen already.
 
-    A successor with as many vertices as h whose shape (graph.shape: its
-    sorted component sizes and whether it is bipartite) is not h's is
-    dropped: it stays met, but gets no form and is not queued.  Both
-    parts of the shape are invariant under isomorphism and under pivots.
+    A deletion successor with as many vertices as h whose shape
+    (graph.shape: its sorted component sizes and whether it is bipartite)
+    is not h's is dropped: it stays met, but gets no form and is not
+    queued.  Both parts of the shape are invariant under isomorphism and
+    under pivots, so a pivot successor of a queued state with as many
+    vertices as h passes as its parent did, and is not tested; when g
+    has as many vertices as h but another shape, the search answers
+    False after g's form.
     A pivot keeps the cut-rank function (Oum, "Rank-width and
     vertex-minors", JCTB 95, 2005), so it keeps the vertex set of every
     component; it is an involution that maps bipartite graphs to
@@ -297,6 +324,8 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     unchanged: the answer and the witness are those of the search that
     expands every successor, from at most its expansions.
 
+    A successor is built as adjacency rows and looked up among the met
+    labelled graphs as a tuple of them; only one not met becomes a Graph.
     Successors wait in one FIFO queue with their graph, their parent's
     path, their step, their maps and their form once known.  One with as
     many vertices as h is canonicalised when it is met, and the search
@@ -319,8 +348,10 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     start_key = canonical_form(g, autos)
     if g.n == h.n and start_key == target:
         return True, []
+    if g.n == h.n and shape(g) != h_shape:
+        return False, None
     seen: set = set()
-    met = {g.key()}
+    met = {tuple(g.adj)}  # labelled graphs; the tuple's length is the vertex count
     queue = deque([(g, [], None, start_key, autos)])
     while queue:
         cur, path, step, k, autos = queue.popleft()
@@ -333,14 +364,15 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         if len(seen) > budget:
             raise SearchBudgetExceeded(budget, budget, len(met), len(path))
         for u, v in _orbit_firsts(cur, autos, cur.n > h.n):
-            nxt = pivot(cur, u, v) if u != v else cur.delete_vertex(v)
-            if (labelled := nxt.key()) in met:
+            rows = _pivoted(cur.adj, u, v) if u != v else _deleted(cur.adj, v)
+            if (labelled := tuple(rows)) in met:
                 continue
             met.add(labelled)
+            nxt = _graph(rows)
             step = ("pivot", u, v) if u != v else ("delete", v)
             nxt_k, nxt_autos = None, []
             if nxt.n == h.n:
-                if shape(nxt) != h_shape:
+                if u == v and shape(nxt) != h_shape:
                     continue
                 nxt_k = canonical_form(nxt, nxt_autos)
                 if nxt_k == target:

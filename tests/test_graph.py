@@ -120,6 +120,36 @@ class TestC4Free:
             assert is_c4_free(as_graph) == (find_complete_bipartite(m, 2, 2) is None)
 
 
+def small_and_seeded_graphs():
+    """Every labelled graph on at most five vertices and 60 seeded G(n, p)
+    on 6 to 24 vertices."""
+    graphs = []
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        graphs += [Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                   for bits in range(1 << len(pairs))]
+    rng = random.Random(61)
+    for _ in range(60):
+        n, p = rng.randint(6, 24), rng.random()
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return graphs
+
+
+class TestRows:
+    def test_edge_list_by_lower_end_then_upper(self):
+        for g in small_and_seeded_graphs():
+            assert g.edge_list() == [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                                     if g.has_edge(u, v)]
+
+    def test_delete_vertex_relabels_the_vertices_above_down(self):
+        for g in small_and_seeded_graphs():
+            for v in range(g.n):
+                keep = [u for u in range(g.n) if u != v]
+                want = [sum(1 << j for j, w in enumerate(keep) if g.has_edge(u, w)) for u in keep]
+                got = g.delete_vertex(v)
+                assert (got.n, got.adj) == (g.n - 1, want)
+
+
 class TestBlowUp:
     def test_identity(self):
         g = Graph.cycle(6)

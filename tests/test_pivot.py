@@ -107,10 +107,13 @@ def twin_heavy(rng):
 
 
 def pivot_cases():
-    """Every labelled graph on two to five vertices and 300 seeded G(8, p)."""
+    """Every labelled graph on two to five vertices, 300 seeded G(8, p)
+    and 32 seeded G(n, p) on 9 to 24 vertices."""
     rng = random.Random(37)
     graphs = [g for n in range(2, 6) for g in all_graphs(n)]
-    return graphs + [gnp(rng, 8, rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
+    graphs += [gnp(rng, 8, rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
+    return graphs + [gnp(rng, n, rng.choice((0.2, 0.5, 0.8))) for n in range(9, 25)
+                     for _ in range(2)]
 
 
 def _outcome(search, h, g, budget):
@@ -182,7 +185,8 @@ class TestPivot:
 
     def test_matches_the_three_pass_oracle(self):
         """Every edge, both ways round, of every labelled graph on at most
-        five vertices, of 300 seeded G(8, p) and of K_24."""
+        five vertices, of 332 seeded G(n, p) on 8 to 24 vertices and of
+        K_24."""
         for g in pivot_cases() + [complete(24)]:
             for u, v in g.edge_list():
                 assert pivot(g, u, v) == oracles.pivot(g, u, v)
@@ -456,6 +460,43 @@ class TestIsomorphism:
             same = canonical_form(g1) == canonical_form(g2)
             assert same == nx.is_isomorphic(to_nx(g1), to_nx(g2))
 
+    def test_large_forms_code_a_relabelled_adjacency_matrix(self):
+        """At 17 to 24 vertices, where a leaf code spans n² bits, the code
+        holds a relabelling of g's adjacency matrix, its first row in the
+        top n bits.  Forms survive seeded relabelling, and separate each
+        seeded G(n, p) from the graph a 2-switch makes of it, which keeps
+        every degree, exactly when VF2 calls the two non-isomorphic."""
+        rng = random.Random(71)
+        graphs = [Graph.cycle(17), prism(9), complete(19), k_nn(10), blow_up(Graph.cycle(6), 4)]
+        pairs = []
+        for n in range(17, 25):
+            g = gnp(rng, n, rng.choice((0.3, 0.5)))
+            edges = set(g.edge_list())
+            while True:  # ab, cd -> ac, bd
+                (a, b), (c, d) = rng.sample(sorted(edges), 2)
+                ac, bd = (min(a, c), max(a, c)), (min(b, d), max(b, d))
+                if len({a, b, c, d}) == 4 and not edges & {ac, bd}:
+                    break
+            switched = Graph(n, edges - {(a, b), (c, d)} | {ac, bd})
+            graphs += [g, switched]
+            pairs.append((g, switched))
+        forms = {}
+        for g in graphs:
+            n, code = forms[g.key()] = canonical_form(g)
+            rows = [code >> n * (n - 1 - i) & ((1 << n) - 1) for i in range(n)]
+            assert code >> n * n == 0 and not any(rows[v] >> v & 1 for v in range(n))
+            assert all(rows[u] >> v & 1 == rows[v] >> u & 1 for u in range(n) for v in range(n))
+            leaf = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1])
+            assert nx.is_isomorphic(to_nx(leaf), to_nx(g))
+            for _ in range(2):
+                assert canonical_form(relabel(g, shuffled(rng, n))) == forms[g.key()]
+        outcomes = set()
+        for g1, g2 in pairs:
+            same = forms[g1.key()] == forms[g2.key()]
+            assert same == nx.is_isomorphic(to_nx(g1), to_nx(g2))
+            outcomes.add(same)
+        assert False in outcomes
+
 
 class TestIsPivotMinor:
     def test_reflexive(self):
@@ -510,6 +551,31 @@ class TestIsPivotMinor:
         exc = info.value
         assert bare == [Graph.cycle(5).key()]
         assert (exc.expanded, exc.stored, exc.depth) == (budget, stored, depth)
+
+    @pytest.mark.parametrize("budget", [1, 20000])
+    def test_host_of_h_size_and_another_shape_answers_at_once(self, monkeypatch, budget):
+        """Pivots keep the shape, so when G has as many vertices as H but
+        another shape, the search answers False after H's form and G's,
+        without a pivot, at any budget: C5 in P5, which is bipartite, and
+        in a triangle beside an edge, which is not connected."""
+        module = sys.modules["pivotkit.pivot"]
+        form, pivoted, forms, pivots = module.canonical_form, module._pivoted, [], []
+
+        def recording(g, automorphisms=None):
+            forms.append(g.key())
+            return form(g, automorphisms)
+
+        def counting(adj, x, y):
+            pivots.append((x, y))
+            return pivoted(adj, x, y)
+
+        monkeypatch.setattr(module, "canonical_form", recording)
+        monkeypatch.setattr(module, "_pivoted", counting)
+        h = Graph.cycle(5)
+        for g in (Graph.path(5), Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])):
+            forms.clear()
+            assert is_pivot_minor(h, g, budget) == (False, None)
+            assert forms == [h.key(), g.key()] and pivots == []
 
     @pytest.mark.parametrize("budget", [0, -1, -5])
     def test_budget_below_one_rejected(self, budget):
