@@ -52,15 +52,6 @@ class BitMatrix:
         else:
             self.rows[i] &= ~(1 << j)
 
-    def column_bits(self, j: int) -> int:
-        """The j-th column as an int, bit i being row i."""
-        if not (0 <= j < self.ncols):
-            raise IndexError("column index out of range")
-        bits = 0
-        for i, row in enumerate(self.rows):
-            bits |= ((row >> j) & 1) << i
-        return bits
-
     def transpose(self) -> "BitMatrix":
         cols = [0] * self.ncols
         for i, row in enumerate(self.rows):

@@ -182,8 +182,7 @@ def find_complete_bipartite(g: BitMatrix, s: int, t: int) -> Optional[BicliqueWi
     hit = _search_biclique(g.rows, s, t)
     if hit:
         return BicliqueWitness("A", hit[0], hit[1])
-    cols = [g.column_bits(j) for j in range(g.ncols)]
-    hit = _search_biclique(cols, s, t)
+    hit = _search_biclique(g.transpose().rows, s, t)
     if hit:
         return BicliqueWitness("B", hit[0], hit[1])
     return None
@@ -285,7 +284,7 @@ def degree_stats(g) -> DegreeStats:
     """Exact min/max/average degree of a Graph or a bipartite BitMatrix."""
     if isinstance(g, BitMatrix):
         degs = ([r.bit_count() for r in g.rows]
-                + [g.column_bits(j).bit_count() for j in range(g.ncols)])
+                + [c.bit_count() for c in g.transpose().rows])
     else:
         degs = [g.degree(v) for v in range(g.n)]
     if not degs:

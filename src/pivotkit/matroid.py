@@ -228,8 +228,8 @@ def circuits(m: BinaryMatroid) -> frozenset[frozenset[str]]:
         raise GroundSetTooLarge(f"{ne} elements exceeds cap {CIRCUIT_ENUM_CAP}")
     r = len(m.basis)
     zero_sets = [0]
-    for j in range(len(m.nonbasis)):
-        fundamental = 1 << (r + j) | m.rep.column_bits(j)
+    for j, col in enumerate(m.rep.transpose().rows):
+        fundamental = 1 << (r + j) | col
         zero_sets += [s ^ fundamental for s in zero_sets]
     zero_sets.sort(key=int.bit_count)
     minimal: list[int] = []
@@ -247,7 +247,7 @@ def _contract(m: BinaryMatroid, e: str) -> BinaryMatroid:
     enters with its least-labeled partner.  A loop (zero column) has no
     partner; it is a coloop of the dual, contracted there."""
     if e in m.nonbasis:
-        col = m.rep.column_bits(m.col_of(e))
+        col = m.rep.transpose().rows[m.col_of(e)]
         if col == 0:
             return _dual(_contract(_dual(m), e))
         m = change_basis(m, min(b for i, b in enumerate(m.basis) if (col >> i) & 1), e)

@@ -117,23 +117,16 @@ def _refine(adj: list[int], cells: list[int], queue: list[int]) -> list[int]:
             if c & (c - 1) == 0:
                 out.append(c)
                 continue
-            low = c & -c
-            first = (adj[low.bit_length() - 1] & s).bit_count()
-            rest = c ^ low
-            while rest:  # up to the first vertex with another count
-                low = rest & -rest
-                if (adj[low.bit_length() - 1] & s).bit_count() != first:
-                    break
-                rest ^= low
-            if not rest:
-                out.append(c)
-                continue
-            pieces = {first: c ^ rest}  # count in S -> vertices with it
+            pieces: dict[int, int] = {}  # count in S -> vertices with it
+            rest = c
             while rest:
                 low = rest & -rest
                 k = (adj[low.bit_length() - 1] & s).bit_count()
                 pieces[k] = pieces.get(k, 0) | low
                 rest ^= low
+            if len(pieces) == 1:
+                out.append(c)
+                continue
             split = [pieces[k] for k in sorted(pieces)]
             out += split
             queue += split

@@ -302,39 +302,26 @@ def perturbation_partition(g1: BitMatrix, g2: BitMatrix) -> BlockPartition:
     return constant_block_partition(g1 ^ g2)._replace(mode="graph-pair")
 
 
-def _expand(bp: BlockPartition, nrows: int, ncols: int) -> BitMatrix:
-    """The nrows x ncols matrix whose every block holds its value in bp;
-    PartitionInvalid when bp's classes or its blocks' shape do not fit."""
-    _validate_partition(bp.row_classes, nrows, "row")
-    _validate_partition(bp.col_classes, ncols, "column")
+def reconstruct_from_partition(g2: BitMatrix, bp: BlockPartition) -> BitMatrix:
+    """Rebuild g1 from g2 plus a graph-pair BlockPartition's blocks: each
+    row of g2 is XORed with one mask per row class, the columns of its
+    blocks marked complement.  PartitionInvalid when bp's classes or its
+    blocks' shape do not fit g2."""
+    if bp.mode != "graph-pair":
+        raise ValueError("expected a graph-pair partition")
+    _validate_partition(bp.row_classes, g2.nrows, "row")
+    _validate_partition(bp.col_classes, g2.ncols, "column")
     if (bp.blocks.nrows, bp.blocks.ncols) != (len(bp.row_classes), len(bp.col_classes)):
         raise PartitionInvalid("expected one value per block")
     col_masks = [sum(1 << j for j in cc) for cc in bp.col_classes]
-    rows = [0] * nrows
+    rows = list(g2.rows)
     for rc, values in zip(bp.row_classes, bp.blocks.rows):
         mask = 0
         for j in _bits(values):
             mask |= col_masks[j]
         for i in rc:
-            rows[i] = mask
-    return BitMatrix(nrows, ncols, rows)
-
-
-def block_partition_is_constant(c: BitMatrix, bp: BlockPartition) -> bool:
-    """Whether every block of c holds its value in bp; False when bp's
-    classes or its blocks' shape do not fit c."""
-    try:
-        return _expand(bp, c.nrows, c.ncols) == c
-    except PartitionInvalid:
-        return False
-
-
-def reconstruct_from_partition(g2: BitMatrix, bp: BlockPartition) -> BitMatrix:
-    """Rebuild g1 from g2 plus a graph-pair BlockPartition's blocks;
-    PartitionInvalid when bp's classes or its blocks' shape do not fit g2."""
-    if bp.mode != "graph-pair":
-        raise ValueError("expected a graph-pair partition")
-    return g2 ^ _expand(bp, g2.nrows, g2.ncols)
+            rows[i] ^= mask
+    return BitMatrix(g2.nrows, g2.ncols, rows)
 
 
 def _validate_partition(classes, size: int, what: str) -> None:

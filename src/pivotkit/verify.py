@@ -39,9 +39,8 @@ from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
                       connectivity_kernel, format_matroid, parse_matroid,
                       parse_multigraph)
 from .pivot import pivot
-from .structure import (_group_indices, _validate_partition, block_partition_is_constant,
-                        check_struct_density, constant_block_partition, perturbation_partition,
-                        free_trees, reconstruct_from_partition,
+from .structure import (_group_indices, _validate_partition, check_struct_density,
+                        free_trees, perturbation_partition, reconstruct_from_partition,
                         split_tree)
 
 VACUOUS_WARN_FRACTION = 0.9
@@ -53,7 +52,7 @@ _AVG_EXISTS_CAP = 12
 # and a replayed witness with more is refused before any search.
 _RANKCONN_CAP = 10
 # Measured on 2 vCPUs with CPython 3.11 (README gives the figures): one
-# pert-partition trial at size = max_rank = HEADER_CAP takes about 1.7 s,
+# pert-partition trial at size = max_rank = HEADER_CAP takes about 0.6 s,
 # and a K_{s,t} search with s <= t <= 12 on an instance at the cap at
 # most 0.05 s.
 _BICLIQUE_CAP = 12
@@ -182,20 +181,15 @@ def _check_rankconn(g: Graph):
 
 def _check_pert(matrices: tuple[BitMatrix, BitMatrix]):
     c, d1 = matrices
-    bp = constant_block_partition(c)
     p = rank(c)
-    ok = (len(bp.row_classes) <= 2 ** p
-          and len(bp.col_classes) <= 2 ** p
-          and block_partition_is_constant(c, bp))
-    if ok:
-        d2 = d1 ^ c
-        bp2 = perturbation_partition(d1, d2)
-        try:
-            ok = (len(bp2.row_classes) <= 2 ** p
-                  and len(bp2.col_classes) <= 2 ** p
-                  and reconstruct_from_partition(d2, bp2) == d1)
-        except PartitionInvalid:  # a partition that drops or repeats a class
-            ok = False
+    d2 = d1 ^ c
+    bp = perturbation_partition(d1, d2)
+    try:
+        ok = (len(bp.row_classes) <= 2 ** p
+              and len(bp.col_classes) <= 2 ** p
+              and reconstruct_from_partition(d2, bp) == d1)
+    except PartitionInvalid:  # a partition that drops or repeats a class
+        ok = False
     return None if ok else {}
 
 
@@ -367,8 +361,7 @@ def _gen_pert(p: dict, rng: random.Random):
 def _gen_pivot_matroid(p: dict, rng: random.Random):
     for _ in range(p["trials"]):
         m = _random_matroid(rng, p["max_elements"])
-        ones = [(i, j) for i in range(len(m.basis)) for j in range(len(m.nonbasis))
-                if m.rep.get(i, j)]
+        ones = [(i, j) for i, row in enumerate(m.rep.rows) for j in _bits(row)]
         if not ones:
             yield VACUOUS
             continue

@@ -732,7 +732,8 @@ def circuits(m: BinaryMatroid) -> frozenset[frozenset[str]]:
     if ne > CIRCUIT_ENUM_CAP:
         raise GroundSetTooLarge(f"{ne} elements exceeds cap {CIRCUIT_ENUM_CAP}")
     cols = [1 << i for i in range(len(m.basis))]
-    cols += [m.rep.column_bits(j) for j in range(len(m.nonbasis))]
+    cols += [sum(m.rep.get(i, j) << i for i in range(len(m.basis)))
+             for j in range(len(m.nonbasis))]
     # xs[S] = XOR of the columns indexed by subset S.
     xs = [0] * (1 << ne)
     zero_sets = []

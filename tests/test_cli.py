@@ -732,6 +732,32 @@ class TestCheckAndReplay:
             assert out == (f"PASS\nname=tree-lemma\nseed={seed}\nparam.max_edges=11\n"
                            "trials_run=1765\nvacuous=0\nviolations=0\n")
 
+    @pytest.mark.parametrize("flags, digests", [
+        ([], ["5c9849f36be3046f6cb8758706260a0225d90b8377696c7971d76132738785cf",
+              "d92e4e9722f81e8f8acec8c228cdc083ad00cdda0917dbc9322b8d378aa08f54",
+              "92958b69cccb9e83c994c86be0d4e3998a281eb089a72aa7fd415e2c1a27593c",
+              "ad9f8ccd45a2a788000d6be40d87374d7a92b1247bb293888aeb84e6753bdbd5",
+              "a144c33f59e75045dbfe9e1b49ab8d980bc699a5895d1ae58214b52066a89dc4",
+              "060b783b3bfd4c4165017c89700b36d316a4dc234757a91874574fe3fab86c28",
+              "155de985ddb108aa10e881c60755682ec4dde0afcf11f7f0d1174ff5afc1fb5d",
+              "8c774ede5f69564dd323a170d1bd9bd61862dafaf4969300c9c919cb23461ae0"]),
+        (["--size", "40", "--max-rank", "6", "--trials", "50"],
+         ["45b76eb581b31df913af6e5745dd6a5674be15585d93455282dd8c770bd2ef2b",
+          "489f0656b94ceb3246063ed30e9151d7b006eaf4c5a0bac58b21bdf93e5410e7",
+          "eba1496c9baa154f7d43dcbd16d1d392ea2a2df8d609e3425865461d58babe9f",
+          "7cae5fbe5ea04e84c8d1462f1f3c379160006144b77f7cca14fd3495b0c0482c",
+          "3858b82cb98e0ebaf73e054f893bb652b5c482b85a0e5f779bd87085df1c27fc",
+          "b2b4e97cdaed1097931b77b93530f1bc236487d3bd49d9a8a67d97f128039873",
+          "1053a98077179d4071f4ab2bee53aff9f23fd987bcf56e5a6fbd4f44412a0344",
+          "2cd5603572ce1ffe3e568ba2dd5d2b2851e03ee8fe6bd36fedeeffc9a1709cac"]),
+    ])
+    def test_pert_partition_golden_output(self, flags, digests):
+        # sha256 of the reports on seeds 0-7.  The larger size and rank allow
+        # up to 64 classes a side, where the defaults allow 8.
+        for seed, digest in enumerate(digests):
+            code, out = run(["check", "pert-partition", "--seed", str(seed)] + flags)
+            assert (code, hashlib.sha256(out.encode("ascii")).hexdigest()) == (EXIT_OK, digest)
+
     @pytest.mark.parametrize("name", campaign_names())
     def test_every_parameter_is_reachable_from_the_cli(self, name):
         # Each integer parameter passed at its value through its flag

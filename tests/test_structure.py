@@ -10,7 +10,6 @@ from pivotkit.errors import (DimensionMismatch, NotATree, PartitionInvalid,
 from pivotkit.gf2 import BitMatrix, rank
 from pivotkit.graph import Graph
 from pivotkit.structure import (BlockPartition, SplitEdge, SplitVertex,
-                                block_partition_is_constant,
                                 check_struct_density,
                                 constant_block_partition,
                                 format_block_partition, format_tree_split,
@@ -178,6 +177,13 @@ class TestSplitAgainstOracle:
         assert tree_split_problem(Graph(0), 2, split) == "t is not a tree"
 
 
+def expanded(c, bp):
+    """The matrix of c's shape whose every block holds its value in bp:
+    the zero matrix rebuilt by bp's blocks."""
+    zero = BitMatrix(c.nrows, c.ncols)
+    return reconstruct_from_partition(zero, bp._replace(mode="graph-pair"))
+
+
 class TestConstantBlockPartition:
     def test_class_count_bounded_by_rank(self):
         rng = random.Random(73)
@@ -188,7 +194,7 @@ class TestConstantBlockPartition:
             p = rank(m)
             assert len(bp.row_classes) <= 2 ** p
             assert len(bp.col_classes) <= 2 ** p
-            assert block_partition_is_constant(m, bp)
+            assert expanded(m, bp) == m
 
     def test_zero_matrix(self):
         bp = constant_block_partition(BitMatrix(3, 4))
@@ -197,7 +203,7 @@ class TestConstantBlockPartition:
 
     def test_non_partitions_are_not_constant(self):
         c = BitMatrix(3, 2)
-        assert block_partition_is_constant(c, constant_block_partition(c))
+        assert expanded(c, constant_block_partition(c)) == c
         for rows, cols, blocks in [(((0,),), ((0,),), BitMatrix(1, 1)),  # rows 1, 2 and column 1 unlisted
                                    (((0,), (0, 1, 2)), ((0, 1),), BitMatrix(2, 1)),
                                    (((0, 0, 1, 2),), ((0, 1),), BitMatrix(1, 1)),
@@ -205,7 +211,8 @@ class TestConstantBlockPartition:
                                    (((0, 1, 2),), ((0, 1, 2),), BitMatrix(1, 1)),
                                    (((0, 1, 2),), ((0, 1),), BitMatrix(0, 1)),
                                    (((0, 1, 2),), ((0, 1),), BitMatrix(1, 2))]:
-            assert not block_partition_is_constant(c, BlockPartition("matrix", rows, cols, blocks))
+            with pytest.raises(PartitionInvalid):
+                expanded(c, BlockPartition("matrix", rows, cols, blocks))
 
     def test_one_flipped_entry_is_not_constant(self):
         rng = random.Random(83)
@@ -217,7 +224,8 @@ class TestConstantBlockPartition:
                 for j in range(nc):
                     rows = list(c.rows)
                     rows[i] ^= 1 << j
-                    assert not block_partition_is_constant(BitMatrix(nr, nc, rows), bp)
+                    flipped = BitMatrix(nr, nc, rows)
+                    assert expanded(flipped, bp) != flipped
 
     def test_format(self):
         bp = constant_block_partition(BitMatrix(2, 3, [0b011, 0b011]))

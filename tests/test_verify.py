@@ -365,7 +365,7 @@ PLANTED = {
     "rankconn-lemma": ({"trials": 20, "n_max": 6},
                        {"find_low_rank_separation": lambda g, k: _Separation()}),
     "pert-partition": ({"trials": 5, "size": 4},
-                       {"block_partition_is_constant": lambda c, bp: False}),
+                       {"reconstruct_from_partition": lambda g2, bp: None}),
     "pivot-matroid": ({"trials": 5, "max_elements": 6}, {"circuits": lambda m: object()}),
     "conn-equiv": ({"trials": 5, "max_elements": 6},
                    {"find_low_rank_separation": lambda g, k: _Separation()}),
@@ -413,15 +413,18 @@ def _fields(witness):
 @pytest.mark.parametrize("partition", ["constant_block_partition", "perturbation_partition"])
 def test_pert_partition_that_drops_a_class_is_a_violation(partition, monkeypatch):
     """A partition missing its last row class fails the check in every
-    trial; it is neither a PASS nor a usage error."""
-    made = getattr(verify, partition)
+    trial; it is neither a PASS nor a usage error.  The check calls
+    perturbation_partition, which calls constant_block_partition in its
+    own module."""
+    module = structure if partition == "constant_block_partition" else verify
+    made = getattr(module, partition)
 
     def dropping(*args):
         bp = made(*args)
         blocks = BitMatrix(bp.blocks.nrows - 1, bp.blocks.ncols, bp.blocks.rows[:-1])
         return bp._replace(row_classes=bp.row_classes[:-1], blocks=blocks)
 
-    monkeypatch.setattr(verify, partition, dropping)
+    monkeypatch.setattr(module, partition, dropping)
     report = run_campaign("pert-partition", {"trials": 5, "size": 4}, seed=2)
     assert len(report.violations) == report.trials_run == 5
 
