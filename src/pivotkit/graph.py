@@ -205,24 +205,30 @@ def is_connected(g: Graph) -> bool:
 def shape(g: Graph) -> tuple[tuple[int, ...], bool]:
     """The sorted sizes of g's components, and whether g is bipartite.
 
-    One breadth-first walk per component colours each vertex by the
-    parity of its depth; g is bipartite when no edge joins two vertices
-    of one colour.
+    One breadth-first walk by levels per component, from its least
+    vertex: the next level is the union of the level's rows less the
+    vertices reached.  Every edge of a component joins a level to itself
+    or to the next, and an edge inside a level closes an odd cycle;
+    without one, the levels of even and odd depth are the two sides.
     """
-    sizes, bipartite = [], True
+    adj, sizes, odd = g.adj, [], 0
     left = (1 << g.n) - 1
     while left:
-        order, parent = _bfs(g.adj, (left & -left).bit_length() - 1)
-        odd = 0
-        for v in order[1:]:
-            if not odd >> parent[v] & 1:
-                odd |= 1 << v
-        for v in order:
-            left ^= 1 << v
-            if g.adj[v] & (odd if odd >> v & 1 else ~odd):
-                bipartite = False
-        sizes.append(len(order))
-    return tuple(sorted(sizes)), bipartite
+        reached = level = left & -left
+        while level:
+            nxt, rest = 0, level
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                nxt |= row
+                odd |= row & level
+                rest ^= low
+            level = nxt & ~reached
+            reached |= level
+        left ^= reached
+        sizes.append(reached.bit_count())
+    sizes.sort()
+    return tuple(sizes), not odd
 
 
 def _local_vertex_connectivity(net: list[int], s: int, t: int, cutoff: int) -> int:

@@ -298,30 +298,36 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     labelled graph is canonicalised at most once: a repeat (pivoting an
     edge back gives the parent) was matched or seen already.
 
-    A deletion successor with as many vertices as h whose shape
-    (graph.shape: its sorted component sizes and whether it is bipartite)
-    is not h's is dropped: it stays met, but gets no form and is not
-    queued.  Both parts of the shape are invariant under isomorphism and
-    under pivots, so a pivot successor of a queued state with as many
-    vertices as h passes as its parent did, and is not tested; when g
-    has as many vertices as h but another shape, the search answers
-    False after g's form.
+    A state can still reach h only when its shape (graph.shape: its
+    sorted component sizes and whether it is bipartite) allows it.  With
+    as many vertices as h, its shape must be h's.  With more, it must not
+    be bipartite when h is not, and its largest component must have at
+    least as many vertices as h's largest, 0 for a graph with no vertex.
     A pivot keeps the cut-rank function (Oum, "Rank-width and
     vertex-minors", JCTB 95, 2005), so it keeps the vertex set of every
     component; it is an involution that maps bipartite graphs to
-    bipartite graphs.  A state with as many vertices as h is expanded
-    only by pivots, so its whole subtree stays in its pivot class; when
-    its shape is not h's, that class holds no copy of h.  A state that
-    reaches h is generated only from one that also reaches h, so among
-    those states the FIFO order and which are met and seen are
-    unchanged: the answer and the witness are those of the search that
-    expands every successor, from at most its expansions.
+    bipartite graphs.  A deletion keeps a graph bipartite and only
+    shrinks components, and a state with as many vertices as h is
+    expanded only by pivots, so no state reachable from one that fails
+    the rule is a copy of h.  The rule is tested on g once, before any
+    form: a host that fails it answers False at once.  A deletion
+    successor with as many vertices as h is tested when it is met; one
+    that fails stays met, but gets no form and is not queued.  A larger
+    deletion successor is tested when it is dequeued and its class is not
+    seen; one that fails is dropped before its class is added, so seen
+    still counts expansions.  A pivot successor has its parent's shape
+    and is not tested.  A state that reaches h is generated only from
+    one that also reaches h, so among those states the FIFO order and
+    which are met and seen are unchanged: the answer and the witness are
+    those of the search that expands every successor, from at most its
+    expansions.
 
     A successor is built as adjacency rows and looked up among the met
     labelled graphs as a tuple of them; only one not met becomes a Graph.
     Successors wait in one FIFO queue with their graph, their parent's
-    path, their step, their maps and their form once known.  One with as
-    many vertices as h is canonicalised when it is met, and the search
+    path, their step, and their form and maps once known: a maps list is
+    made only when its state is canonicalised.  One with as many
+    vertices as h is canonicalised when it is met, and the search
     returns at the first whose form is h's; any other is canonicalised
     when it is dequeued.  A dequeued state whose class is seen is
     dropped; otherwise its class is added and it is expanded, so seen
@@ -336,21 +342,34 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     _check_host(g)
     if h.n > g.n:
         return False, None
-    target, h_shape = canonical_form(h), shape(h)
+    h_shape = shape(h)
+    h_bipartite, h_largest = h_shape[1], max(h_shape[0], default=0)
+
+    def can_host(s: Graph) -> bool:
+        """Whether the state s passes the shape rule for h."""
+        sizes, bipartite = s_shape = shape(s)
+        if s.n == h.n:
+            return s_shape == h_shape
+        return (h_bipartite or not bipartite) and sizes[-1] >= h_largest
+
+    if not can_host(g):
+        return False, None
+    target = canonical_form(h)
     autos: list[list[int]] = []
     start_key = canonical_form(g, autos)
     if g.n == h.n and start_key == target:
         return True, []
-    if g.n == h.n and shape(g) != h_shape:
-        return False, None
     seen: set = set()
     met = {tuple(g.adj)}  # labelled graphs; the tuple's length is the vertex count
     queue = deque([(g, [], None, start_key, autos)])
     while queue:
         cur, path, step, k, autos = queue.popleft()
         if k is None:
+            autos = []
             k = canonical_form(cur, autos)
         if k in seen:
+            continue
+        if cur.n > h.n and step and step[0] == "delete" and not can_host(cur):
             continue
         seen.add(k)
         path = path + [step] if step else path
@@ -363,10 +382,11 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
             met.add(labelled)
             nxt = _graph(rows)
             step = ("pivot", u, v) if u != v else ("delete", v)
-            nxt_k, nxt_autos = None, []
+            nxt_k = nxt_autos = None
             if nxt.n == h.n:
-                if u == v and shape(nxt) != h_shape:
+                if u == v and not can_host(nxt):
                     continue
+                nxt_autos = []
                 nxt_k = canonical_form(nxt, nxt_autos)
                 if nxt_k == target:
                     return True, path + [step]

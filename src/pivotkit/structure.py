@@ -287,7 +287,10 @@ def constant_block_partition(c: BitMatrix) -> BlockPartition:
     rows (columns) lie in the row (column) space.
     """
     rows, cols = _group_indices(c.rows), _group_indices(c.transpose().rows)
-    blocks = [sum((c.rows[rc[0]] >> cc[0] & 1) << j for j, cc in enumerate(cols)) for rc in rows]
+    # A block's value is its first row's bit in its first column.
+    bit = {cc[0]: 1 << j for j, cc in enumerate(cols)}  # a class's first column -> its block bit
+    firsts = sum(1 << col for col in bit)
+    blocks = [sum(bit[col] for col in _bits(c.rows[rc[0]] & firsts)) for rc in rows]
     return BlockPartition("matrix", rows, cols, BitMatrix(len(rows), len(cols), blocks))
 
 

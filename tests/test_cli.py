@@ -230,8 +230,9 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_budget_exit(self):
-        h = format_graph(Graph.cycle(3))
-        g = format_graph(Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)]))
+        # C5 is connected and not bipartite, so K4 in it is searched.
+        h = format_graph(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+        g = format_graph(Graph.cycle(5))
         import tempfile, os
         with tempfile.TemporaryDirectory() as d:
             hp, gp = os.path.join(d, "h"), os.path.join(d, "g")
@@ -255,26 +256,46 @@ class TestExitCodes:
 
     def test_budget_exit_reports_progress_on_stderr(self, tmp_path, capsys):
         hp, gp = tmp_path / "h", tmp_path / "g"
-        hp.write_text(format_graph(Graph.cycle(3)))
-        gp.write_text(format_graph(Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5),
-                                             (2, 5), (2, 3)])))
+        hp.write_text(format_graph(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
+        gp.write_text(format_graph(Graph.cycle(5)))
         code, out = run(["pivotminor", str(hp), str(gp), "--budget", "2"])
         assert code == EXIT_BUDGET and out == ""
         err = capsys.readouterr().err
-        assert "expanded=2 stored=7 depth=1" in err
+        assert "expanded=2 stored=9 depth=2" in err
 
     @pytest.mark.parametrize("budget, code, out, err", [
-        ("3", EXIT_BUDGET, "",
-         "budget exceeded: budget 3 exhausted: expanded=3 stored=19 depth=2\n"),
+        ("1", EXIT_OK, "no\n", ""),
         ("40", EXIT_OK, "no\n", "")])
     def test_c5_in_c8_answers_within_40_expansions(self, tmp_path, capsys,
                                                     budget, code, out, err):
-        """The 5-vertex states whose shape is not C5's are dropped, so the
-        "no" takes 35 expansions where expanding them takes 46; the stop
-        at 3 lies above that level and keeps its figures."""
+        """Pivots and deletions keep C8 bipartite, so C5 in C8 is "no"
+        before any expansion, within any budget."""
         hp, gp = tmp_path / "h", tmp_path / "g"
         hp.write_text(format_graph(Graph.cycle(5)))
         gp.write_text(format_graph(Graph.cycle(8)))
+        assert run(["pivotminor", str(hp), str(gp), "--budget", budget]) == (code, out)
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("host, budget, code, out, err", [
+        ("K44", "1", EXIT_OK, "no\n", ""),
+        ("gnp10", "3", EXIT_BUDGET, "",
+         "budget exceeded: budget 3 exhausted: expanded=3 stored=42 depth=1\n"),
+        ("gnp10", "40", EXIT_BUDGET, "",
+         "budget exceeded: budget 40 exhausted: expanded=40 stored=244 depth=2\n"),
+        ("gnp10", "20000", EXIT_OK, "no\n", "")],
+        ids=["K44-1", "gnp10-3", "gnp10-40", "gnp10-20000"])
+    def test_c5_is_searched_only_in_a_host_that_can_hold_it(self, tmp_path, capsys,
+                                                             host, budget, code, out, err):
+        """K_{4,4} is bipartite, so C5 in it is "no" within a budget of 1.
+        The benchmark's host gnp10, a seeded G(8, .5), is connected and
+        not bipartite, so C5 in it is searched: budgets of 3 and 40 leave
+        it unknown, and the default budget answers."""
+        graphs = {"K44": Graph(8, [(i, 4 + j) for i in range(4) for j in range(4)]),
+                  "gnp10": Graph(8, [(0, 2), (0, 5), (0, 6), (1, 4), (2, 3), (2, 4), (2, 5),
+                                     (2, 6), (2, 7), (3, 6), (4, 5), (4, 6), (5, 6)])}
+        hp, gp = tmp_path / "h", tmp_path / "g"
+        hp.write_text(format_graph(Graph.cycle(5)))
+        gp.write_text(format_graph(graphs[host]))
         assert run(["pivotminor", str(hp), str(gp), "--budget", budget]) == (code, out)
         assert capsys.readouterr().err == err
 
@@ -484,9 +505,9 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise error("internal")
 
-        c5, c8, p5 = tmp_path / "c5.txt", tmp_path / "c8.txt", tmp_path / "p5.txt"
+        c5, c7, p5 = tmp_path / "c5.txt", tmp_path / "c7.txt", tmp_path / "p5.txt"
         c5.write_text(format_graph(Graph.cycle(5)))
-        c8.write_text(format_graph(Graph.cycle(8)))
+        c7.write_text(format_graph(Graph.cycle(7)))
         p5.write_text(format_graph(Graph.path(5)))
         report = tmp_path / "report.txt"
         report.write_text(format_report(run_campaign("fun-lemma", {"trials": 30,
@@ -494,7 +515,8 @@ class TestExitCodes:
         module, name, argv = {
             "check": ("verify", "degree_stats", ["check", "fun-lemma"]),
             "replay": ("verify", "degree_stats", ["replay", str(report)]),
-            "pivotminor": ("pivot", "canonical_form", ["pivotminor", str(c5), str(c8)]),
+            # Not C8: C5 in a bipartite host is refused before any form.
+            "pivotminor": ("pivot", "canonical_form", ["pivotminor", str(c5), str(c7)]),
             "rankconn": ("cutrank", "Separation", ["rankconn", str(p5), "3"]),  # has a witness
         }[command]
         # By sys.modules: the package exports a function named pivot.

@@ -47,6 +47,13 @@ def k_nn(n):
     return Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
 
 
+def gnp10():
+    """The benchmark's pooled host gnp10, a seeded G(8, .5) that is
+    connected and not bipartite, so no state of C5 in it is dropped
+    for its shape before the search starts."""
+    return gnp(random.Random("pivot-search/gnp10"), 8, 0.5)
+
+
 def multipartite(sizes):
     part = [i for i, size in enumerate(sizes) for _ in range(size)]
     return Graph(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
@@ -518,21 +525,21 @@ class TestIsPivotMinor:
         assert not found
 
     def test_budget_exceeded_is_distinct(self):
-        h = complete(3)
-        g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
+        """K4 is not a pivot-minor of C5, which is connected and not
+        bipartite, so the search runs; a budget of 2 leaves it unknown."""
+        h, g = complete(4), Graph.cycle(5)
+        assert is_pivot_minor(h, g, 20000) == (False, None)
         with pytest.raises(SearchBudgetExceeded):
             is_pivot_minor(h, g, 2)
 
     def test_budget_exceeded_reports_progress(self):
-        h = complete(3)
-        g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
         with pytest.raises(SearchBudgetExceeded) as info:
-            is_pivot_minor(h, g, 2)
+            is_pivot_minor(complete(4), Graph.cycle(5), 2)
         exc = info.value
-        assert (exc.expanded, exc.stored, exc.depth) == (2, 7, 1)
-        assert str(exc) == "budget 2 exhausted: expanded=2 stored=7 depth=1"
+        assert (exc.expanded, exc.stored, exc.depth) == (2, 9, 2)
+        assert str(exc) == "budget 2 exhausted: expanded=2 stored=9 depth=2"
 
-    @pytest.mark.parametrize("budget, stored, depth", [(1, 3, 1), (5, 37, 2), (30, 179, 4)])
+    @pytest.mark.parametrize("budget, stored, depth", [(1, 22, 1), (5, 60, 1), (30, 197, 2)])
     def test_budget_stop_computes_no_form(self, monkeypatch, budget, stored, depth):
         """A stop reports the labelled graphs the search stored, so the only
         form computed without a maps list is H's: the queued states are not
@@ -547,7 +554,7 @@ class TestIsPivotMinor:
 
         monkeypatch.setattr(module, "canonical_form", recording)
         with pytest.raises(SearchBudgetExceeded) as info:
-            is_pivot_minor(Graph.cycle(5), Graph.cycle(8), budget)
+            is_pivot_minor(Graph.cycle(5), gnp10(), budget)
         exc = info.value
         assert bare == [Graph.cycle(5).key()]
         assert (exc.expanded, exc.stored, exc.depth) == (budget, stored, depth)
@@ -555,7 +562,7 @@ class TestIsPivotMinor:
     @pytest.mark.parametrize("budget", [1, 20000])
     def test_host_of_h_size_and_another_shape_answers_at_once(self, monkeypatch, budget):
         """Pivots keep the shape, so when G has as many vertices as H but
-        another shape, the search answers False after H's form and G's,
+        another shape, the search answers False before any form and
         without a pivot, at any budget: C5 in P5, which is bipartite, and
         in a triangle beside an edge, which is not connected."""
         module = sys.modules["pivotkit.pivot"]
@@ -575,7 +582,7 @@ class TestIsPivotMinor:
         for g in (Graph.path(5), Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])):
             forms.clear()
             assert is_pivot_minor(h, g, budget) == (False, None)
-            assert forms == [h.key(), g.key()] and pivots == []
+            assert forms == [] and pivots == []
 
     @pytest.mark.parametrize("budget", [0, -1, -5])
     def test_budget_below_one_rejected(self, budget):
@@ -601,7 +608,7 @@ class TestIsPivotMinor:
         for budget in (1, 5, 30):
             expansions.clear()
             with pytest.raises(SearchBudgetExceeded) as info:
-                is_pivot_minor(Graph.cycle(5), Graph.cycle(8), budget)
+                is_pivot_minor(Graph.cycle(5), gnp10(), budget)
             assert len(expansions) == info.value.expanded == budget
 
     def test_same_answers_as_the_ordering_search(self, monkeypatch):
@@ -622,7 +629,7 @@ class TestIsPivotMinor:
         assert any(found for found, _ in new) and not all(found for found, _ in new)
 
     def test_same_outcomes_as_the_oracle_bfs(self, expansions):
-        """The labelled-repeat skip and the shape drop remove only states
+        """The labelled-repeat skip and the shape rule remove only states
         that cannot reach H, so the search gives the answer and witness of
         the BFS that canonicalises every successor, from no more
         expansions."""
@@ -635,6 +642,98 @@ class TestIsPivotMinor:
             budget = rng.choice((1, 3, 10, 100, 20000))
             kinds.add(_against_the_oracle(h, g, budget, expansions)[0])
         assert kinds == {True, False, "budget"}
+
+    @pytest.mark.parametrize("budget", [1, 20000])
+    def test_bipartite_hosts_refuse_a_non_bipartite_h_at_once(self, monkeypatch,
+                                                               expansions, budget):
+        """Pivots and deletions keep a bipartite graph bipartite, so C5 in
+        C8 and in K_{4,4} is "no" at any budget, with no expansion and no
+        canonical form, of G or of H."""
+        module = sys.modules["pivotkit.pivot"]
+        monkeypatch.setattr(module, "canonical_form", None)
+        for g in (Graph.cycle(8), k_nn(4)):
+            assert is_pivot_minor(Graph.cycle(5), g, budget) == (False, None)
+        assert expansions == []
+
+    def test_shape_rule_against_the_oracle_bfs(self, monkeypatch, expansions):
+        """Where the shape rule drops states, the search still gives the
+        answer and witness of the BFS that expands every successor: on
+        bipartite hosts (C8, K_{4,4}, blow-ups, seeded bipartite graphs)
+        with non-bipartite H, and on hosts that fall apart under
+        deletions (trees, sparse G(n, p), disjoint unions) with connected
+        and disconnected H.  networkx confirms that the states the rule
+        tests include ones that are bipartite against a non-bipartite H,
+        and ones whose largest component is smaller than H's."""
+        monkeypatch.setattr(oracles, "canonical_form", canonical_form)
+        module = sys.modules["pivotkit.pivot"]
+        tested, walk = [], module.shape
+
+        def recording(s):
+            tested.append(s)
+            return walk(s)
+
+        monkeypatch.setattr(module, "shape", recording)
+        rng = random.Random(61)
+
+        def non_bipartite(n):
+            while nx.is_bipartite(to_nx(g := gnp(rng, n, 0.6))):
+                pass
+            return g
+
+        def bipartite(n):
+            a = rng.randint(1, n - 1)
+            return Graph(n, [(u, v) for u in range(a) for v in range(a, n) if rng.random() < 0.5])
+
+        def tree(n):
+            return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+        two_k2, p3_k1 = Graph(4, [(0, 1), (2, 3)]), Graph(4, [(0, 1), (1, 2)])
+        hosts = [Graph.cycle(8), k_nn(4), blow_up(Graph.path(3), 2), blow_up(Graph.path(4), 2)]
+        hosts += [bipartite(rng.randint(5, 8)) for _ in range(6)]
+        odd = [complete(3), Graph.cycle(5), complete(4)] + [non_bipartite(rng.randint(3, 5))
+                                                          for _ in range(3)]
+        queries = [(h, g) for g in hosts for h in odd if h.n <= g.n]
+        apart = [tree(rng.randint(5, 8)) for _ in range(6)]
+        apart += [gnp(rng, rng.randint(6, 8), 0.3) for _ in range(6)]
+        apart += [disjoint_union(Graph.cycle(5), Graph.path(3)),
+                  disjoint_union(complete(4), Graph.path(3)), disjoint_union(k_nn(2), k_nn(2))]
+        targets = [Graph.path(4), Graph.cycle(4), k_nn(1), Graph.cycle(5), complete(4),
+                   two_k2, p3_k1]
+        queries += [(h, g) for g in apart for h in targets]
+        kinds, reasons = set(), set()
+        for h, g in queries:
+            tested.clear()
+            budget = rng.choice((1, 3, 10, 20000, 20000))
+            got = _against_the_oracle(h, g, budget, expansions)
+            kinds.add(got[0])
+            if nx.is_bipartite(to_nx(g)) and not nx.is_bipartite(to_nx(h)):
+                assert got == (False, None) and expansions == [], (h.edge_list(), g.edge_list())
+                reasons.add("bipartite host")
+            largest = max(len(c) for c in nx.connected_components(to_nx(h)))
+            for s in tested:
+                x = to_nx(s)
+                if nx.is_bipartite(x) and not nx.is_bipartite(to_nx(h)):
+                    reasons.add("bipartite state")
+                if max(len(c) for c in nx.connected_components(x)) < largest:
+                    reasons.add("small components")
+        assert kinds == {True, False, "budget"}
+        assert reasons == {"bipartite host", "bipartite state", "small components"}
+
+    def test_empty_and_one_vertex_h(self):
+        """H with no vertex, or one, is reached by deleting every vertex, or
+        all but one: the answers and witnesses are the oracle BFS's, and
+        the empty state, whose shape has no component, is compared without
+        an error."""
+        hosts = [Graph(0), Graph(1), Graph(3), Graph.path(3), complete(3), Graph.cycle(4),
+                 Graph(5, [(0, 1), (2, 3)])]
+        for h in (Graph(0), Graph(1)):
+            for g in hosts:
+                for budget in (1, 2, 20000):
+                    _against_the_oracle(h, g, budget)
+        assert is_pivot_minor(Graph(0), Graph(0), 1) == (True, [])
+        assert is_pivot_minor(Graph(1), Graph(0), 1) == (False, None)
+        assert is_pivot_minor(Graph(0), Graph.path(3), 20000) == (True, [("delete", 0)] * 3)
+        assert is_pivot_minor(Graph(1), complete(3), 20000) == (True, [("delete", 0)] * 2)
 
     def test_small_graphs_against_the_oracle_bfs(self, monkeypatch):
         """Every pair of graphs from the atlas with |H| <= |G| <= 5, and every
@@ -653,12 +752,14 @@ class TestIsPivotMinor:
         assert answers == {True, False}
 
     def test_each_labelled_graph_canonicalised_once(self, monkeypatch):
-        """Pivoting an edge back gives the parent; a BFS that
-        canonicalises every successor gives the same answer with 530
-        calls on 352 labelled graphs, and one that skips only labelled
-        repeats with those 352.  Expanding one successor per
-        automorphism orbit leaves 217, and dropping the 5-vertex states
-        whose shape is not C5's leaves 173."""
+        """Pivoting an edge back gives the parent; for K4 in C7 a BFS that
+        canonicalises every successor gives the same answer with 406
+        calls on 236 labelled graphs, and one that skips only labelled
+        repeats with those 236.  Expanding one successor per
+        automorphism orbit leaves 159, dropping the 4-vertex states whose
+        shape is not K4's leaves 139, and dropping the larger deletion
+        states that are bipartite or whose components all have fewer than
+        4 vertices leaves 110."""
         module = sys.modules["pivotkit.pivot"]
         form, keys = module.canonical_form, []
 
@@ -667,20 +768,21 @@ class TestIsPivotMinor:
             return form(g, automorphisms)
 
         monkeypatch.setattr(module, "canonical_form", recording)
-        assert is_pivot_minor(Graph.cycle(5), Graph.cycle(8), 20000) == (False, None)
-        assert len(keys) == len(set(keys)) == 173
+        assert is_pivot_minor(complete(4), Graph.cycle(7), 20000) == (False, None)
+        assert len(keys) == len(set(keys)) == 110
 
-    @pytest.mark.parametrize("h, found, calls", [
-        (Graph.path(5), True, 18), (Graph.cycle(6), True, 12),
-        (Graph.path(4), True, 75), (Graph.cycle(5), False, 173)], ids=["P5", "C6", "P4", "C5"])
+    @pytest.mark.parametrize("h, g, found, calls", [
+        (Graph.path(5), Graph.cycle(8), True, 18), (Graph.cycle(6), Graph.cycle(8), True, 12),
+        (Graph.path(4), Graph.cycle(8), True, 75), (Graph.cycle(5), gnp10(), False, 481)],
+        ids=["P5", "C6", "P4", "C5"])
     def test_successors_are_canonicalised_as_they_leave_the_queue(self, monkeypatch,
-                                                                  h, found, calls):
+                                                                  h, g, found, calls):
         """A successor with as many vertices as H is canonicalised when it
         is met, unless its shape is not H's, any other only when it leaves
         the queue.  In C8, P5, C6 and P4 are found with 18, 12 and 75
         calls, where canonicalising each successor as it is met takes 74,
-        46 and 169; the "no" query C5 takes 173.  After H's own form, each
-        labelled graph is counted once."""
+        46 and 169; the "no" query C5 in gnp10 takes 481.  After H's own
+        form, each labelled graph is counted once."""
         module = sys.modules["pivotkit.pivot"]
         form, keys = module.canonical_form, []
 
@@ -689,7 +791,7 @@ class TestIsPivotMinor:
             return form(g, automorphisms)
 
         monkeypatch.setattr(module, "canonical_form", recording)
-        assert is_pivot_minor(h, Graph.cycle(8), 20000)[0] == found
+        assert is_pivot_minor(h, g, 20000)[0] == found
         assert len(keys) == calls and len(set(keys[1:])) == calls - 1
 
     def test_budget_stops_mid_level_as_the_oracle(self, monkeypatch):
@@ -697,10 +799,10 @@ class TestIsPivotMinor:
         canonicalises each successor as it meets it answers, a budget that
         runs out partway through a level either stops the search or lets it
         give that BFS's answer and witness, and at that last budget the
-        search has answered.  C5 in C8 answers with 35 expansions where
-        that BFS takes 46."""
+        search has answered.  K4 in C7 answers with 22 expansions where
+        that BFS takes 39."""
         monkeypatch.setattr(oracles, "canonical_form", canonical_form)
-        queries = [(Graph.cycle(5), Graph.cycle(8)), (Graph.path(5), k_nn(4)),
+        queries = [(complete(4), Graph.cycle(7)), (Graph.path(5), k_nn(4)),
                    (Graph.path(5), gnp(random.Random(59), 8, 0.5))]
         answers = []
         for h, g in queries:
@@ -714,7 +816,7 @@ class TestIsPivotMinor:
                     break
             assert early[-1] is got and all(e == want for e in early)
             answers.append((want[0], budget - len(early) + 1, budget))
-        assert answers[0] == (False, 35, 46)
+        assert answers[0] == (False, 22, 39)
         assert [a[0] for a in answers] == [False, False, True]
 
     def test_orbit_rule_keeps_the_oracle_outcomes(self, monkeypatch):
@@ -733,8 +835,9 @@ class TestIsPivotMinor:
         hosts += twin_heavy(rng)[-4:]
         queries = [(h, g, 20000) for g in hosts
                    for h in (Graph.cycle(5), Graph.path(5), Graph.cycle(6), Graph.path(4))]
-        # Beyond 30 states the 24-vertex blow-up takes about 20 s.
-        queries.append((Graph.cycle(5), blow_up(Graph.cycle(6), 4), 30))
+        # Beyond 30 states the 24-vertex blow-up takes about 20 s.  It is
+        # bipartite, so C5 would be refused before the search.
+        queries.append((Graph.path(5), blow_up(Graph.cycle(6), 4), 30))
         kinds = set()
         for h, g, budget in queries:
             kinds.add(_against_the_oracle(h, g, budget)[0])
@@ -743,7 +846,7 @@ class TestIsPivotMinor:
     def test_pinned_bench_queries(self, monkeypatch):
         """Every pooled pivot-search unit of the benchmark keeps its
         pinned answer and witness, and each witness replays to a copy of
-        H.  The pool takes 18,420 canonical forms, 7,717 of them on the
+        H.  The pool takes 18,174 canonical forms, 7,495 of them on the
         "no" queries."""
         module = sys.modules["pivotkit.pivot"]
         form, calls = module.canonical_form, [0]
@@ -774,7 +877,7 @@ class TestIsPivotMinor:
                     g = oracles.pivot(g, *step[1:]) if step[0] == "pivot" \
                         else g.delete_vertex(step[1])
                 assert nx.is_isomorphic(to_nx(g), to_nx(h)), unit
-        assert (calls[0], no_calls) == (18420, 7717)
+        assert (calls[0], no_calls) == (18174, 7495)
 
     def test_witness_replays(self):
         h = Graph(3, [(0, 1), (0, 2)])
