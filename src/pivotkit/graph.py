@@ -231,6 +231,37 @@ def shape(g: Graph) -> tuple[tuple[int, ...], bool]:
     return tuple(sizes), not odd
 
 
+def distance_hereditary(g: Graph) -> bool:
+    """Whether g is distance-hereditary: every connected induced
+    subgraph keeps g's distances.
+
+    Bandelt and Mulder (JCTB 41, 1986): g is distance-hereditary exactly
+    when deleting isolated vertices, pendant vertices and one of each
+    pair of twins (equal open or equal closed neighbourhoods) leaves at
+    most one vertex, and any such deletion keeps the answer.  Each pass
+    deletes every vertex of degree at most 1 and every vertex whose
+    neighbourhood, open or closed, equals one a kept vertex had earlier
+    in the pass.  An open neighbourhood never equals a closed one, and
+    one recorded before a deletion matches only when the deleted vertex
+    was not in it, so each match is a pair of twins; a pass that deletes
+    nothing has checked every pair.
+    """
+    adj, left = g.adj, (1 << g.n) - 1
+    pruned = True
+    while pruned and left & (left - 1):
+        pruned, kept = False, set()  # the neighbourhoods of kept vertices
+        for v in _bits(left):
+            row = adj[v] & left
+            closed = row | 1 << v
+            if row & (row - 1) == 0 or row in kept or closed in kept:
+                left ^= 1 << v
+                pruned = True
+            else:
+                kept.add(row)
+                kept.add(closed)
+    return left & (left - 1) == 0
+
+
 def _local_vertex_connectivity(net: list[int], s: int, t: int, cutoff: int) -> int:
     """Max internally vertex-disjoint s-t paths in net, stopping at cutoff."""
     res = list(net)

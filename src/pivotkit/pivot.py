@@ -14,7 +14,7 @@ from typing import Optional
 
 from .cutrank import SUBSET_CAP
 from .errors import CapExceeded, NotAnEdge, OrbitBudgetExceeded, SearchBudgetExceeded
-from .graph import Graph, _deleted, shape
+from .graph import Graph, _deleted, distance_hereditary, shape
 
 
 def _pivoted(adj: list[int], x: int, y: int) -> list[int]:
@@ -298,44 +298,50 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     labelled graph is canonicalised at most once: a repeat (pivoting an
     edge back gives the parent) was matched or seen already.
 
-    A state can still reach h only when its shape (graph.shape: its
-    sorted component sizes and whether it is bipartite) allows it.  With
-    as many vertices as h, its shape must be h's.  With more, it must not
-    be bipartite when h is not, and its largest component must have at
-    least as many vertices as h's largest, 0 for a graph with no vertex.
-    A pivot keeps the cut-rank function (Oum, "Rank-width and
+    A state can still reach h only when it passes two host rules.  By
+    the shape rule, its shape (graph.shape: its sorted component sizes
+    and whether it is bipartite) is h's when it has as many vertices as
+    h; with more, it is not bipartite when h is not, and its largest
+    component has at least as many vertices as h's largest, 0 for a
+    graph with no vertex.  By the distance-hereditary rule, it is not
+    distance-hereditary (graph.distance_hereditary) when h is not.  A
+    pivot keeps the cut-rank function (Oum, "Rank-width and
     vertex-minors", JCTB 95, 2005), so it keeps the vertex set of every
     component; it is an involution that maps bipartite graphs to
     bipartite graphs.  A deletion keeps a graph bipartite and only
-    shrinks components, and a state with as many vertices as h is
-    expanded only by pivots, so no state reachable from one that fails
-    the rule is a copy of h.  The rule is tested on g once, before any
-    form: a host that fails it answers False at once.  A deletion
-    successor with as many vertices as h is tested when it is met; one
-    that fails stays met, but gets no form and is not queued.  A larger
-    deletion successor is tested when it is dequeued and its class is not
-    seen; one that fails is dropped before its class is added, so seen
-    still counts expansions.  A pivot successor has its parent's shape
-    and is not tested.  A state that reaches h is generated only from
-    one that also reaches h, so among those states the FIFO order and
-    which are met and seen are unchanged: the answer and the witness are
-    those of the search that expands every successor, from at most its
+    shrinks components.  The distance-hereditary graphs are the graphs
+    of rank-width at most 1, and rank-width does not rise under pivots
+    or deletions (Oum 2005), so both keep a graph distance-hereditary.
+    A state with as many vertices as h is expanded only by pivots, so no
+    state reachable from one that fails a rule is a copy of h.  The rules
+    are tested on g once, before any form: a host that fails them answers
+    False at once.  A deletion successor is tested before its form: one
+    with as many vertices as h when it is met, a larger one when it is
+    dequeued.  One that fails stays met, but gets no form and is neither
+    queued nor expanded.  A pivot successor passes when its parent does
+    and is not tested.  A state that reaches h is generated only from one
+    that also reaches h, so among those states the FIFO order and which
+    are met and seen are unchanged: the answer and the witness are those
+    of the search that expands every successor, from at most its
     expansions.
 
-    A successor is built as adjacency rows and looked up among the met
-    labelled graphs as a tuple of them; only one not met becomes a Graph.
-    Successors wait in one FIFO queue with their graph, their parent's
-    path, their step, and their form and maps once known: a maps list is
-    made only when its state is canonicalised.  One with as many
-    vertices as h is canonicalised when it is met, and the search
-    returns at the first whose form is h's; any other is canonicalised
-    when it is dequeued.  A dequeued state whose class is seen is
-    dropped; otherwise its class is added and it is expanded, so seen
-    counts the expansions.  When they pass the budget the search stops at
-    once, reporting the labelled graphs it has stored.  Every queued
-    state comes from one of at most budget expansions, so at most
-    1 + budget * (n + n(n-1)/2) labelled keys and queued graphs are held
-    for an n-vertex g, and the budget caps memory as well as time.
+    Successors wait in one FIFO queue with their parent's path and their
+    step.  A successor is built as adjacency rows and looked up among the
+    met labelled graphs as a tuple of them; only one not met becomes a
+    Graph.  One with as many vertices as h is built when it is met, and
+    then canonicalised with a maps list: the search returns at the first
+    whose form is h's, and queues any other with its graph, form and
+    maps.  A larger one is queued with its parent's graph, and is built,
+    looked up and canonicalised only when it is dequeued.  Entries leave
+    the queue in the order they were made, so skipping a labelled repeat
+    there keeps the first of each labelled graph, as skipping it when met
+    would.  A dequeued state whose class is seen is dropped; otherwise its
+    class is added and it is expanded, so seen counts the expansions.
+    When they pass the budget the search stops at once, reporting the
+    labelled graphs it has built.  Every queue entry comes from one of at
+    most budget expansions, so at most 1 + budget * (n + n(n-1)/2)
+    entries, labelled keys and built graphs are held for an n-vertex g,
+    and the budget caps memory as well as time.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -344,13 +350,17 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         return False, None
     h_shape = shape(h)
     h_bipartite, h_largest = h_shape[1], max(h_shape[0], default=0)
+    h_dh = distance_hereditary(h)
 
     def can_host(s: Graph) -> bool:
-        """Whether the state s passes the shape rule for h."""
+        """Whether the state s passes the shape rule and the
+        distance-hereditary rule for h."""
         sizes, bipartite = s_shape = shape(s)
         if s.n == h.n:
-            return s_shape == h_shape
-        return (h_bipartite or not bipartite) and sizes[-1] >= h_largest
+            fits = s_shape == h_shape
+        else:
+            fits = (h_bipartite or not bipartite) and sizes[-1] >= h_largest
+        return fits and (h_dh or not distance_hereditary(s))
 
     if not can_host(g):
         return False, None
@@ -364,31 +374,38 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     queue = deque([(g, [], None, start_key, autos)])
     while queue:
         cur, path, step, k, autos = queue.popleft()
-        if k is None:
+        if k is None:  # a successor of cur larger than h, built now
+            deletion = step[0] == "delete"
+            rows = _deleted(cur.adj, step[1]) if deletion else _pivoted(cur.adj, step[1], step[2])
+            if (labelled := tuple(rows)) in met:
+                continue
+            met.add(labelled)
+            cur = _graph(rows)
+            if deletion and not can_host(cur):
+                continue
             autos = []
             k = canonical_form(cur, autos)
         if k in seen:
-            continue
-        if cur.n > h.n and step and step[0] == "delete" and not can_host(cur):
             continue
         seen.add(k)
         path = path + [step] if step else path
         if len(seen) > budget:
             raise SearchBudgetExceeded(budget, budget, len(met), len(path))
         for u, v in _orbit_firsts(cur, autos, cur.n > h.n):
+            step = ("pivot", u, v) if u != v else ("delete", v)
+            if cur.n - (u == v) > h.n:  # larger than h: built when dequeued
+                queue.append((cur, path, step, None, None))
+                continue
             rows = _pivoted(cur.adj, u, v) if u != v else _deleted(cur.adj, v)
             if (labelled := tuple(rows)) in met:
                 continue
             met.add(labelled)
             nxt = _graph(rows)
-            step = ("pivot", u, v) if u != v else ("delete", v)
-            nxt_k = nxt_autos = None
-            if nxt.n == h.n:
-                if u == v and not can_host(nxt):
-                    continue
-                nxt_autos = []
-                nxt_k = canonical_form(nxt, nxt_autos)
-                if nxt_k == target:
-                    return True, path + [step]
+            if u == v and not can_host(nxt):
+                continue
+            nxt_autos = []
+            nxt_k = canonical_form(nxt, nxt_autos)
+            if nxt_k == target:
+                return True, path + [step]
             queue.append((nxt, path, step, nxt_k, nxt_autos))
     return False, None

@@ -20,7 +20,9 @@ code over every ordering that lists the colour-refinement classes as
 blocks, tried by backtracking.  The pivot-minor search is the earlier BFS,
 which builds and canonicalises every successor (here with that
 canonical form and that pivot), and the pivot orbit is the earlier
-closure, which keeps one frontier list per level.
+closure, which keeps one frontier list per level.  Distance-hereditary
+graphs are tested by the definition, comparing the distances of every
+connected induced subgraph with the whole graph's.
 The tree split and its checker are the earlier set-based ones, which
 build a Graph per part and test it by BFS.  Vertex connectivity is the
 earlier all-pairs one, a max-flow on a freshly built network for every
@@ -522,6 +524,35 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         frontier = nxt
         depth += 1
     return False, None
+
+
+def _levels(adj: list[int], mask: int, v: int) -> list[int]:
+    """The distance levels from v, as vertex masks, in the subgraph
+    induced on mask."""
+    levels, reached, level = [], 1 << v, 1 << v
+    while level:
+        levels.append(level)
+        nxt = 0
+        for u in _bits(level):
+            nxt |= adj[u]
+        level = nxt & mask & ~reached
+        reached |= level
+    return levels
+
+
+def distance_hereditary(g: Graph) -> bool:
+    """Whether g is distance-hereditary, by the definition: in every
+    connected induced subgraph, each vertex's distance levels are g's
+    restricted to the subgraph."""
+    full = (1 << g.n) - 1
+    whole = [_levels(g.adj, full, v) for v in range(g.n)]
+    for s in range(1, full + 1):
+        if sum(_levels(g.adj, s, (s & -s).bit_length() - 1)) != s:
+            continue  # not connected
+        for v in _bits(s):
+            if any(level != w & s for level, w in zip(_levels(g.adj, s, v), whole[v])):
+                return False
+    return True
 
 
 def _norm_edge(u: int, v: int) -> Edge:

@@ -261,7 +261,7 @@ class TestExitCodes:
         code, out = run(["pivotminor", str(hp), str(gp), "--budget", "2"])
         assert code == EXIT_BUDGET and out == ""
         err = capsys.readouterr().err
-        assert "expanded=2 stored=9 depth=2" in err
+        assert "expanded=2 stored=8 depth=2" in err
 
     @pytest.mark.parametrize("budget, code, out, err", [
         ("1", EXIT_OK, "no\n", ""),
@@ -278,21 +278,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("host, budget, code, out, err", [
         ("K44", "1", EXIT_OK, "no\n", ""),
-        ("gnp10", "3", EXIT_BUDGET, "",
-         "budget exceeded: budget 3 exhausted: expanded=3 stored=42 depth=1\n"),
-        ("gnp10", "40", EXIT_BUDGET, "",
-         "budget exceeded: budget 40 exhausted: expanded=40 stored=244 depth=2\n"),
-        ("gnp10", "20000", EXIT_OK, "no\n", "")],
-        ids=["K44-1", "gnp10-3", "gnp10-40", "gnp10-20000"])
+        ("gnp10", "3", EXIT_OK, "no\n", ""),
+        ("gnp10", "40", EXIT_OK, "no\n", ""),
+        ("gnp10", "20000", EXIT_OK, "no\n", ""),
+        ("gnp0", "3", EXIT_BUDGET, "",
+         "budget exceeded: budget 3 exhausted: expanded=3 stored=5 depth=1\n"),
+        ("gnp0", "40", EXIT_BUDGET, "",
+         "budget exceeded: budget 40 exhausted: expanded=40 stored=51 depth=2\n"),
+        ("gnp0", "20000", EXIT_OK, "yes delete:0 delete:2 delete:5\n", "")],
+        ids=["K44-1", "gnp10-3", "gnp10-40", "gnp10-20000", "gnp0-3", "gnp0-40", "gnp0-20000"])
     def test_c5_is_searched_only_in_a_host_that_can_hold_it(self, tmp_path, capsys,
                                                              host, budget, code, out, err):
         """K_{4,4} is bipartite, so C5 in it is "no" within a budget of 1.
-        The benchmark's host gnp10, a seeded G(8, .5), is connected and
-        not bipartite, so C5 in it is searched: budgets of 3 and 40 leave
-        it unknown, and the default budget answers."""
+        The benchmark's hosts gnp10 and gnp0, seeded G(8, .5), are
+        connected and not bipartite.  gnp10 is distance-hereditary and C5
+        is not, so C5 in it is "no" at any budget.  gnp0 is not, so C5 in
+        it is searched: budgets of 3 and 40 leave it unknown, and the
+        default budget answers."""
         graphs = {"K44": Graph(8, [(i, 4 + j) for i in range(4) for j in range(4)]),
                   "gnp10": Graph(8, [(0, 2), (0, 5), (0, 6), (1, 4), (2, 3), (2, 4), (2, 5),
-                                     (2, 6), (2, 7), (3, 6), (4, 5), (4, 6), (5, 6)])}
+                                     (2, 6), (2, 7), (3, 6), (4, 5), (4, 6), (5, 6)]),
+                  "gnp0": Graph(8, [(0, 1), (1, 3), (1, 4), (1, 5), (1, 7), (2, 3), (2, 5),
+                                    (2, 6), (2, 7), (3, 4), (4, 6), (4, 7), (5, 7), (6, 7)])}
         hp, gp = tmp_path / "h", tmp_path / "g"
         hp.write_text(format_graph(Graph.cycle(5)))
         gp.write_text(format_graph(graphs[host]))

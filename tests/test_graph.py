@@ -7,9 +7,9 @@ import pytest
 
 from pivotkit.gf2 import BitMatrix
 from pivotkit.graph import (DegreeStats, Graph, bipartite_complement, degree_stats,
-                            find_complete_bipartite, format_bigraph, format_graph,
-                            is_c4_free, is_connected, parse_bigraph, parse_graph,
-                            vertex_connectivity)
+                            distance_hereditary, find_complete_bipartite, format_bigraph,
+                            format_graph, is_c4_free, is_connected, parse_bigraph,
+                            parse_graph, vertex_connectivity)
 
 import oracles
 from oracles import biclique_by_enumeration, blow_up
@@ -148,6 +148,62 @@ class TestRows:
                 want = [sum(1 << j for j, w in enumerate(keep) if g.has_edge(u, w)) for u in keep]
                 got = g.delete_vertex(v)
                 assert (got.n, got.adj) == (g.n - 1, want)
+
+
+def pruning_sequence(rng, n):
+    """A connected distance-hereditary graph on n vertices, grown from one
+    vertex by adding pendant vertices and false and true twins."""
+    adj = [0]
+    for w in range(1, n):
+        v = rng.randrange(w)
+        kind = rng.randrange(3)
+        row = 1 << v if kind == 0 else adj[v] | (1 << v if kind == 2 else 0)
+        for u in range(w):
+            if row >> u & 1:
+                adj[u] |= 1 << w
+        adj.append(row)
+    g = Graph(n)
+    g.adj = adj
+    return g
+
+
+class TestDistanceHereditary:
+    def test_matches_the_definition_on_the_atlas(self):
+        """Every graph up to 7 vertices: 1, 1, 2, 4, 11, 31, 114 and 454 of
+        them on 0 to 7 vertices are distance-hereditary."""
+        import networkx as nx
+        counts = [0] * 8
+        for x in nx.graph_atlas_g():
+            g = Graph(x.number_of_nodes(), x.edges())
+            assert distance_hereditary(g) == oracles.distance_hereditary(g), x.edges()
+            counts[g.n] += distance_hereditary(g)
+        assert counts == [1, 1, 2, 4, 11, 31, 114, 454]
+
+    def test_matches_the_definition_on_seeded_graphs(self):
+        """Pruning sequences on 8 to 11 vertices, which are
+        distance-hereditary; each relabelled with one pair flipped; each
+        beside a smaller one, which is distance-hereditary too; and seeded
+        G(n, p)."""
+        rng = random.Random(73)
+        answers = []
+        for _ in range(24):
+            n = rng.randint(8, 11)
+            g = pruning_sequence(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            flipped = Graph(n, [(perm[u], perm[v]) for u, v in g.edge_list()])
+            u, v = rng.sample(range(n), 2)
+            flipped.adj[u] ^= 1 << v
+            flipped.adj[v] ^= 1 << u
+            other = pruning_sequence(rng, rng.randint(1, 4))
+            union = Graph(n + other.n, g.edge_list()
+                          + [(u + n, v + n) for u, v in other.edge_list()])
+            p = rng.choice((0.2, 0.5, 0.8))
+            seeded = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            for x in (g, flipped, union, seeded):
+                answers.append(distance_hereditary(x))
+                assert answers[-1] == oracles.distance_hereditary(x), x.edge_list()
+        assert all(answers[::4]) and all(answers[2::4]) and not all(answers)
 
 
 class TestBlowUp:

@@ -47,11 +47,19 @@ def k_nn(n):
     return Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
 
 
-def gnp10():
-    """The benchmark's pooled host gnp10, a seeded G(8, .5) that is
-    connected and not bipartite, so no state of C5 in it is dropped
-    for its shape before the search starts."""
-    return gnp(random.Random("pivot-search/gnp10"), 8, 0.5)
+def pooled(s):
+    """The benchmark's pooled host gnp<s>, a seeded G(8, .5).  gnp0 and
+    gnp10 are connected and not bipartite; gnp0 is not
+    distance-hereditary, and gnp10 is."""
+    return gnp(random.Random(f"pivot-search/gnp{s}"), 8, 0.5)
+
+
+def house():
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)])
+
+
+def domino():
+    return Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
 
 
 def multipartite(sizes):
@@ -536,14 +544,15 @@ class TestIsPivotMinor:
         with pytest.raises(SearchBudgetExceeded) as info:
             is_pivot_minor(complete(4), Graph.cycle(5), 2)
         exc = info.value
-        assert (exc.expanded, exc.stored, exc.depth) == (2, 9, 2)
-        assert str(exc) == "budget 2 exhausted: expanded=2 stored=9 depth=2"
+        assert (exc.expanded, exc.stored, exc.depth) == (2, 8, 2)
+        assert str(exc) == "budget 2 exhausted: expanded=2 stored=8 depth=2"
 
-    @pytest.mark.parametrize("budget, stored, depth", [(1, 22, 1), (5, 60, 1), (30, 197, 2)])
+    @pytest.mark.parametrize("budget, stored, depth", [(1, 3, 1), (5, 7, 1), (30, 91, 2)])
     def test_budget_stop_computes_no_form(self, monkeypatch, budget, stored, depth):
-        """A stop reports the labelled graphs the search stored, so the only
+        """A stop reports the labelled graphs the search built, so the only
         form computed without a maps list is H's: the queued states are not
-        canonicalised for a figure."""
+        built or canonicalised for a figure.  C6 in the pooled host gnp0,
+        which is not distance-hereditary, is searched and answers "no"."""
         module = sys.modules["pivotkit.pivot"]
         form, bare = module.canonical_form, []
 
@@ -554,9 +563,9 @@ class TestIsPivotMinor:
 
         monkeypatch.setattr(module, "canonical_form", recording)
         with pytest.raises(SearchBudgetExceeded) as info:
-            is_pivot_minor(Graph.cycle(5), gnp10(), budget)
+            is_pivot_minor(Graph.cycle(6), pooled(0), budget)
         exc = info.value
-        assert bare == [Graph.cycle(5).key()]
+        assert bare == [Graph.cycle(6).key()]
         assert (exc.expanded, exc.stored, exc.depth) == (budget, stored, depth)
 
     @pytest.mark.parametrize("budget", [1, 20000])
@@ -608,7 +617,7 @@ class TestIsPivotMinor:
         for budget in (1, 5, 30):
             expansions.clear()
             with pytest.raises(SearchBudgetExceeded) as info:
-                is_pivot_minor(Graph.cycle(5), gnp10(), budget)
+                is_pivot_minor(Graph.cycle(6), pooled(0), budget)
             assert len(expansions) == info.value.expanded == budget
 
     def test_same_answers_as_the_ordering_search(self, monkeypatch):
@@ -719,6 +728,65 @@ class TestIsPivotMinor:
         assert kinds == {True, False, "budget"}
         assert reasons == {"bipartite host", "bipartite state", "small components"}
 
+    @pytest.mark.parametrize("budget", [1, 20000])
+    def test_distance_hereditary_hosts_refuse_a_non_dh_h_at_once(self, monkeypatch,
+                                                                  expansions, budget):
+        """Pivots and deletions keep a graph distance-hereditary, so a
+        distance-hereditary host answers "no" for a C5, C6, house or domino
+        at any budget, with no expansion and no canonical form: trees,
+        K_{3,3}, K_{4,4}, cographs and the pooled host gnp10, which is
+        neither bipartite nor disconnected."""
+        module = sys.modules["pivotkit.pivot"]
+        monkeypatch.setattr(module, "canonical_form", None)
+        rng = random.Random(67)
+        hosts = [Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]) for n in (6, 8, 10)]
+        hosts += [k_nn(3), k_nn(4), multipartite((2, 2, 2)), complement(disjoint_union(
+            Graph.path(3), complete(3))), pooled(10)]
+        for g in hosts:
+            assert oracles.distance_hereditary(g)
+            for h in (Graph.cycle(5), Graph.cycle(6), house(), domino()):
+                assert is_pivot_minor(h, g, budget) == (False, None)
+        assert expansions == []
+
+    def test_distance_hereditary_rule_against_the_oracle_bfs(self, monkeypatch, expansions):
+        """Where the distance-hereditary rule drops states, the search
+        still gives the answer and witness of the BFS that expands every
+        successor: on distance-hereditary hosts (trees, K_{n,n}, cographs,
+        gnp10) and on hosts that are not, with H distance-hereditary (P5)
+        and not (C5, C6, house, domino).  The definition confirms that the
+        states the rule tests include distance-hereditary ones against an
+        H that is not."""
+        monkeypatch.setattr(oracles, "canonical_form", canonical_form)
+        module = sys.modules["pivotkit.pivot"]
+        tested, kernel = [], module.distance_hereditary
+
+        def recording(s):
+            tested.append(s)
+            return kernel(s)
+
+        monkeypatch.setattr(module, "distance_hereditary", recording)
+        rng = random.Random(71)
+        dh = [Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]) for n in (6, 7)]
+        dh += [k_nn(3), multipartite((1, 2, 3)), pooled(10)]
+        others = [Graph.cycle(7), domino(), prism(3), pooled(0)]
+        while len(others) < 7:
+            if not oracles.distance_hereditary(g := gnp(rng, 7, 0.5)):
+                others.append(g)
+        kinds, drops = set(), 0
+        for g in dh + others:
+            for h in (Graph.path(5), Graph.cycle(5), Graph.cycle(6), house(), domino()):
+                if h.n > g.n:
+                    continue
+                tested.clear()
+                got = _against_the_oracle(h, g, rng.choice((1, 3, 10, 20000, 20000)), expansions)
+                kinds.add(got[0])
+                h_dh = oracles.distance_hereditary(h)
+                if g in dh and not h_dh:
+                    assert got == (False, None) and expansions == []
+                if not h_dh:
+                    drops += sum(map(oracles.distance_hereditary, tested[2:]))
+        assert kinds == {True, False, "budget"} and drops > 0
+
     def test_empty_and_one_vertex_h(self):
         """H with no vertex, or one, is reached by deleting every vertex, or
         all but one: the answers and witnesses are the oracle BFS's, and
@@ -759,7 +827,7 @@ class TestIsPivotMinor:
         automorphism orbit leaves 159, dropping the 4-vertex states whose
         shape is not K4's leaves 139, and dropping the larger deletion
         states that are bipartite or whose components all have fewer than
-        4 vertices leaves 110."""
+        4 vertices, before their form, leaves 87."""
         module = sys.modules["pivotkit.pivot"]
         form, keys = module.canonical_form, []
 
@@ -769,20 +837,21 @@ class TestIsPivotMinor:
 
         monkeypatch.setattr(module, "canonical_form", recording)
         assert is_pivot_minor(complete(4), Graph.cycle(7), 20000) == (False, None)
-        assert len(keys) == len(set(keys)) == 110
+        assert len(keys) == len(set(keys)) == 87
 
     @pytest.mark.parametrize("h, g, found, calls", [
-        (Graph.path(5), Graph.cycle(8), True, 18), (Graph.cycle(6), Graph.cycle(8), True, 12),
-        (Graph.path(4), Graph.cycle(8), True, 75), (Graph.cycle(5), gnp10(), False, 481)],
-        ids=["P5", "C6", "P4", "C5"])
+        (Graph.path(5), Graph.cycle(8), True, 18), (Graph.cycle(6), Graph.cycle(8), True, 10),
+        (Graph.path(4), Graph.cycle(8), True, 73), (Graph.cycle(5), pooled(0), True, 131),
+        (Graph.cycle(6), pooled(0), False, 375)],
+        ids=["P5", "C6", "P4", "C5", "C6-no"])
     def test_successors_are_canonicalised_as_they_leave_the_queue(self, monkeypatch,
                                                                   h, g, found, calls):
         """A successor with as many vertices as H is canonicalised when it
-        is met, unless its shape is not H's, any other only when it leaves
-        the queue.  In C8, P5, C6 and P4 are found with 18, 12 and 75
-        calls, where canonicalising each successor as it is met takes 74,
-        46 and 169; the "no" query C5 in gnp10 takes 481.  After H's own
-        form, each labelled graph is counted once."""
+        is met, unless it cannot host H, any other only when it leaves the
+        queue and can host H.  In C8, P5, C6 and P4 are found with 18, 10
+        and 73 calls.  In the pooled host gnp0, C5 is found with 131, and
+        the "no" query C6 takes 375.  After H's own form, each labelled
+        graph is counted once."""
         module = sys.modules["pivotkit.pivot"]
         form, keys = module.canonical_form, []
 
@@ -793,6 +862,31 @@ class TestIsPivotMinor:
         monkeypatch.setattr(module, "canonical_form", recording)
         assert is_pivot_minor(h, g, 20000)[0] == found
         assert len(keys) == calls and len(set(keys[1:])) == calls - 1
+
+    def test_larger_successors_are_built_when_they_leave_the_queue(self, monkeypatch):
+        """A successor with more vertices than H is queued unbuilt, and
+        its rows are built only if it leaves the queue, so a search that
+        answers "yes" builds few of them: P5 in C8 makes 17 pivots and
+        deletions, and C5 in the pooled host gnp0 makes 235, where building
+        each successor as it is met takes 84 and 1,267."""
+        module = sys.modules["pivotkit.pivot"]
+        pivoted, deleted, builds = module._pivoted, module._deleted, []
+
+        def pivoting(adj, x, y):
+            builds.append(("pivot", x, y))
+            return pivoted(adj, x, y)
+
+        def deleting(adj, v):
+            builds.append(("delete", v))
+            return deleted(adj, v)
+
+        monkeypatch.setattr(module, "_pivoted", pivoting)
+        monkeypatch.setattr(module, "_deleted", deleting)
+        for h, g, calls in ((Graph.path(5), Graph.cycle(8), 17),
+                            (Graph.cycle(5), pooled(0), 235)):
+            builds.clear()
+            assert is_pivot_minor(h, g, 20000)[0]
+            assert len(builds) == calls
 
     def test_budget_stops_mid_level_as_the_oracle(self, monkeypatch):
         """At each budget from 1 to the one where the BFS that
@@ -846,7 +940,7 @@ class TestIsPivotMinor:
     def test_pinned_bench_queries(self, monkeypatch):
         """Every pooled pivot-search unit of the benchmark keeps its
         pinned answer and witness, and each witness replays to a copy of
-        H.  The pool takes 18,174 canonical forms, 7,495 of them on the
+        H.  The pool takes 14,526 canonical forms, 5,672 of them on the
         "no" queries."""
         module = sys.modules["pivotkit.pivot"]
         form, calls = module.canonical_form, [0]
@@ -877,7 +971,7 @@ class TestIsPivotMinor:
                     g = oracles.pivot(g, *step[1:]) if step[0] == "pivot" \
                         else g.delete_vertex(step[1])
                 assert nx.is_isomorphic(to_nx(g), to_nx(h)), unit
-        assert (calls[0], no_calls) == (18174, 7495)
+        assert (calls[0], no_calls) == (14526, 5672)
 
     def test_witness_replays(self):
         h = Graph(3, [(0, 1), (0, 2)])
