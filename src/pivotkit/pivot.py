@@ -325,23 +325,24 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     of the search that expands every successor, from at most its
     expansions.
 
-    Successors wait in one FIFO queue with their parent's path and their
-    step.  A successor is built as adjacency rows and looked up among the
-    met labelled graphs as a tuple of them; only one not met becomes a
-    Graph.  One with as many vertices as h is built when it is met, and
-    then canonicalised with a maps list: the search returns at the first
-    whose form is h's, and queues any other with its graph, form and
-    maps.  A larger one is queued with its parent's graph, and is built,
-    looked up and canonicalised only when it is dequeued.  Entries leave
-    the queue in the order they were made, so skipping a labelled repeat
-    there keeps the first of each labelled graph, as skipping it when met
-    would.  A dequeued state whose class is seen is dropped; otherwise its
-    class is added and it is expanded, so seen counts the expansions.
-    When they pass the budget the search stops at once, reporting the
-    labelled graphs it has built.  Every queue entry comes from one of at
-    most budget expansions, so at most 1 + budget * (n + n(n-1)/2)
-    entries, labelled keys and built graphs are held for an n-vertex g,
-    and the budget caps memory as well as time.
+    Successors wait in one FIFO queue.  An entry holds its parent, the
+    parent's path and its step, as the pair _orbit_firsts gives.  One
+    builder makes every successor: its adjacency rows are looked up among
+    the met labelled graphs as a tuple, and only one not met becomes a
+    Graph, is tested when it comes from a deletion, and is canonicalised
+    with a maps list.  One with as many vertices as h is built when it is
+    met, a larger one when it is dequeued.  The search returns at the
+    first met whose form is h's, forming the witness from the path then,
+    and queues any other in its parent's place with its graph, form and
+    maps.  Entries leave the queue in the order they were made, so
+    skipping a labelled repeat there keeps the first of each labelled
+    graph, as skipping it when met would.  A dequeued state whose class is
+    seen is dropped; otherwise its class is added and it is expanded, so
+    seen counts the expansions.  When they pass the budget the search
+    stops at once, reporting the labelled graphs it has built.  Every
+    queue entry comes from one of at most budget expansions, so at most
+    1 + budget * (n + n(n-1)/2) entries, labelled keys and built graphs
+    are held for an n-vertex g, and the budget caps memory as well as time.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -367,24 +368,29 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
     target = canonical_form(h)
     autos: list[list[int]] = []
     start_key = canonical_form(g, autos)
-    if g.n == h.n and start_key == target:
+    if start_key == target:
         return True, []
     seen: set = set()
     met = {tuple(g.adj)}  # labelled graphs; the tuple's length is the vertex count
-    queue = deque([(g, [], None, start_key, autos)])
+
+    def build(cur: Graph, u: int, v: int) -> Optional[tuple]:
+        """cur's successor by (u, v), its form and maps; None if met or ruled out."""
+        rows = _pivoted(cur.adj, u, v) if u != v else _deleted(cur.adj, v)
+        if (labelled := tuple(rows)) in met:
+            return None
+        met.add(labelled)
+        nxt = _graph(rows)
+        if u == v and not can_host(nxt):
+            return None
+        maps: list[list[int]] = []
+        return nxt, canonical_form(nxt, maps), maps
+
+    queue = deque([(None, [], None, (g, start_key, autos))])
     while queue:
-        cur, path, step, k, autos = queue.popleft()
-        if k is None:  # a successor of cur larger than h, built now
-            deletion = step[0] == "delete"
-            rows = _deleted(cur.adj, step[1]) if deletion else _pivoted(cur.adj, step[1], step[2])
-            if (labelled := tuple(rows)) in met:
-                continue
-            met.add(labelled)
-            cur = _graph(rows)
-            if deletion and not can_host(cur):
-                continue
-            autos = []
-            k = canonical_form(cur, autos)
+        parent, path, step, state = queue.popleft()
+        if state is None and (state := build(parent, *step)) is None:
+            continue
+        cur, k, autos = state
         if k in seen:
             continue
         seen.add(k)
@@ -392,20 +398,13 @@ def is_pivot_minor(h: Graph, g: Graph, budget: int) -> tuple[bool, Optional[list
         if len(seen) > budget:
             raise SearchBudgetExceeded(budget, budget, len(met), len(path))
         for u, v in _orbit_firsts(cur, autos, cur.n > h.n):
-            step = ("pivot", u, v) if u != v else ("delete", v)
-            if cur.n - (u == v) > h.n:  # larger than h: built when dequeued
-                queue.append((cur, path, step, None, None))
-                continue
-            rows = _pivoted(cur.adj, u, v) if u != v else _deleted(cur.adj, v)
-            if (labelled := tuple(rows)) in met:
-                continue
-            met.add(labelled)
-            nxt = _graph(rows)
-            if u == v and not can_host(nxt):
-                continue
-            nxt_autos = []
-            nxt_k = canonical_form(nxt, nxt_autos)
-            if nxt_k == target:
-                return True, path + [step]
-            queue.append((nxt, path, step, nxt_k, nxt_autos))
+            # A successor of h's size is built when met, so the search returns at
+            # the first copy of h met; building all when dequeued takes twice as long.
+            if cur.n - (u == v) > h.n:
+                queue.append((cur, path, (u, v), None))
+            elif (state := build(cur, u, v)) is not None:
+                if state[1] == target:
+                    return True, [("pivot", x, y) if x != y else ("delete", y)
+                                  for x, y in path + [(u, v)]]
+                queue.append((None, path, (u, v), state))
     return False, None

@@ -39,7 +39,7 @@ from .matroid import (CIRCUIT_ENUM_CAP, BinaryMatroid, change_basis, circuits,
                       connectivity_kernel, format_matroid, parse_matroid,
                       parse_multigraph)
 from .pivot import pivot
-from .structure import (_group_indices, _validate_partition, check_struct_density,
+from .structure import (_group_indices, check_struct_density,
                         free_trees, perturbation_partition, reconstruct_from_partition,
                         split_tree)
 
@@ -163,11 +163,11 @@ def _check_tree(tree: Graph, s: int):
 
 
 def _check_struct_density(h: BitMatrix, row_classes, col_classes, s: int):
-    _validate_partition(row_classes, h.nrows, "row")
-    _validate_partition(col_classes, h.ncols, "column")
+    # check_struct_density validates the classes, so it runs before the search.
+    holds = check_struct_density(h, row_classes, col_classes, s)
     if find_complete_bipartite(h, s, s) is not None:
         return VACUOUS
-    return None if check_struct_density(h, row_classes, col_classes, s) else {}
+    return None if holds else {}
 
 
 def _check_rankconn(g: Graph):

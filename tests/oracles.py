@@ -27,7 +27,9 @@ The tree split and its checker are the earlier set-based ones, which
 build a Graph per part and test it by BFS.  Vertex connectivity is the
 earlier all-pairs one, a max-flow on a freshly built network for every
 non-adjacent pair; circuits are the earlier power-set scan, which XORs
-the columns of [I|D] over every element subset.
+the columns of [I|D] over every element subset.  The tree checks and
+vertex connectivity walk graphs by their own plain breadth-first
+search, which tests every label, not by the library's.
 """
 
 from itertools import combinations, permutations
@@ -38,7 +40,7 @@ from pivotkit.errors import (ElementNotFound, GroundSetTooLarge, NotAnEdge, NotA
                              OrbitBudgetExceeded, SearchBudgetExceeded, SubsetCapExceeded,
                              TreeTooSmall)
 from pivotkit.gf2 import BitMatrix, rank, rank_bits
-from pivotkit.graph import Graph, _bfs, _bits, is_connected
+from pivotkit.graph import Graph, _bits
 from pivotkit.matroid import CIRCUIT_ENUM_CAP, BinaryMatroid, MultiGraph
 from pivotkit.structure import Edge, SplitEdge, SplitVertex, TreeSplit
 
@@ -555,28 +557,35 @@ def distance_hereditary(g: Graph) -> bool:
     return True
 
 
+def _walk(adj: list[int], root: int) -> tuple[list[int], list[int]]:
+    """A breadth-first walk from root over adjacency bitmasks, testing
+    each label in ascending order: the vertices in the order reached, and
+    each vertex's parent, -1 for the root and every vertex not reached."""
+    parent = [-1] * len(adj)
+    order = [root]
+    for v in order:
+        for w in range(len(adj)):
+            if adj[v] >> w & 1 and w != root and parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
+def _connected(g: Graph) -> bool:
+    return g.n == 0 or len(_walk(g.adj, 0)[0]) == g.n
+
+
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
 def _check_is_tree(t: Graph) -> None:
-    if t.n == 0 or t.num_edges() != t.n - 1 or not is_connected(t):
+    if t.n == 0 or t.num_edges() != t.n - 1 or not _connected(t):
         raise NotATree("expected a connected acyclic graph")
 
 
 def _rooted(t: Graph, root: int):
-    parent = [-1] * t.n
-    order = [root]
-    seen = 1 << root
-    for v in order:
-        mask = t.adj[v] & ~seen
-        while mask:
-            low = mask & -mask
-            w = low.bit_length() - 1
-            mask ^= low
-            seen |= low
-            parent[w] = v
-            order.append(w)
+    order, parent = _walk(t.adj, root)
     depth = [0] * t.n
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
@@ -659,7 +668,7 @@ def _edges_form_subtree(edges: frozenset[Edge]) -> bool:
     g = Graph(len(verts))
     for u, w in edges:
         g.add_edge(pos[u], pos[w])
-    return g.num_edges() == g.n - 1 and is_connected(g)
+    return g.num_edges() == g.n - 1 and _connected(g)
 
 
 def tree_split_problem(t: Graph, s: int, split: TreeSplit):
@@ -715,7 +724,7 @@ def _local_vertex_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cutoff:
-        parent = _bfs(res, source)[1]
+        parent = _walk(res, source)[1]
         if parent[sink] == -1:
             break
         b = sink
@@ -739,7 +748,7 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if all(a.bit_count() == n - 1 for a in g.adj):
         return n - 1
-    if not is_connected(g):
+    if not _connected(g):
         return 0
     best = n - 1
     for u in range(n):

@@ -314,6 +314,12 @@ class TestCheckStructDensity:
         g = BitMatrix(4, 4, [0b1111] * 4)
         assert check_struct_density(g, [[0, 1, 2, 3]], [[0, 1, 2, 3]], 1)
 
+    @pytest.mark.parametrize("rows, cols, holds", [(10, 10, True), (10, 11, False), (11, 11, False)])
+    def test_average_degree_against_the_bound(self, rows, cols, holds):
+        # K_{10,10} has average degree exactly 10, the bound for one class and s = 1.
+        g = BitMatrix(rows, cols, [(1 << cols) - 1] * rows)
+        assert check_struct_density(g, [range(rows)], [range(cols)], 1) is holds
+
     def test_invalid_partition(self):
         g = BitMatrix(2, 2, [0b11, 0b11])
         with pytest.raises(PartitionInvalid):

@@ -1,5 +1,6 @@
 import inspect
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -119,6 +120,22 @@ class TestRunCampaign:
         report = run_campaign("struct-density", {"classes": 10 ** 8, "trials": 1}, seed=0)
         assert report.trials_run == 1
         assert time.perf_counter() - start < 1.0
+
+    def test_struct_density_validates_each_class_list_once_per_trial(self):
+        # A profiler sees every call, however a module binds the function.
+        code, validated = structure._validate_partition.__code__, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                validated.append(frame.f_locals["what"])
+
+        sys.setprofile(profile)
+        try:
+            report = run_campaign("struct-density", {"trials": 30}, seed=3)
+        finally:
+            sys.setprofile(None)
+        assert report.trials_run == 30 and report.vacuous < 30
+        assert validated == ["row", "column"] * 30
 
     def test_random_partition_groups_by_ascending_class_id(self):
         for classes in (1, 2, 3, 5, 40):
