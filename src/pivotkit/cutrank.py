@@ -63,8 +63,6 @@ def find_low_rank_separation(g: Graph, k: int) -> Optional[Separation]:
     if n > SUBSET_CAP:
         raise SubsetCapExceeded(f"{n} vertices exceeds the subset cap {SUBSET_CAP}")
     top = k - 1  # a new witness must have a cut-rank below top
-    if top < 1:
-        return None
     adj = g.adj
     best = None
 

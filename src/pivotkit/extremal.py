@@ -80,8 +80,6 @@ def gen_c6_blowup_example(s: int) -> Instance:
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     """Uniformly random labeled tree via a random Prüfer sequence."""
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:

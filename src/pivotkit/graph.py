@@ -150,8 +150,6 @@ def _search_biclique(masks: list[int], s: int, t: int) -> Optional[tuple[tuple[i
     the first t of those.  Rows are picked depth first; a prefix that
     already shares fewer than t columns is not extended."""
     candidates = [i for i, m in enumerate(masks) if m.bit_count() >= t]
-    if len(candidates) < s:
-        return None
     # Positions in candidates, and common[d]: the columns the first d share.
     picked, common, k = [], [-1], 0
     while len(picked) < s:
@@ -298,8 +296,6 @@ def vertex_connectivity(g: Graph) -> int:
     degs = [a.bit_count() for a in g.adj]
     best = min(degs)
     v = degs.index(best)
-    if best == n - 1:
-        return best
     # Node-split network, in(u) = 2u and out(u) = 2u + 1, with unit arcs
     # in(u) -> out(u) and out(u) -> in(w) for each edge.  No arc's reverse
     # is an arc, so the residual network is one successor mask per node
@@ -311,7 +307,7 @@ def vertex_connectivity(g: Graph) -> int:
     pairs = [(v, w) for w in _bits(((1 << n) - 1) ^ near ^ (1 << v))]
     pairs += [(x, y) for x, y in combinations(_bits(near), 2) if not g.adj[x] >> y & 1]
     for s, t in pairs:
-        if best == 1:  # the least value of a connected graph
+        if best == 1:  # the least value of a connected graph, as g is by the test above
             break
         best = _local_vertex_connectivity(net, s, t, best)
     return best

@@ -706,6 +706,18 @@ class TestCheckAndReplay:
         code, out = run(["replay", str(report)])
         assert (code, out) == (EXIT_USAGE, "witness 0 NOT-REPRODUCED\n")
 
+    def test_rankconn_witness_with_a_4_cycle_is_not_reproduced(self, tmp_path):
+        # The campaign draws only C4-free graphs, so only a replay meets one
+        # outside the hypothesis.  C4 is 2-connected and {0, 2} is a
+        # separation of order 2, so only the C4-free test keeps it from
+        # confirming.
+        data = format_graph(Graph.cycle(4)).strip().replace("\n", ";")
+        report = tmp_path / "report.txt"
+        report.write_text("FAIL\nname=rankconn-lemma\nviolations=1\n"
+                          f"witness name=rankconn-lemma k=2 data={data}\n")
+        code, out = run(["replay", str(report)])
+        assert (code, out) == (EXIT_USAGE, "witness 0 NOT-REPRODUCED\n")
+
     def test_replay_no_witnesses(self, tmp_path):
         _, out = run(["check", "pivot-matroid", "--trials", "5"])
         report = tmp_path / "report.txt"

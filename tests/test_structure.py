@@ -90,6 +90,24 @@ class TestSplitTree:
                          frozenset({(u, u + 1) for u in range(3, 10)}))
         assert tree_split_problem(t, 2, bad2) is not None
 
+    @pytest.mark.parametrize("split, problem", [
+        (SplitVertex(0, frozenset({(0, 1), (1, 2)}), frozenset({(0, 3), (0, 4)}),
+                     frozenset({(0, 5), (0, 6)})),
+         "a subtree uses non-tree edges"),
+        (SplitVertex(0, frozenset({(0, 1), (0, 2)}), frozenset({(0, 2), (0, 3)}),
+                     frozenset({(0, 4), (0, 5), (0, 6)})),
+         "subtrees share an edge"),
+        ((0, 1), "not a TreeSplit: (0, 1)"),
+    ])
+    def test_checker_names_the_problem_of_a_bad_split(self, split, problem):
+        # The star K_{1,6}: three pairs of its edges split it at vertex 0.
+        star = Graph(7, [(0, v) for v in range(1, 7)])
+        good = SplitVertex(0, frozenset({(0, 1), (0, 2)}), frozenset({(0, 3), (0, 4)}),
+                           frozenset({(0, 5), (0, 6)}))
+        assert tree_split_problem(star, 2, good) is None
+        assert tree_split_problem(star, 2, split) == problem
+        assert oracles.tree_split_problem(star, 2, split) == problem
+
     def test_format(self):
         split = split_tree(Graph.path(11), 2)
         text = format_tree_split(split)

@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import random
 import sys
 import time
@@ -359,6 +361,39 @@ def test_conn_equiv_sweep_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 1024
+
+
+def test_campaign_pool_operation_counts(monkeypatch):
+    """Every campaign at its defaults on seeds 0-3, run through the CLI as
+    the campaigns benchmark runs it, makes these exact numbers of calls.
+    Each counted function is wrapped in every pivotkit namespace that
+    holds it, so a call through any import is counted.  A change that
+    claims to do the same work keeps these counts; one that claims less
+    work re-pins a smaller one."""
+    counted = {"rank_bits": "gf2", "find_complete_bipartite": "graph",
+               "vertex_connectivity": "graph", "connectivity_kernel": "matroid"}
+    calls = dict.fromkeys(counted, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, layer in counted.items():
+        original = getattr(sys.modules[f"pivotkit.{layer}"], name)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "pivotkit" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    codes = set()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for name in campaign_names():
+            for seed in range(4):
+                codes.add(cli.run_cli(["check", name, "--seed", str(seed)]))
+    assert codes == {0}
+    assert calls == {"rank_bits": 121396, "find_complete_bipartite": 4800,
+                     "vertex_connectivity": 3996, "connectivity_kernel": 400}
 
 
 def _stats(min_degree, average_degree=0):
