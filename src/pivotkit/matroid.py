@@ -17,7 +17,7 @@ from .errors import (CapExceeded, ElementNotFound, FormatError, GroundSetTooLarg
                      NotASpanningTree, NotConnected, PivotOnZero,
                      SubsetCapExceeded)
 from .gf2 import BitMatrix, format_matrix, matrix_pivot, rank_bits, read_matrix
-from .graph import Graph
+from .graph import Graph, _bits
 from .cutrank import SUBSET_CAP, find_low_rank_separation
 
 CIRCUIT_ENUM_CAP = 16
@@ -234,12 +234,12 @@ def circuits(m: BinaryMatroid) -> frozenset[frozenset[str]]:
     zero_sets.sort(key=int.bit_count)
     minimal: list[int] = []
     for s in zero_sets[1:]:
-        if not any(c & s == c for c in minimal):
+        for c in minimal:
+            if c & s == c:
+                break
+        else:
             minimal.append(s)
-    out = set()
-    for s in minimal:
-        out.add(frozenset(elements[i] for i in range(ne) if (s >> i) & 1))
-    return frozenset(out)
+    return frozenset(frozenset([elements[i] for i in _bits(s)]) for s in minimal)
 
 
 def _contract(m: BinaryMatroid, e: str) -> BinaryMatroid:

@@ -98,29 +98,29 @@ def split_tree(t: Graph, s: int) -> TreeSplit:
     desc = [1 << v for v in range(t.n)]
     for w in reversed(order[1:]):
         desc[parent[w]] |= desc[w]
-    sub = [d.bit_count() - 1 for d in desc]
-    best = 0
-    for v in range(t.n):
-        if sub[v] >= s and (depth[v], -v) > (depth[best], -best):
-            best = v
-    v = best
+    # order is by depth, so a later qualifying vertex is as deep or deeper.
+    v = 0
+    for w in order:
+        if desc[w].bit_count() > s and (depth[w] > depth[v] or w < v):
+            v = w
     up = [_norm_edge(p, w) for w, p in enumerate(parent)]  # w's edge to its parent
-    all_edges = {up[w] for w in order[1:]}
-    if sub[v] >= 3 * s:
+    all_edges = set(up[1:])  # the root, vertex 0, has no parent
+    if desc[v].bit_count() > 3 * s:
         # The branch at child c is the up-edges of desc[c].
         groups: list[frozenset[Edge]] = []
         cur = 0
         for c in _bits(t.adj[v] & desc[v]):
             cur |= desc[c]
             if cur.bit_count() >= s:
-                groups.append(frozenset(up[w] for w in _bits(cur)))
+                groups.append(frozenset([up[w] for w in order if cur >> w & 1]))
                 cur = 0
                 if len(groups) == 2:
                     break
         t1, t2 = groups
         split: TreeSplit = SplitVertex(v, t1, t2, frozenset(all_edges - t1 - t2))
     else:
-        below = frozenset(up[w] for w in _bits(desc[v] ^ (1 << v)))
+        mask = desc[v] ^ (1 << v)
+        below = frozenset([up[w] for w in order if mask >> w & 1])
         split = SplitEdge(up[v], frozenset(all_edges - below - {up[v]}), below)
     problem = _split_problem(all_edges, s, split)
     if problem is not None:

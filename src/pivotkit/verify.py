@@ -31,7 +31,7 @@ from .errors import (CapExceeded, FormatError, NotATree, PartitionInvalid,
                      SubsetCapExceeded, TreeTooSmall, UnknownCampaign)
 from .extremal import (Instance, _make_instance, format_instance, gen_c6_blowup_example,
                        gen_ktt_example, gen_random_instance)
-from .gf2 import BitMatrix, format_matrix, parse_matrix, rank, rank_bits
+from .gf2 import BitMatrix, format_matrix, parse_matrix, rank
 from .graph import (Graph, _bits, bipartite_complement, degree_stats,
                     find_complete_bipartite, format_bigraph, format_graph,
                     is_c4_free, parse_bigraph, parse_graph, vertex_connectivity)
@@ -194,6 +194,9 @@ def _check_pert(matrices: tuple[BitMatrix, BitMatrix]):
 
 
 def _check_pivot_matroid(m: BinaryMatroid, x: str, y: str):
+    # A basis exchange keeps the cycle space, so a `circuits` that skipped
+    # the minimality test would agree with itself here; test_matroid's
+    # oracles check `circuits` itself.
     m2 = change_basis(m, x, y)
     order = m.element_order()
     pos = {e: i for i, e in enumerate(order)}
@@ -208,30 +211,43 @@ def _check_conn_equiv(m: BinaryMatroid, k_max: int):
         raise SubsetCapExceeded(f"{n} elements exceeds the subset cap {SUBSET_CAP}")
     # lambda(X) = lambda(E-X) (swap the two rank terms) and cut-rank(X) =
     # cut-rank(V-X) (transpose the symmetric adjacency), so the masks
-    # without the top element cover every split once.  They are walked as
-    # (high half, low half) pairs, masks ascending, with the low halves'
-    # members listed once: 2^(half size) lists rather than 2^(n-1).
+    # without the top element cover every split once.  They are walked
+    # depth first, a child x + v adding one vertex above x's highest.  A
+    # frame holds an echelon of x's rows on the columns outside x, keyed
+    # by lowest bit (bits in x are stale, masked off on use), so x's
+    # cut-rank is its size; a child pops the row keyed at v and reduces it
+    # and v's row into a copy.  Pending masks end in distinct vertices:
+    # at most n - 1 echelons of at most n/2 rows.
     lam = connectivity_kernel(m)
     g = m.element_graph()
     adj = g.adj
-    full = (1 << n) - 1
     bits = max(n - 1, 0)
-    lows = [list(_bits(low)) for low in range(1 << bits // 2)]
     # The least order of a separation, lambda(X) + 1 over the splits with
     # lambda(X) < |X|, |E-X|, taken as k_max when none is lower: the
     # object is k-connected exactly for k <= order.
     order = k_max
-    for high in range(0, 1 << bits, len(lows)):
-        high_members = list(_bits(high))
-        for low, low_members in enumerate(lows):
-            x = high | low
-            comp = full ^ x
-            members = low_members + high_members
-            value = lam(x)
-            if value != rank_bits([adj[u] & comp for u in members]):
-                return {}
-            if value < order - 1 and value < len(members) and value < n - len(members):
-                order = value + 1
+    stack = [(0, 0, {})]
+    while stack:
+        x, lo, rows = stack.pop()
+        value = lam(x)
+        if value != len(rows):
+            return {}
+        size = x.bit_count()
+        if value < order - 1 and value < size and value < n - size:
+            order = value + 1
+        for v in range(lo, bits):
+            bit = 1 << v
+            keep = ~(x | bit)
+            child = dict(rows)
+            for row in (child.pop(bit, 0), adj[v]):
+                row &= keep
+                while row:
+                    low = row & -row
+                    if low not in child:
+                        child[low] = row
+                        break
+                    row = (row ^ child[low]) & keep
+            stack.append((x | bit, v + 1, child))
     # The pruned separation walk against the exhaustive sweep's answer.
     sep = find_low_rank_separation(g, k_max)
     return None if order == (k_max if sep is None else sep.order) else {}

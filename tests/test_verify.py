@@ -349,9 +349,9 @@ def test_conn_equiv_checks_the_separation_walk_against_the_sweep(monkeypatch):
 
 
 def test_conn_equiv_sweep_memory_is_bounded():
-    """The sweep keeps two half-size subset tables, not one list per split:
-    on 14 elements its peak is about 18 KB, against about 1.5 MB with one
-    table of all 2^13 member lists."""
+    """The sweep keeps at most n - 1 pending echelons, not one list per
+    split: on 14 elements its peak is about 4.5 KB, against about 1.5 MB
+    with one table of all 2^13 member lists."""
     m = _random_matroid_on(random.Random(14), 14)
     verify._check_conn_equiv(m, 4)
     tracemalloc.start()
@@ -371,7 +371,8 @@ def test_campaign_pool_operation_counts(monkeypatch):
     claims to do the same work keeps these counts; one that claims less
     work re-pins a smaller one."""
     counted = {"rank_bits": "gf2", "find_complete_bipartite": "graph",
-               "vertex_connectivity": "graph", "connectivity_kernel": "matroid"}
+               "vertex_connectivity": "graph", "connectivity_kernel": "matroid",
+               "circuits": "matroid", "split_tree": "structure"}
     calls = dict.fromkeys(counted, 0)
 
     def counting(name, fn):
@@ -392,8 +393,9 @@ def test_campaign_pool_operation_counts(monkeypatch):
             for seed in range(4):
                 codes.add(cli.run_cli(["check", name, "--seed", str(seed)]))
     assert codes == {0}
-    assert calls == {"rank_bits": 121396, "find_complete_bipartite": 4800,
-                     "vertex_connectivity": 3996, "connectivity_kernel": 400}
+    assert calls == {"rank_bits": 61098, "find_complete_bipartite": 4800,
+                     "vertex_connectivity": 3996, "connectivity_kernel": 400,
+                     "circuits": 1528, "split_tree": 7060}
 
 
 def _stats(min_degree, average_degree=0):
@@ -446,6 +448,34 @@ def test_planted_violation_round_trips_through_the_report(name, monkeypatch):
         for (key, (encode, _)), arg in zip(campaign.fields, args):
             again[key] = encode(arg)
         assert _fields(again) == _fields(original)
+
+
+def test_pivot_matroid_catches_a_wrong_entry_after_the_exchange(monkeypatch):
+    """An exchange that flips the first entry of the new D other than the
+    pivot fails every trial whose D has one: 189 of the 200 at seed 2,
+    where 7 trials are vacuous and 4 have a 1x1 D.  Each witness replays
+    under the same exchange."""
+    real = verify.change_basis
+    one_by_one = 0
+
+    def flipping(m, x, y):
+        nonlocal one_by_one
+        m2 = real(m, x, y)
+        rep = m2.rep
+        if rep.nrows * rep.ncols == 1:
+            one_by_one += 1
+            return m2
+        pivot_at = (m2.row_of(y), m2.col_of(x))
+        r, c = (0, 0) if pivot_at != (0, 0) else (0, 1) if rep.ncols > 1 else (1, 0)
+        rows = list(rep.rows)
+        rows[r] ^= 1 << c
+        return BinaryMatroid(m2.basis, m2.nonbasis, BitMatrix(rep.nrows, rep.ncols, rows))
+
+    monkeypatch.setattr(verify, "change_basis", flipping)
+    report = run_campaign("pivot-matroid", None, seed=2)
+    assert (report.trials_run, report.vacuous, one_by_one) == (200, 7, 4)
+    assert len(report.violations) == 189
+    assert all(replay_witness(w) for w in parse_report(format_report(report))["witnesses"])
 
 
 @pytest.mark.parametrize("name", campaign_names())
